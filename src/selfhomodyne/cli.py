@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -25,6 +26,7 @@ from .constants import CONSTANTS, K_B
 from .langevin import (
     DetectorModel,
     FeedbackConfig,
+    _effective_visibility,
     gas_damping_rate,
     run_calibration,
     simulate,
@@ -35,6 +37,7 @@ from .optics import (
     backaction_psd,
     collection_efficiency,
     detection_efficiency,
+    fringe_slope,
     imprecision,
     mirror_sensitivity,
     particle_sensitivity,
@@ -87,10 +90,8 @@ def _point_seed(seed: int, index: int) -> np.random.Generator:
 def _calibration_slope(cfg: ScenarioConfig) -> float:
     """Volts-per-meter from the fringe-slope rule S = 4 pi A_volts / lambda,
     with the model's fringe amplitude in detector units."""
-    setup = cfg.setup
-    rho = setup.mirror_reflectivity
-    amp_volts = cfg.detector.gain * setup.visibility * 2.0 * rho / (1.0 + rho * rho)
-    return 4.0 * math.pi * amp_volts / setup.wavelength
+    amp_volts = cfg.detector.gain * _effective_visibility(cfg.setup)
+    return fringe_slope(amp_volts, cfg.setup.wavelength)
 
 
 # ---------------------------------------------------------------------------
@@ -101,17 +102,8 @@ def _ramp_run(cfg: ScenarioConfig, seed: int):
     """Mirror-ramp simulation over three fringes of travel, modeling the
     calibration procedure on a pre-cooled particle (initial state at rest;
     thermal forces still act during the scan)."""
-    det = cfg.detector
-    rate = det.ramp_rate if det.ramp_rate > 0.0 else 2e-6
-    det = DetectorModel(
-        imprecision_self=det.imprecision_self,
-        imprecision_forward=det.imprecision_forward,
-        fringe_nonlinearity=det.fringe_nonlinearity,
-        mirror_mode="ramp",
-        ramp_rate=rate,
-        lock_setpoint_index=det.lock_setpoint_index,
-        gain=det.gain,
-    )
+    rate = cfg.detector.ramp_rate if cfg.detector.ramp_rate > 0.0 else 2e-6
+    det = dataclasses.replace(cfg.detector, mirror_mode="ramp", ramp_rate=rate)
     duration = 3.0 * (cfg.setup.wavelength / 2.0) / rate
     return simulate(
         cfg.trap, cfg.bath, FeedbackConfig(), det, cfg.setup,

@@ -119,6 +119,29 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
     return out
 
 
+def _real(value) -> float:
+    """A finite JSON number; strings, booleans and NaN/inf are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _integral(value) -> int:
+    """A JSON number with an integral value (1 or 1.0, not 1.7)."""
+    if not _real(value).is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _flag(value) -> bool:
+    """A JSON true/false; strings such as "false" are rejected."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Validated scenario: typed sub-configs plus the raw (merged) tree."""
@@ -158,73 +181,74 @@ class ScenarioConfig:
         try:
             opt = tree["optics"]
             setup = OpticalSetup(
-                wavelength=float(opt["wavelength_m"]),
-                half_aperture=math.asin(float(opt["numerical_aperture"])),
-                mirror_reflectivity=float(opt["mirror_field_reflectivity"]),
-                visibility=float(opt["visibility"]),
-                path_efficiency=float(opt["path_efficiency"]),
-                detector_qe=float(opt["detector_quantum_efficiency"]),
-                focal_length=float(opt["focal_length_m"]),
-                mirror_distance=float(opt["mirror_distance_m"]),
-                polarization_axis=tuple(float(v) for v in opt["polarization_axis"]),
-                axis_projection_angle=float(opt["axis_projection_angle_rad"]),
+                wavelength=_real(opt["wavelength_m"]),
+                half_aperture=math.asin(_real(opt["numerical_aperture"])),
+                mirror_reflectivity=_real(opt["mirror_field_reflectivity"]),
+                visibility=_real(opt["visibility"]),
+                path_efficiency=_real(opt["path_efficiency"]),
+                detector_qe=_real(opt["detector_quantum_efficiency"]),
+                focal_length=_real(opt["focal_length_m"]),
+                mirror_distance=_real(opt["mirror_distance_m"]),
+                polarization_axis=tuple(_real(v) for v in opt["polarization_axis"]),
+                axis_projection_angle=_real(opt["axis_projection_angle_rad"]),
             )
             sca = tree["scatterer"]
             scatterer = Scatterer(
-                radius=float(sca["radius_m"]),
-                refractive_index=float(sca["refractive_index"]),
-                mass=float(sca["mass_kg"]),
+                radius=_real(sca["radius_m"]),
+                refractive_index=_real(sca["refractive_index"]),
+                mass=_real(sca["mass_kg"]),
             )
             beam = Beam(
-                power=float(tree["beam"]["power_w"]),
-                waist=float(tree["beam"]["waist_m"]),
-                wavelength=float(opt["wavelength_m"]),
+                power=_real(tree["beam"]["power_w"]),
+                waist=_real(tree["beam"]["waist_m"]),
+                wavelength=_real(opt["wavelength_m"]),
             )
             trp = tree["trap"]
             trap = TrapConfig(
-                secular_freq_x=2.0 * math.pi * float(trp["secular_freq_x_hz"]),
-                secular_freq_y=2.0 * math.pi * float(trp["secular_freq_y_hz"]),
-                secular_freq_z=2.0 * math.pi * float(trp["secular_freq_z_hz"]),
-                drive_freq=float(trp["drive_freq_hz"]),
-                stability_q=float(trp["stability_q"]),
-                mass=float(sca["mass_kg"]),
+                secular_freq_x=2.0 * math.pi * _real(trp["secular_freq_x_hz"]),
+                secular_freq_y=2.0 * math.pi * _real(trp["secular_freq_y_hz"]),
+                secular_freq_z=2.0 * math.pi * _real(trp["secular_freq_z_hz"]),
+                drive_freq=_real(trp["drive_freq_hz"]),
+                stability_q=_real(trp["stability_q"]),
+                mass=_real(sca["mass_kg"]),
             )
             bth = tree["bath"]
             bath = Bath(
-                pressure=float(bth["pressure_mbar"]),
-                temperature=float(bth["temperature_k"]),
+                pressure=_real(bth["pressure_mbar"]),
+                temperature=_real(bth["temperature_k"]),
                 damping_anchor=(
-                    float(bth["damping_anchor_pressure_mbar"]),
-                    float(bth["damping_anchor_gamma_rad_per_s"]),
+                    _real(bth["damping_anchor_pressure_mbar"]),
+                    _real(bth["damping_anchor_gamma_rad_per_s"]),
                 ),
             )
             det = tree["detector"]
             detector = DetectorModel(
-                imprecision_self=float(det["imprecision_self_m2_per_hz"]),
-                imprecision_forward=float(det["imprecision_forward_m2_per_hz"]),
-                fringe_nonlinearity=bool(det["fringe_nonlinearity"]),
+                imprecision_self=_real(det["imprecision_self_m2_per_hz"]),
+                imprecision_forward=_real(det["imprecision_forward_m2_per_hz"]),
+                fringe_nonlinearity=_flag(det["fringe_nonlinearity"]),
                 mirror_mode=str(det["mirror_mode"]),
-                ramp_rate=float(det["ramp_rate_m_per_s"]),
-                lock_setpoint_index=int(det["lock_setpoint_index"]),
-                gain=float(det["gain_volts"]),
+                ramp_rate=_real(det["ramp_rate_m_per_s"]),
+                lock_setpoint_index=_integral(det["lock_setpoint_index"]),
+                gain=_real(det["gain_volts"]),
             )
             fbk = tree["feedback"]
             feedback = FeedbackConfig(
-                cooling_rate=float(fbk["cooling_rate_rad_per_s"]),
-                spring_gain=float(fbk["spring_gain_rad_per_s"]),
-                loop_delay=float(fbk["loop_delay_s"]),
-                filter_band=tuple(float(v) for v in fbk["filter_band_hz"]),
+                cooling_rate=_real(fbk["cooling_rate_rad_per_s"]),
+                spring_gain=_real(fbk["spring_gain_rad_per_s"]),
+                loop_delay=_real(fbk["loop_delay_s"]),
+                filter_band=tuple(_real(v) for v in fbk["filter_band_hz"]),
                 source_channel=str(fbk["source_channel"]),
             )
             sim = tree["sim"]
-            if float(sim["dt_s"]) <= 0 or float(sim["duration_s"]) <= 0:
+            if _real(sim["dt_s"]) <= 0 or _real(sim["duration_s"]) <= 0:
                 raise ValueError("sim dt_s and duration_s must be positive")
-            if float(sim["transient_s"]) < 0 or float(sim["transient_s"]) >= float(
+            if _real(sim["transient_s"]) < 0 or _real(sim["transient_s"]) >= _real(
                 sim["duration_s"]
             ):
                 raise ValueError("sim transient_s must lie in [0, duration_s)")
-            int(sim["seed"])
-        except (KeyError, TypeError, ValueError) as exc:
+            if _integral(sim["seed"]) < 0:
+                raise ValueError("sim seed must be >= 0")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid configuration: {exc}") from exc
         return cls(
             tree=tree, setup=setup, scatterer=scatterer, beam=beam,

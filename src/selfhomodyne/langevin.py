@@ -14,6 +14,13 @@ contains a viscous term -m*gamma_fb*dq_meas/dt and a spring term
 ``modes.radial_modes``.  q_meas is the detector-derived position including
 imprecision noise and, optionally, the sinusoidal fringe response.
 
+One detector model (``_detector_outputs``) maps the recorded motion to the
+self-homodyne and forward channels for both ``simulate`` and
+``synthesize_detector``; in locked mode both follow
+``DetectorModel.fringe_nonlinearity``.  The integrator applies it to each
+block of stored samples; the per-step loop computes only the motion and the
+feedback measurement.
+
 Integrator: per step, external forces (feedback, back-action, drive) enter
 as an impulse, then a half-step of exact damping+thermal Ornstein-Uhlenbeck,
 an exact harmonic rotation, and a second OU half-step.  In the noiseless
@@ -34,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import K_B
-from .optics import OpticalSetup
+from .optics import OpticalSetup, _effective_wavenumber, fringe_slope
 
 __all__ = [
     "Bath",
@@ -214,12 +221,6 @@ def _effective_visibility(setup: OpticalSetup) -> float:
     return setup.visibility * 2.0 * rho / (1.0 + rho * rho)
 
 
-def _effective_wavenumber(setup: OpticalSetup) -> float:
-    """Phase-per-displacement of the locked fringe,
-    k_eff = (4 pi / lambda)(1 - theta_D^2/4)."""
-    return (4.0 * math.pi / setup.wavelength) * (1.0 - setup.half_aperture**2 / 4.0)
-
-
 def _locked_mirror_distance(setup: OpticalSetup, lock_index: int) -> tuple[float, int]:
     """Mirror offset closest to the configured distance that puts the one-way
     path on a mid-fringe point R_s = (lambda/8)(2m+1) with m matching the
@@ -232,6 +233,34 @@ def _locked_mirror_distance(setup: OpticalSetup, lock_index: int) -> tuple[float
     m = max(m, 0)
     d = (lam / 8.0) * (2 * m + 1) - setup.focal_length
     return d, m
+
+
+def _detector_outputs(q, p, nu_self, nu_fwd, t, setup: OpticalSetup, detector: DetectorModel):
+    """The detector model: map the detection-axis and orthogonal
+    displacements q and p [m], the position-referred imprecision noise of
+    each channel [m] and the sample times t [s] to
+    (volts_self, volts_fwd, mirror_d).
+
+    Locked mode: the mirror sits on the mid-fringe point and the signal is
+    lock_sign * S * (q + nu_self), S = gain * V_eff * k_eff, with q replaced
+    by sin(k_eff q)/k_eff under ``fringe_nonlinearity``.  Ramp mode: the raw
+    fringe gain * (1 - V_eff cos(4 pi (f + d(t))/lambda + k_eff q)) as the
+    mirror advances, plus S * nu_self.  The forward channel reads
+    gain * (p + nu_fwd) in both modes.
+    """
+    v_eff = _effective_visibility(setup)
+    k_eff = _effective_wavenumber(setup)
+    gain = detector.gain
+    slope = gain * v_eff * k_eff
+    volts_fwd = gain * (p + nu_fwd)
+    if detector.mirror_mode == "locked":
+        d_lock, m_lock = _locked_mirror_distance(setup, detector.lock_setpoint_index)
+        lock_sign = 1.0 if m_lock % 2 == 0 else -1.0
+        meas = np.sin(k_eff * q) / k_eff if detector.fringe_nonlinearity else q
+        return lock_sign * slope * (meas + nu_self), volts_fwd, np.full(np.shape(q), d_lock)
+    d_now = setup.mirror_distance + detector.ramp_rate * t
+    phase = 4.0 * math.pi * (setup.focal_length + d_now) / setup.wavelength + k_eff * q
+    return gain * (1.0 - v_eff * np.cos(phase)) + slope * nu_self, volts_fwd, d_now
 
 
 def simulate(
@@ -304,28 +333,16 @@ def _integrate(
 ):
     mass = trap.mass
     wx, wy = trap.secular_freq_x, trap.secular_freq_y
-    lam = setup.wavelength
 
     # rotation constants (exact harmonic propagator)
     cx, sx = math.cos(wx * dt), math.sin(wx * dt)
     cy, sy = math.cos(wy * dt), math.sin(wy * dt)
 
-    # detector fringe model
-    v_eff = _effective_visibility(setup)
+    # feedback measurement: the loop reads its channel's position estimate
     k_eff = _effective_wavenumber(setup)
-    gain = detector.gain
-    amp_volts = gain * v_eff                       # fringe amplitude [detector units]
-    slope = amp_volts * k_eff                      # mid-fringe slope [units/m]
     sigma_self = math.sqrt(detector.imprecision_self / (2.0 * dt))
     sigma_fwd = math.sqrt(detector.imprecision_forward / (2.0 * dt))
-
-    locked = detector.mirror_mode == "locked"
-    if locked:
-        d_lock, m_lock = _locked_mirror_distance(setup, detector.lock_setpoint_index)
-        lock_sign = 1.0 if m_lock % 2 == 0 else -1.0
-    else:
-        d_lock, lock_sign = setup.mirror_distance, 1.0
-    ramp_rate = detector.ramp_rate
+    nonlin = detector.fringe_nonlinearity
 
     # feedback constants
     fb_on = feedback.engaged
@@ -337,7 +354,6 @@ def _integrate(
     b_lp = 1.0 - a_lp
     n_delay = int(round(feedback.loop_delay / dt))
     forward_loop = feedback.source_channel == "forward"
-    nonlin = detector.fringe_nonlinearity
 
     drive_w = 2.0 * math.pi * trap.drive_freq
 
@@ -368,7 +384,6 @@ def _integrate(
     vf = 0.0
 
     lock_lost = False
-    lam_quarter = lam / 4.0
     dt_over_m = dt / mass
     inv_wx, inv_wy = 1.0 / wx, 1.0 / wy
     sin = math.sin
@@ -384,48 +399,16 @@ def _integrate(
         g2y = normals[:, 3].tolist()
         gbx = (normals[:, 4] * math.sqrt(s_ba / (2.0 * dt))).tolist()
         gby = (normals[:, 5] * math.sqrt(s_ba / (2.0 * dt))).tolist()
-        nus = (normals[:, 6] * sigma_self).tolist()
-        nuf = (normals[:, 7] * sigma_fwd).tolist()
+        nu_self = normals[:, 6] * sigma_self
+        nu_fwd = normals[:, 7] * sigma_fwd
+        nu_loop = (nu_fwd if forward_loop else nu_self).tolist() if fb_on else None
 
         bx = [0.0] * nblk
         by = [0.0] * nblk
-        bq = [0.0] * nblk
-        bvs = [0.0] * nblk
-        bvf = [0.0] * nblk
-        bd = [0.0] * nblk
 
         for k in range(nblk):
-            n = i0 + k
-            t = n * dt
-            q = (x + y) * _INVSQ2
-            p = (x - y) * _INVSQ2
-            nu_s = nus[k]
-            nu_f = nuf[k]
-
-            # detector outputs at this sample
-            if locked:
-                if nonlin:
-                    meas_self = sin(k_eff * q) / k_eff + nu_s
-                else:
-                    meas_self = q + nu_s
-                volts_self = lock_sign * slope * meas_self
-                d_now = d_lock
-                if abs(q) > lam_quarter:
-                    lock_lost = True
-            else:
-                d_now = setup.mirror_distance + ramp_rate * t
-                phase = 4.0 * math.pi * (setup.focal_length + d_now) / lam + k_eff * q
-                volts_self = gain * (1.0 - v_eff * cos(phase)) + slope * nu_s
-                meas_self = q + nu_s
-            meas_fwd = p + nu_f
-            volts_fwd = gain * meas_fwd
-
             bx[k] = x
             by[k] = y
-            bq[k] = q
-            bvs[k] = volts_self
-            bvf[k] = volts_fwd
-            bd[k] = d_now
 
             # feedback force along the loop's actuation axis; the damping
             # path uses the band-limited differentiator, the spring path the
@@ -433,7 +416,11 @@ def _integrate(
             # anti-damps the modes at rate ~2 alpha^2/w_corner and would blow
             # up any weakly damped run)
             if fb_on:
-                src = meas_fwd if forward_loop else meas_self
+                if forward_loop:
+                    src = (x - y) * _INVSQ2 + nu_loop[k]
+                else:
+                    q = (x + y) * _INVSQ2
+                    src = (sin(k_eff * q) / k_eff if nonlin else q) + nu_loop[k]
                 if n_delay:
                     delayed = delay_line[delay_idx]
                     delay_line[delay_idx] = src
@@ -450,6 +437,7 @@ def _integrate(
 
             # drive always pushes along the detection axis; the feedback
             # pushes along its own loop axis (q for self, p for forward)
+            t = (i0 + k) * dt
             drv = drive_force * cos(drive_w * t) * _INVSQ2 if drive_force != 0.0 else 0.0
             uax = u * _INVSQ2
             if forward_loop:
@@ -470,12 +458,17 @@ def _integrate(
             vx = a_half * vx + ou_std * g2x[k]
             vy = a_half * vy + ou_std * g2y[k]
 
-        out_x[i0 : i0 + nblk] = bx
-        out_y[i0 : i0 + nblk] = by
-        out_q[i0 : i0 + nblk] = bq
-        out_vs[i0 : i0 + nblk] = bvs
-        out_vf[i0 : i0 + nblk] = bvf
-        out_d[i0 : i0 + nblk] = bd
+        blk = slice(i0, i0 + nblk)
+        out_x[blk] = bx
+        out_y[blk] = by
+        q = (out_x[blk] + out_y[blk]) * _INVSQ2
+        p = (out_x[blk] - out_y[blk]) * _INVSQ2
+        out_q[blk] = q
+        out_vs[blk], out_vf[blk], out_d[blk] = _detector_outputs(
+            q, p, nu_self, nu_fwd, np.arange(i0, i0 + nblk) * dt, setup, detector
+        )
+        if detector.mirror_mode == "locked" and not lock_lost:
+            lock_lost = bool(np.any(np.abs(q) > setup.wavelength / 4.0))
         i0 += nblk
 
     return Trajectory(
@@ -494,30 +487,23 @@ def _integrate(
 def synthesize_detector(
     q, setup: OpticalSetup, detector: DetectorModel, dt: float, rng=None
 ) -> np.ndarray:
-    """Detector output for a given displacement series.
+    """Self-homodyne detector output for a given displacement series, from
+    the same detector model ``simulate`` uses (so a noiseless trajectory's
+    ``q`` reproduces its ``volts_self`` exactly).
 
-    Locked mode: AC-coupled mid-fringe signal proportional to
-    sin(k_eff * q) plus noise equivalent to the configured imprecision
-    referred to position.  Ramp mode: the raw fringe intensity as the mirror
-    advances, 1 - V_eff * cos(4 pi (f + d(t))/lambda + k_eff q).
+    Locked mode: mid-fringe signal proportional to q, or to sin(k_eff q)
+    when ``detector.fringe_nonlinearity`` is set, plus noise equivalent to
+    the configured imprecision referred to position (drawn from ``rng``;
+    none when it is None).  Ramp mode: the raw fringe intensity as the
+    mirror advances, 1 - V_eff * cos(4 pi (f + d(t))/lambda + k_eff q).
     """
     q = np.asarray(q, dtype=float)
-    v_eff = _effective_visibility(setup)
-    k_eff = _effective_wavenumber(setup)
-    gain = detector.gain
-    slope = gain * v_eff * k_eff
     if rng is None:
         noise = np.zeros_like(q)
     else:
         noise = rng.standard_normal(q.size) * math.sqrt(detector.imprecision_self / (2.0 * dt))
-    if detector.mirror_mode == "locked":
-        _, m_lock = _locked_mirror_distance(setup, detector.lock_setpoint_index)
-        sign = 1.0 if m_lock % 2 == 0 else -1.0
-        return sign * (gain * v_eff * np.sin(k_eff * q) + slope * noise)
-    t = np.arange(q.size) * dt
-    d_now = setup.mirror_distance + detector.ramp_rate * t
-    phase = 4.0 * math.pi * (setup.focal_length + d_now) / setup.wavelength + k_eff * q
-    return gain * (1.0 - v_eff * np.cos(phase)) + slope * noise
+    volts_self, _, _ = _detector_outputs(q, 0.0, noise, 0.0, np.arange(q.size) * dt, setup, detector)
+    return volts_self
 
 
 def run_calibration(trajectory: Trajectory, wavelength: float) -> CalibrationResult:
@@ -579,7 +565,7 @@ def run_calibration(trajectory: Trajectory, wavelength: float) -> CalibrationRes
             "(>= 2 recommended)"
         )
     return CalibrationResult(
-        volts_per_meter=4.0 * math.pi * amp / wavelength,
+        volts_per_meter=fringe_slope(amp, wavelength),
         fringe_amplitude_volts=amp,
         fringe_frequency_hz=f_fit,
         fringes_covered=fringes,

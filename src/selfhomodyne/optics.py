@@ -194,50 +194,31 @@ class FringeState:
 # Cap quadrature
 # ---------------------------------------------------------------------------
 
-_LEGGAUSS_CACHE: dict = {}
+_GL_NODES, _GL_WEIGHTS = leggauss(64)
 
 
-def _gl_nodes(n: int):
-    try:
-        return _LEGGAUSS_CACHE[n]
-    except KeyError:
-        nodes = leggauss(n)
-        _LEGGAUSS_CACHE[n] = nodes
-        return nodes
+def _cap_weights(theta_d: float, eps) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes u = cos(theta) on the cap [cos(theta_d), 1] and weights w with
+    sum(w * f(u)) = int_cap f(cos(theta)) * (dipole density) dOmega.
 
-
-def _cap_quadrature(func, theta_d: float, abs_tol: float = 1e-10) -> float:
-    """Integrate func(u, phi) over the spherical cap u = cos(theta) in
-    [cos(theta_d), 1], phi in [0, 2pi).
-
-    Product rule: Gauss-Legendre in u times uniform midpoints in phi (the
-    integrand is periodic and smooth in phi, so the midpoint rule converges
-    spectrally).  The order doubles until two successive estimates agree to
-    abs_tol.
+    The azimuthal integral is closed form,
+        int (eps.n)^2 dphi = pi s^2 (eps_x^2 + eps_y^2) + 2 pi eps_z^2 u^2,
+    with s^2 = 1 - u^2, which leaves a smooth 1-D integral over u.  One
+    fixed 64-node Gauss-Legendre rule resolves it to rounding for every f
+    used here: polynomials of low degree and cos/sin(k u) with |k| < 4 pi.
     """
     lo = math.cos(theta_d)
-    prev = None
-    n = 16
-    while n <= 4096:
-        x, w = _gl_nodes(n)
-        u = 0.5 * (1.0 - lo) * x + 0.5 * (1.0 + lo)
-        wu = 0.5 * (1.0 - lo) * w
-        phi = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
-        wphi = 2.0 * math.pi / n
-        vals = func(u[:, None], phi[None, :])
-        est = float(np.sum(vals * wu[:, None]) * wphi)
-        if prev is not None and abs(est - prev) < abs_tol:
-            return est
-        prev = est
-        n *= 2
-    raise ArithmeticError("cap quadrature failed to converge")
+    u = 0.5 * (1.0 - lo) * _GL_NODES + 0.5 * (1.0 + lo)
+    ex, ey, ez = eps
+    dot2 = math.pi * (1.0 - u * u) * (ex * ex + ey * ey) + 2.0 * math.pi * ez * ez * u * u
+    density = (3.0 / (8.0 * math.pi)) * (2.0 * math.pi - dot2)
+    return u, 0.5 * (1.0 - lo) * _GL_WEIGHTS * density
 
 
-def _density_grid(u, phi, eps: np.ndarray):
-    """Dipole radiation density (3/8pi)(1 - |eps.n|^2) on a (u, phi) grid."""
-    s = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
-    dot = eps[0] * s * np.cos(phi) + eps[1] * s * np.sin(phi) + eps[2] * u
-    return (3.0 / (8.0 * math.pi)) * (1.0 - dot * dot)
+def _effective_wavenumber(setup: OpticalSetup) -> float:
+    """Phase per particle displacement of the mid-fringe signal in the
+    small-aperture limit, k_eff = (4 pi / lambda)(1 - theta_D^2/4)."""
+    return (4.0 * math.pi / setup.wavelength) * (1.0 - setup.half_aperture**2 / 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -268,17 +249,10 @@ def fringe_state(setup: OpticalSetup, q: float) -> FringeState:
     """
     if abs(q) >= setup.wavelength:
         raise ValueError("displacement must satisfy |q| < wavelength")
-    eps = np.asarray(setup.polarization_axis, dtype=float)
+    u, w = _cap_weights(setup.half_aperture, setup.polarization_axis)
     k2 = 4.0 * math.pi / setup.wavelength
-
-    a = _cap_quadrature(
-        lambda u, phi: np.cos(k2 * q * u) * _density_grid(u, phi, eps),
-        setup.half_aperture,
-    )
-    b = _cap_quadrature(
-        lambda u, phi: np.sin(k2 * q * u) * _density_grid(u, phi, eps),
-        setup.half_aperture,
-    )
+    a = float(w @ np.cos(k2 * q * u))
+    b = float(w @ np.sin(k2 * q * u))
     rho = setup.mirror_reflectivity
     return FringeState(
         amplitude=2.0 * rho * math.hypot(a, b),
@@ -300,8 +274,7 @@ def interference_intensity(setup: OpticalSetup, q: float, optical_path: float | 
 def mirror_sensitivity(setup: OpticalSetup, q: float = 0.0) -> float:
     """Maximum detector sensitivity to mirror displacements, 4*pi*A/lambda,
     with the fringe amplitude evaluated at the operating displacement q."""
-    state = fringe_state(setup, q)
-    return 4.0 * math.pi * state.amplitude / setup.wavelength
+    return fringe_slope(fringe_state(setup, q).amplitude, setup.wavelength)
 
 
 def particle_sensitivity(setup: OpticalSetup, mode: str = "exact") -> float:
@@ -314,17 +287,11 @@ def particle_sensitivity(setup: OpticalSetup, mode: str = "exact") -> float:
                equality at q=0), so the maximum is evaluated there.
     expansion: small-aperture form (4pi*A/lambda)(1 - theta_D^2/4).
     """
-    eps = np.asarray(setup.polarization_axis, dtype=float)
-    rho = setup.mirror_reflectivity
-    k2 = 4.0 * math.pi / setup.wavelength
     if mode == "exact":
-        moment = _cap_quadrature(
-            lambda u, phi: u * _density_grid(u, phi, eps), setup.half_aperture
-        )
-        return 2.0 * rho * k2 * moment
+        u, w = _cap_weights(setup.half_aperture, setup.polarization_axis)
+        return 2.0 * setup.mirror_reflectivity * (4.0 * math.pi / setup.wavelength) * float(w @ u)
     if mode == "expansion":
-        amp = fringe_state(setup, 0.0).amplitude
-        return k2 * amp * (1.0 - setup.half_aperture**2 / 4.0)
+        return fringe_state(setup, 0.0).amplitude * _effective_wavenumber(setup)
     raise ValueError(f"unknown mode {mode!r}; use 'exact' or 'expansion'")
 
 
@@ -347,8 +314,8 @@ def collection_efficiency(half_aperture: float, polarization=_Y_AXIS) -> float:
         return 0.0
     if not 0.0 < half_aperture <= math.pi:
         raise ValueError("half_aperture must lie in [0, pi]")
-    eps = _as_unit_vector(polarization, "polarization")
-    return _cap_quadrature(lambda u, phi: _density_grid(u, phi, eps), half_aperture)
+    _, w = _cap_weights(half_aperture, _as_unit_vector(polarization, "polarization"))
+    return float(w.sum())
 
 
 def rayleigh_scattered_power(beam: Beam, scatterer: Scatterer) -> float:

@@ -54,10 +54,29 @@ class TestConfig:
             ScenarioConfig.from_dict({"optics": {"wavelength_nm": 780}})
 
     def test_invalid_value_rejected(self):
-        with pytest.raises(ConfigError):
-            ScenarioConfig.from_dict({"optics": {"visibility": 1.5}})
-        with pytest.raises(ConfigError):
-            ScenarioConfig.from_dict({"sim": {"transient_s": 99.0}})
+        bad = [
+            {"optics": {"visibility": 1.5}},
+            {"sim": {"transient_s": 99.0}},
+            {"bath": {"pressure_mbar": math.nan}},
+            {"bath": {"pressure_mbar": math.inf}},
+            {"optics": {"wavelength_m": -math.inf}},
+            {"sim": {"dt_s": math.nan}},
+            {"trap": {"secular_freq_x_hz": math.inf}},
+            {"trap": {"secular_freq_y_hz": math.nan}},
+            {"bath": {"pressure_mbar": "2e-8"}},
+            {"detector": {"fringe_nonlinearity": "false"}},
+            {"detector": {"fringe_nonlinearity": 0}},
+            {"sim": {"seed": 1.7}},
+            {"sim": {"seed": "7"}},
+            {"sim": {"seed": True}},
+            {"sim": {"seed": -1}},
+            {"detector": {"lock_setpoint_index": 0.5}},
+        ]
+        for overrides in bad:
+            with pytest.raises(ConfigError):
+                ScenarioConfig.from_dict(overrides)
+        # an integral float is still an integral seed
+        assert ScenarioConfig.from_dict({"sim": {"seed": 7.0}}).seed == 7
 
 
 class TestEfficiencyReport:

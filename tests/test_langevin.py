@@ -228,6 +228,22 @@ class TestLockLoss:
 
 
 class TestDetectorSynthesis:
+    @pytest.mark.parametrize(
+        "det",
+        [
+            QUIET,
+            DetectorModel(imprecision_self=0.0, imprecision_forward=0.0, fringe_nonlinearity=True),
+            DetectorModel(imprecision_self=0.0, imprecision_forward=0.0, lock_setpoint_index=1),
+            DetectorModel(imprecision_self=0.0, mirror_mode="ramp", ramp_rate=2e-6),
+        ],
+        ids=["locked-linear", "locked-nonlinear", "locked-odd-setpoint", "ramp"],
+    )
+    def test_same_model_as_simulate(self, det):
+        # 1 K: the motion spans k_eff*q ~ 1, where sin(k_eff q) and q differ
+        bath = Bath(pressure=0.5, temperature=1.0)
+        traj = simulate(TRAP, bath, NO_FB, det, SETUP, duration=0.05, dt=DT16, seed=3)
+        assert np.array_equal(synthesize_detector(traj.q, SETUP, det, dt=DT16), traj.volts_self)
+
     def test_locked_zero_motion_gives_zero_mean_noise(self):
         det = DetectorModel(imprecision_self=1e-22)
         rng = np.random.default_rng(5)

@@ -303,6 +303,31 @@ class TestCollectionEfficiency:
         vals = [collection_efficiency(float(t)) for t in grid]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("pol", [(0.0, 0.0, 1.0), (0.0, 0.6, 0.8)])
+    def test_z_polarized_cap_integrals_adaptive_quadrature(self, pol):
+        # oracle: scipy adaptive quadrature of the emission pattern over the
+        # cap, for polarizations with a component along the cap axis
+        setup = OpticalSetup.from_numerical_aperture(0.5, polarization_axis=pol)
+        theta_d = setup.half_aperture
+        kq = 4.0 * math.pi / setup.wavelength * (setup.wavelength / 7.0)
+
+        def cap(weight):
+            total, _ = integrate.dblquad(
+                lambda theta, phi: weight(math.cos(theta)) * dipole_density(
+                    (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)),
+                    pol,
+                ) * math.sin(theta),
+                0.0, 2.0 * math.pi,
+                0.0, theta_d,
+                epsabs=1e-13,
+            )
+            return total
+
+        st = fringe_state(setup, setup.wavelength / 7.0)
+        assert collection_efficiency(theta_d, pol) == pytest.approx(cap(lambda u: 1.0), abs=1e-10)
+        assert st.cos_moment == pytest.approx(cap(lambda u: math.cos(kq * u)), abs=1e-10)
+        assert st.sin_moment == pytest.approx(cap(lambda u: math.sin(kq * u)), abs=1e-10)
+
 
 class TestRayleighPower:
     def test_paper_operating_point(self):
