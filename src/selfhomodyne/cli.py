@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ScenarioConfig
+from .config import ConfigError, ScenarioConfig, _seed
 from .constants import CONSTANTS, K_B
 from .langevin import (
     DetectorModel,
@@ -370,7 +370,7 @@ def main(argv=None) -> int:
             if args.config is not None
             else ScenarioConfig.from_dict({})
         )
-        seed = cfg.seed if args.seed is None else args.seed
+        seed = cfg.seed if args.seed is None else _seed(args.seed)
         outputs = _COMMANDS[args.command](cfg, seed, out_dir, args.threads)
         _write_manifest(out_dir, args.command, cfg, seed, outputs)
     except (ConfigError, FitError, ValueError, OSError) as exc:

@@ -135,6 +135,21 @@ def _integral(value) -> int:
     return int(value)
 
 
+def _reals(value) -> list[float]:
+    """A JSON array of finite numbers."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected an array of numbers, got {value!r}")
+    return [_real(v) for v in value]
+
+
+def _seed(value) -> int:
+    """A non-negative integral seed: the one rule for ``sim.seed`` and the
+    command line's ``--seed``."""
+    if _integral(value) < 0:
+        raise ConfigError(f"seed must be >= 0, got {value!r}")
+    return int(value)
+
+
 def _flag(value) -> bool:
     """A JSON true/false; strings such as "false" are rejected."""
     if not isinstance(value, bool):
@@ -246,8 +261,13 @@ class ScenarioConfig:
                 sim["duration_s"]
             ):
                 raise ValueError("sim transient_s must lie in [0, duration_s)")
-            if _integral(sim["seed"]) < 0:
-                raise ValueError("sim seed must be >= 0")
+            _seed(sim["seed"])
+            swp = tree["sweeps"]
+            if any(p <= 0 for p in _reals(swp["scattered_powers_w"])):
+                raise ValueError("sweeps scattered_powers_w must be > 0")
+            gains = _reals(swp["cooling_rates_rad_per_s"]) + _reals(swp["mode_spring_gains_rad_per_s"])
+            if any(g < 0 for g in gains + [_real(swp["spring_gain_coef"])]):
+                raise ValueError("sweeps gains and spring_gain_coef must be >= 0")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid configuration: {exc}") from exc
         return cls(

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,17 +146,25 @@ class DetectorModel:
 @dataclass
 class Trajectory:
     """Uniformly sampled simulation record.  All series share one grid;
-    sample k sits at t = k*dt."""
+    sample k sits at t = k*dt.
+
+    The detection-axis displacement ``q`` = (x + y)/sqrt(2) is derived from
+    x and y, not stored.  ``mirror_d`` is the mirror offset; in locked mode
+    it is a read-only broadcast of the lock point.
+    """
 
     dt: float
     x: np.ndarray
     y: np.ndarray
-    q: np.ndarray
     volts_self: np.ndarray
     volts_fwd: np.ndarray
     mirror_d: np.ndarray
     rng_seed: int
     lock_lost: bool = False
+
+    @property
+    def q(self) -> np.ndarray:
+        return (self.x + self.y) * _INVSQ2
 
     @property
     def time(self) -> np.ndarray:
@@ -196,8 +205,6 @@ class CalibrationResult:
 def gas_damping_rate(bath: Bath) -> float:
     """Gas damping rate, linear in pressure through the measured anchor."""
     p_ref, g_ref = bath.damping_anchor
-    if bath.pressure < 0.0:
-        raise ValueError("pressure must be >= 0")
     return g_ref * bath.pressure / p_ref
 
 
@@ -235,11 +242,20 @@ def _locked_mirror_distance(setup: OpticalSetup, lock_index: int) -> tuple[float
     return d, m
 
 
+def _mirror_position(setup: OpticalSetup, detector: DetectorModel, t):
+    """Mirror offset d(t) [m] at the sample times t [s]: the lock point in
+    locked mode (a read-only broadcast, no per-sample storage), the ramp
+    mirror_distance + ramp_rate * t in ramp mode."""
+    if detector.mirror_mode == "locked":
+        d_lock, _ = _locked_mirror_distance(setup, detector.lock_setpoint_index)
+        return np.broadcast_to(d_lock, np.shape(t))
+    return setup.mirror_distance + detector.ramp_rate * t
+
+
 def _detector_outputs(q, p, nu_self, nu_fwd, t, setup: OpticalSetup, detector: DetectorModel):
     """The detector model: map the detection-axis and orthogonal
     displacements q and p [m], the position-referred imprecision noise of
-    each channel [m] and the sample times t [s] to
-    (volts_self, volts_fwd, mirror_d).
+    each channel [m] and the sample times t [s] to (volts_self, volts_fwd).
 
     Locked mode: the mirror sits on the mid-fringe point and the signal is
     lock_sign * S * (q + nu_self), S = gain * V_eff * k_eff, with q replaced
@@ -254,13 +270,13 @@ def _detector_outputs(q, p, nu_self, nu_fwd, t, setup: OpticalSetup, detector: D
     slope = gain * v_eff * k_eff
     volts_fwd = gain * (p + nu_fwd)
     if detector.mirror_mode == "locked":
-        d_lock, m_lock = _locked_mirror_distance(setup, detector.lock_setpoint_index)
+        _, m_lock = _locked_mirror_distance(setup, detector.lock_setpoint_index)
         lock_sign = 1.0 if m_lock % 2 == 0 else -1.0
         meas = np.sin(k_eff * q) / k_eff if detector.fringe_nonlinearity else q
-        return lock_sign * slope * (meas + nu_self), volts_fwd, np.full(np.shape(q), d_lock)
-    d_now = setup.mirror_distance + detector.ramp_rate * t
+        return lock_sign * slope * (meas + nu_self), volts_fwd
+    d_now = _mirror_position(setup, detector, t)
     phase = 4.0 * math.pi * (setup.focal_length + d_now) / setup.wavelength + k_eff * q
-    return gain * (1.0 - v_eff * np.cos(phase)) + slope * nu_self, volts_fwd, d_now
+    return gain * (1.0 - v_eff * np.cos(phase)) + slope * nu_self, volts_fwd
 
 
 def simulate(
@@ -309,99 +325,77 @@ def simulate(
             "(20 samples per fastest period/filter corner)"
         )
 
-    gamma = gas_damping_rate(bath)
     rng = np.random.default_rng(seed)
-
-    # thermal / damping half-step factors (exact OU)
-    a_half = math.exp(-gamma * dt / 2.0)
-    if gamma > 0.0 and bath.temperature > 0.0:
-        sigma_v = math.sqrt(K_B * bath.temperature / trap.mass)
-        ou_std = sigma_v * math.sqrt(-math.expm1(-gamma * dt))
-    else:
-        ou_std = 0.0
-
-    return _integrate(
-        trap, feedback, detector, setup, n_steps, dt, rng, seed,
-        a_half, ou_std, initial_state, drive_force, backaction_force_psd,
-        bath.temperature,
-    )
-
-
-def _integrate(
-    trap, feedback, detector, setup, n_steps, dt, rng, seed,
-    a_half, ou_std, initial_state, drive_force, s_ba, init_temperature,
-):
     mass = trap.mass
     wx, wy = trap.secular_freq_x, trap.secular_freq_y
+
+    # thermal / damping half-step factors (exact OU); sigma_v is also the
+    # thermal velocity spread of the initial draw
+    gamma = gas_damping_rate(bath)
+    sigma_v = math.sqrt(K_B * bath.temperature / mass)
+    a_half = math.exp(-gamma * dt / 2.0)
+    ou_std = sigma_v * math.sqrt(-math.expm1(-gamma * dt))
 
     # rotation constants (exact harmonic propagator)
     cx, sx = math.cos(wx * dt), math.sin(wx * dt)
     cy, sy = math.cos(wy * dt), math.sin(wy * dt)
 
-    # feedback measurement: the loop reads its channel's position estimate
-    k_eff = _effective_wavenumber(setup)
+    # white-force and imprecision sample scales
+    sigma_ba = math.sqrt(backaction_force_psd / (2.0 * dt))
     sigma_self = math.sqrt(detector.imprecision_self / (2.0 * dt))
     sigma_fwd = math.sqrt(detector.imprecision_forward / (2.0 * dt))
-    nonlin = detector.fringe_nonlinearity
 
-    # feedback constants
+    # feedback loop: it measures (x + sgn*y)/sqrt(2) (q for the self channel,
+    # p for the forward one) and pushes along the same axis; only the
+    # self-homodyne channel sees the fringe
     fb_on = feedback.engaged
+    forward = feedback.source_channel == "forward"
+    sgn = -1.0 if forward else 1.0
+    k_eff = _effective_wavenumber(setup)
+    nonlin = detector.fringe_nonlinearity and not forward
     gfb = feedback.cooling_rate
     spring = 2.0 * mass * feedback.spring_gain**2
     f_lo, f_hi = feedback.filter_band
     r_hp = math.exp(-2.0 * math.pi * f_lo * dt)
     a_lp = math.exp(-2.0 * math.pi * f_hi * dt)
     b_lp = 1.0 - a_lp
-    n_delay = int(round(feedback.loop_delay / dt))
-    forward_loop = feedback.source_channel == "forward"
+    # delay line: append the new measurement, pop the oldest
+    delay_line = deque([0.0] * int(round(feedback.loop_delay / dt)))
+    push, pop = delay_line.append, delay_line.popleft
 
     drive_w = 2.0 * math.pi * trap.drive_freq
 
-    # initial conditions
     if initial_state is not None:
         x, y, vx, vy = (float(v) for v in initial_state)
     else:
-        t0 = init_temperature
-        x = rng.standard_normal() * math.sqrt(K_B * t0 / mass) / wx
-        y = rng.standard_normal() * math.sqrt(K_B * t0 / mass) / wy
-        vx = rng.standard_normal() * math.sqrt(K_B * t0 / mass)
-        vy = rng.standard_normal() * math.sqrt(K_B * t0 / mass)
+        x = rng.standard_normal() * sigma_v / wx
+        y = rng.standard_normal() * sigma_v / wy
+        vx = rng.standard_normal() * sigma_v
+        vy = rng.standard_normal() * sigma_v
 
-    # outputs
+    # first, so that a locked run's time grid is freed before the outputs exist
+    mirror_d = _mirror_position(setup, detector, np.arange(n_steps) * dt)
     out_x = np.empty(n_steps)
     out_y = np.empty(n_steps)
-    out_q = np.empty(n_steps)
     out_vs = np.empty(n_steps)
     out_vf = np.empty(n_steps)
-    out_d = np.empty(n_steps)
 
-    # filter / delay state
-    delay_line = [0.0] * n_delay  # circular buffer; read-then-write gives an n_delay-step lag
-    delay_idx = 0
-    prev_delayed = 0.0
-    hp = 0.0
-    hp_prev = 0.0
-    vf = 0.0
+    prev_delayed = hp = hp_prev = vf = 0.0  # loop filter state
 
     lock_lost = False
     dt_over_m = dt / mass
     inv_wx, inv_wy = 1.0 / wx, 1.0 / wy
-    sin = math.sin
-    cos = math.cos
+    sin, cos = math.sin, math.cos
 
-    i0 = 0
-    while i0 < n_steps:
+    for i0 in range(0, n_steps, _BLOCK):
         nblk = min(_BLOCK, n_steps - i0)
+        # columns: two OU kicks per axis (x, x, y, y), then the back-action
+        # force per axis and the imprecision noise per channel
         normals = rng.standard_normal((nblk, 8))
-        g1x = normals[:, 0].tolist()
-        g2x = normals[:, 1].tolist()
-        g1y = normals[:, 2].tolist()
-        g2y = normals[:, 3].tolist()
-        gbx = (normals[:, 4] * math.sqrt(s_ba / (2.0 * dt))).tolist()
-        gby = (normals[:, 5] * math.sqrt(s_ba / (2.0 * dt))).tolist()
-        nu_self = normals[:, 6] * sigma_self
-        nu_fwd = normals[:, 7] * sigma_fwd
-        nu_loop = (nu_fwd if forward_loop else nu_self).tolist() if fb_on else None
+        normals[:, 4:] *= (sigma_ba, sigma_ba, sigma_self, sigma_fwd)
+        g1x, g2x, g1y, g2y, gbx, gby = normals[:, :6].T.tolist()
+        nu_self, nu_fwd = normals[:, 6:].T
+        nu_loop = (nu_fwd if forward else nu_self).tolist() if fb_on else None
 
         bx = [0.0] * nblk
         by = [0.0] * nblk
@@ -410,23 +404,15 @@ def _integrate(
             bx[k] = x
             by[k] = y
 
-            # feedback force along the loop's actuation axis; the damping
-            # path uses the band-limited differentiator, the spring path the
-            # raw delayed measurement (a low-pass lag on a spring force
-            # anti-damps the modes at rate ~2 alpha^2/w_corner and would blow
-            # up any weakly damped run)
+            # feedback force along the loop axis; the damping path uses the
+            # band-limited differentiator, the spring path the raw delayed
+            # measurement (a low-pass lag on a spring force anti-damps the
+            # modes at rate ~2 alpha^2/w_corner and would blow up any weakly
+            # damped run)
             if fb_on:
-                if forward_loop:
-                    src = (x - y) * _INVSQ2 + nu_loop[k]
-                else:
-                    q = (x + y) * _INVSQ2
-                    src = (sin(k_eff * q) / k_eff if nonlin else q) + nu_loop[k]
-                if n_delay:
-                    delayed = delay_line[delay_idx]
-                    delay_line[delay_idx] = src
-                    delay_idx = (delay_idx + 1) % n_delay
-                else:
-                    delayed = src
+                q = (x + sgn * y) * _INVSQ2
+                push((sin(k_eff * q) / k_eff if nonlin else q) + nu_loop[k])
+                delayed = pop()
                 hp = r_hp * (hp + delayed - prev_delayed)
                 prev_delayed = delayed
                 vf = a_lp * vf + b_lp * (hp - hp_prev) / dt
@@ -435,17 +421,11 @@ def _integrate(
             else:
                 u = 0.0
 
-            # drive always pushes along the detection axis; the feedback
-            # pushes along its own loop axis (q for self, p for forward)
-            t = (i0 + k) * dt
-            drv = drive_force * cos(drive_w * t) * _INVSQ2 if drive_force != 0.0 else 0.0
+            # the drive always pushes along the detection axis q
+            drv = drive_force * cos(drive_w * ((i0 + k) * dt)) * _INVSQ2 if drive_force != 0.0 else 0.0
             uax = u * _INVSQ2
-            if forward_loop:
-                fx = gbx[k] + drv + uax
-                fy = gby[k] + drv - uax
-            else:
-                fx = gbx[k] + drv + uax
-                fy = gby[k] + drv + uax
+            fx = gbx[k] + drv + uax
+            fy = gby[k] + drv + sgn * uax
 
             # kick
             vx += dt_over_m * fx
@@ -463,22 +443,21 @@ def _integrate(
         out_y[blk] = by
         q = (out_x[blk] + out_y[blk]) * _INVSQ2
         p = (out_x[blk] - out_y[blk]) * _INVSQ2
-        out_q[blk] = q
-        out_vs[blk], out_vf[blk], out_d[blk] = _detector_outputs(
+        out_vs[blk], out_vf[blk] = _detector_outputs(
             q, p, nu_self, nu_fwd, np.arange(i0, i0 + nblk) * dt, setup, detector
         )
         if detector.mirror_mode == "locked" and not lock_lost:
             lock_lost = bool(np.any(np.abs(q) > setup.wavelength / 4.0))
-        i0 += nblk
+        # drop this block's sample lists before the next block makes its own
+        del g1x, g2x, g1y, g2y, gbx, gby, nu_loop, bx, by
 
     return Trajectory(
         dt=dt,
         x=out_x,
         y=out_y,
-        q=out_q,
         volts_self=out_vs,
         volts_fwd=out_vf,
-        mirror_d=out_d,
+        mirror_d=mirror_d,
         rng_seed=seed,
         lock_lost=lock_lost,
     )
@@ -502,7 +481,7 @@ def synthesize_detector(
         noise = np.zeros_like(q)
     else:
         noise = rng.standard_normal(q.size) * math.sqrt(detector.imprecision_self / (2.0 * dt))
-    volts_self, _, _ = _detector_outputs(q, 0.0, noise, 0.0, np.arange(q.size) * dt, setup, detector)
+    volts_self, _ = _detector_outputs(q, 0.0, noise, 0.0, np.arange(q.size) * dt, setup, detector)
     return volts_self
 
 

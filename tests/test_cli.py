@@ -71,6 +71,16 @@ class TestConfig:
             {"sim": {"seed": True}},
             {"sim": {"seed": -1}},
             {"detector": {"lock_setpoint_index": 0.5}},
+            {"sweeps": {"scattered_powers_w": [math.nan, "4e-8"]}},
+            {"sweeps": {"scattered_powers_w": [0.0]}},
+            {"sweeps": {"scattered_powers_w": 4e-8}},
+            {"sweeps": {"cooling_rates_rad_per_s": [-1.0]}},
+            {"sweeps": {"cooling_rates_rad_per_s": [math.inf]}},
+            {"sweeps": {"spring_gain_coef": -250.0}},
+            {"sweeps": {"spring_gain_coef": "250"}},
+            {"sweeps": {"mode_spring_gains_rad_per_s": "abc"}},
+            {"sweeps": {"mode_spring_gains_rad_per_s": [True]}},
+            {"sweeps": {"mode_spring_gains_rad_per_s": [-1.0]}},
         ]
         for overrides in bad:
             with pytest.raises(ConfigError):
@@ -224,6 +234,14 @@ class TestDeterminismAndErrors:
         _, out_a = run_cli(tmp_path / "a", "psd", over)
         _, out_b = run_cli(tmp_path / "b", "psd", over, extra=["--seed", "123"])
         assert (out_a / "psd.csv").read_bytes() != (out_b / "psd.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["modes", "psd"])
+    def test_negative_seed_flag_rejected(self, tmp_path, command):
+        code, out = run_cli(tmp_path, command, FAST_SCAN, extra=["--seed", "-1"])
+        assert code == 1
+        assert not (out / "manifest.json").exists()
+        err = json.loads((out / "error_manifest.json").read_text())
+        assert err["error"].startswith("ConfigError") and "seed" in err["error"]
 
     def test_invalid_config_nonzero_exit(self, tmp_path):
         code, out = run_cli(tmp_path, "efficiency-report", {"optics": {"visibility": 2.0}})

@@ -6,6 +6,7 @@ closed-form mode frequencies under the feedback spring, and exact synthetic
 fringes.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -214,6 +215,82 @@ class TestFeedbackSpring:
             simulate(TRAP, Bath(), NO_FB, QUIET, SETUP, duration=0.1, dt=1e-3, seed=0)
 
 
+class TestLoopDelayAndAxis:
+    """The loop's delay line and measurement axis, on noiseless runs (T = 0,
+    no imprecision) where any difference is the feedback's own doing."""
+
+    START = (1e-9, 0.0, 0.0, 0.0)
+    COLD = Bath(pressure=2e-2, temperature=0.0)
+
+    def run(self, fb):
+        return simulate(
+            TRAP, self.COLD, fb, QUIET, SETUP, duration=64 * DT17, dt=DT17, seed=1,
+            initial_state=self.START,
+        )
+
+    @pytest.mark.parametrize("channel", ["self-homodyne", "forward"])
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_delay_of_n_samples(self, n, channel):
+        # the first measurement (taken on sample 0) reaches the loop output
+        # on step n and moves the particle from sample n + 1 on
+        open_ = self.run(NO_FB)
+        fb = FeedbackConfig(
+            cooling_rate=2 * math.pi * 160.0, spring_gain=2 * math.pi * 500.0,
+            loop_delay=n * DT17, source_channel=channel,
+        )
+        closed = self.run(fb)
+        for name in ("x", "y"):
+            a, b = getattr(open_, name), getattr(closed, name)
+            assert np.array_equal(a[: n + 1], b[: n + 1])
+        assert closed.x[n + 1] != open_.x[n + 1]
+
+    @pytest.mark.parametrize("channel", ["self-homodyne", "forward"])
+    def test_sub_sample_delay_rounds_to_zero(self, channel):
+        fb = FeedbackConfig(cooling_rate=2 * math.pi * 160.0, source_channel=channel)
+        a = self.run(fb)
+        b = self.run(dataclasses.replace(fb, loop_delay=0.4 * DT17))
+        for name in ("x", "y", "volts_self", "volts_fwd"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_forward_loop_ignores_fringe_nonlinearity(self):
+        # the forward detector has no fringe: its loop and channel are the
+        # same with and without the self-homodyne fringe nonlinearity
+        bath = Bath(pressure=2e-2, temperature=1.0)
+        fb = FeedbackConfig(
+            cooling_rate=2 * math.pi * 160.0, loop_delay=2 * DT17, source_channel="forward"
+        )
+        lin, nl = (
+            simulate(
+                TRAP, bath, fb, DetectorModel(fringe_nonlinearity=flag), SETUP,
+                duration=0.05, dt=DT17, seed=21,
+            )
+            for flag in (False, True)
+        )
+        for name in ("x", "y", "volts_fwd"):
+            assert np.array_equal(getattr(lin, name), getattr(nl, name))
+        assert not np.array_equal(lin.volts_self, nl.volts_self)
+
+    def test_self_loop_nonlinearity_in_linear_limit(self):
+        # sin(k q)/k = q (1 - (k q)^2/6 + ...): a cold loop that sees the
+        # fringe departs from the linear one by at most ~(k_eff max|q|)^2
+        bath = Bath(pressure=2e-2, temperature=1e-3)
+        fb = FeedbackConfig(
+            cooling_rate=2 * math.pi * 160.0, spring_gain=2 * math.pi * 500.0,
+            loop_delay=2 * DT17,
+        )
+        lin, nl = (
+            simulate(
+                TRAP, bath, fb, DetectorModel(fringe_nonlinearity=flag), SETUP,
+                duration=0.2, dt=DT17, seed=22,
+            )
+            for flag in (False, True)
+        )
+        k_eff = 4 * math.pi / SETUP.wavelength * (1 - SETUP.half_aperture**2 / 4)
+        bound = (k_eff * float(np.max(np.abs(lin.q)))) ** 2
+        dev = float(np.max(np.abs(nl.x - lin.x))) / float(np.max(np.abs(lin.x)))
+        assert 0.0 < dev <= bound < 0.1
+
+
 class TestLockLoss:
     def test_room_temperature_motion_flags_lock_loss(self):
         # at 300 K the radial amplitude exceeds lambda/4
@@ -312,7 +389,7 @@ class TestCalibration:
         volts = offset + amp * np.cos(2 * math.pi * freq * t + phase)
         zeros = np.zeros(n)
         return Trajectory(
-            dt=1 / fs, x=zeros, y=zeros, q=zeros, volts_self=volts,
+            dt=1 / fs, x=zeros, y=zeros, volts_self=volts,
             volts_fwd=zeros, mirror_d=zeros, rng_seed=0,
         )
 
@@ -373,6 +450,7 @@ class TestTrajectoryExport:
         assert m == pytest.approx(round(m), abs=1e-6)
         assert round(m) % 2 == DetectorModel().lock_setpoint_index % 2
         assert np.all(traj.mirror_d == traj.mirror_d[0])
+        assert not traj.mirror_d.flags.writeable
 
     def test_forward_channel_floor(self):
         s_fwd = 1e-20
