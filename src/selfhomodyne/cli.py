@@ -68,7 +68,9 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_manifest(out_dir: Path, command: str, cfg: ScenarioConfig, seed: int, outputs) -> None:
+def _write_manifest(out_dir: Path, command: str, cfg: ScenarioConfig, seed: int, report: dict) -> None:
+    """``report`` is what the command returned: its ``outputs`` and any run
+    status it records (such as ``lock_lost``)."""
     _write_json(
         out_dir / "manifest.json",
         {
@@ -78,7 +80,8 @@ def _write_manifest(out_dir: Path, command: str, cfg: ScenarioConfig, seed: int,
             "seed": seed,
             "constants": CONSTANTS,
             "version": __version__,
-            "outputs": sorted(outputs),
+            **report,
+            "outputs": sorted(report["outputs"]),
         },
     )
 
@@ -111,7 +114,7 @@ def _ramp_run(cfg: ScenarioConfig, seed: int):
     )
 
 
-def cmd_fringe_scan(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) -> list[str]:
+def cmd_fringe_scan(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) -> dict:
     """Ramp the mirror over several fringes and record the detector output."""
     lam = cfg.setup.wavelength
     traj = _ramp_run(cfg, seed)
@@ -125,10 +128,10 @@ def cmd_fringe_scan(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int)
         for k in range(disp.size)
     ]
     _write_csv(out_dir / "fringe_scan.csv", ["mirror_displacement_m", "detector_volts", "visibility"], rows)
-    return ["fringe_scan.csv"]
+    return {"outputs": ["fringe_scan.csv"]}
 
 
-def cmd_calibrate(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) -> list[str]:
+def cmd_calibrate(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) -> dict:
     """Run a fringe scan and fit the volts-per-meter conversion."""
     traj = _ramp_run(cfg, seed)
     result = run_calibration(traj, cfg.setup.wavelength)
@@ -142,7 +145,7 @@ def cmd_calibrate(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) -
             "model_slope_volts_per_meter": _calibration_slope(cfg),
         },
     )
-    return ["calibration.json"]
+    return {"outputs": ["calibration.json"]}
 
 
 def _imprecision_point(cfg: ScenarioConfig, seed: int, index: int, power: float):
@@ -167,7 +170,7 @@ def _imprecision_point(cfg: ScenarioConfig, seed: int, index: int, power: float)
     return power, s_pred, s_ideal, s_ext
 
 
-def cmd_imprecision_sweep(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) -> list[str]:
+def cmd_imprecision_sweep(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) -> dict:
     """Predicted vs simulated imprecision floor over scattered power."""
     powers = [float(p) for p in cfg.tree["sweeps"]["scattered_powers_w"]]
     with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
@@ -179,7 +182,7 @@ def cmd_imprecision_sweep(cfg: ScenarioConfig, seed: int, out_dir: Path, threads
         ["power_w", "s_imp_predicted_m2_per_hz", "s_imp_ideal_m2_per_hz", "s_imp_extracted_m2_per_hz"],
         rows,
     )
-    return ["imprecision_sweep.csv"]
+    return {"outputs": ["imprecision_sweep.csv"]}
 
 
 def _cool_point(cfg: ScenarioConfig, seed: int, index: int, gfb: float, alpha: float, channel: str):
@@ -221,6 +224,7 @@ def _cool_point(cfg: ScenarioConfig, seed: int, index: int, gfb: float, alpha: f
         "nu_high_hz": fit.center,
         "theta_fb_rad": sol.theta_fb,
         "t_mode_k": t_mode,
+        "lock_lost": traj.lock_lost,
     }
 
 
@@ -243,32 +247,33 @@ def _cool_channel(cfg: ScenarioConfig, seed: int, channel: str, threads: int):
     return results, curve
 
 
-def cmd_cool_sweep(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) -> list[str]:
+def cmd_cool_sweep(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) -> dict:
     """Feedback-gain sweep for both detector channels: per-point mode
-    analysis, temperature, and the sweep-level cooling-curve fit."""
+    analysis, temperature and lock status (1 when |q| passed lambda/4), and
+    the sweep-level cooling-curve fit."""
     outputs = []
     for channel, name in (("self-homodyne", "self"), ("forward", "forward")):
         results, curve = _cool_channel(cfg, seed, channel, threads)
         header = [
             "gamma_fb_rad_per_s", "alpha_rad_per_s", "nu_low_hz", "nu_high_hz",
             "theta_fb_rad", "t_mode_k", "fitted_a_rad_k_per_s", "t_min_k",
-            "gamma_min_rad_per_s",
+            "gamma_min_rad_per_s", "lock_lost",
         ]
         rows = [
             (
                 r["gamma_fb_rad_per_s"], r["alpha_rad_per_s"], r["nu_low_hz"],
                 r["nu_high_hz"], r["theta_fb_rad"], r["t_mode_k"],
-                curve.coeff_a, curve.t_min, curve.gamma_min,
+                curve.coeff_a, curve.t_min, curve.gamma_min, int(r["lock_lost"]),
             )
             for r in results
         ]
         fname = f"cool_sweep_{name}.csv"
         _write_csv(out_dir / fname, header, rows)
         outputs.append(fname)
-    return outputs
+    return {"outputs": outputs}
 
 
-def cmd_modes(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) -> list[str]:
+def cmd_modes(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) -> dict:
     """Closed-form eigenanalysis vs a generic symmetric eigensolver."""
     gains = [float(a) for a in cfg.tree["sweeps"]["mode_spring_gains_rad_per_s"]]
     wx, wy = cfg.trap.secular_freq_x, cfg.trap.secular_freq_y
@@ -299,10 +304,10 @@ def cmd_modes(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) -> li
             }
         )
     _write_json(out_dir / "modes.json", {"modes": entries})
-    return ["modes.json"]
+    return {"outputs": ["modes.json"]}
 
 
-def cmd_efficiency_report(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) -> list[str]:
+def cmd_efficiency_report(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) -> dict:
     """Closed-form efficiency/noise summary of the configured setup."""
     setup = cfg.setup
     p_ray = rayleigh_scattered_power(cfg.beam, cfg.scatterer)
@@ -321,11 +326,12 @@ def cmd_efficiency_report(cfg: ScenarioConfig, seed: int, out_dir: Path, threads
         "s_gas_over_s_backaction": s_gas / s_ba if s_ba > 0 else math.inf,
     }
     _write_json(out_dir / "efficiency_report.json", payload)
-    return ["efficiency_report.json"]
+    return {"outputs": ["efficiency_report.json"]}
 
 
-def cmd_psd(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) -> list[str]:
-    """Simulate the configured scenario and export the calibrated PSD."""
+def cmd_psd(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) -> dict:
+    """Simulate the configured scenario and export the calibrated PSD; the
+    manifest records whether the mirror lock was lost."""
     traj = simulate(
         cfg.trap, cfg.bath, cfg.feedback, cfg.detector, cfg.setup,
         duration=cfg.duration, dt=cfg.dt, seed=seed,
@@ -334,7 +340,7 @@ def cmd_psd(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) -> list
     q_rec = traj.volts_self[n0:] / _calibration_slope(cfg)
     psd = welch_psd(q_rec, traj.sample_rate, segment_len=min(1 << 17, q_rec.size // 4))
     psd.write_csv(out_dir / "psd.csv")
-    return ["psd.csv"]
+    return {"outputs": ["psd.csv"], "lock_lost": traj.lock_lost}
 
 
 _COMMANDS = {
@@ -371,8 +377,8 @@ def main(argv=None) -> int:
             else ScenarioConfig.from_dict({})
         )
         seed = cfg.seed if args.seed is None else _seed(args.seed)
-        outputs = _COMMANDS[args.command](cfg, seed, out_dir, args.threads)
-        _write_manifest(out_dir, args.command, cfg, seed, outputs)
+        report = _COMMANDS[args.command](cfg, seed, out_dir, args.threads)
+        _write_manifest(out_dir, args.command, cfg, seed, report)
     except (ConfigError, FitError, ValueError, OSError) as exc:
         _write_json(
             out_dir / "error_manifest.json",

@@ -263,9 +263,14 @@ class ScenarioConfig:
                 raise ValueError("sim transient_s must lie in [0, duration_s)")
             _seed(sim["seed"])
             swp = tree["sweeps"]
-            if any(p <= 0 for p in _reals(swp["scattered_powers_w"])):
-                raise ValueError("sweeps scattered_powers_w must be > 0")
-            gains = _reals(swp["cooling_rates_rad_per_s"]) + _reals(swp["mode_spring_gains_rad_per_s"])
+            powers = _reals(swp["scattered_powers_w"])
+            if not powers or any(p <= 0 for p in powers):
+                raise ValueError("sweeps scattered_powers_w needs at least 1 entry, all > 0")
+            rates = _reals(swp["cooling_rates_rad_per_s"])
+            if len(rates) < 3:
+                # the cooling-curve fit of cool-sweep needs three points
+                raise ValueError("sweeps cooling_rates_rad_per_s needs at least 3 entries")
+            gains = rates + _reals(swp["mode_spring_gains_rad_per_s"])
             if any(g < 0 for g in gains + [_real(swp["spring_gain_coef"])]):
                 raise ValueError("sweeps gains and spring_gain_coef must be >= 0")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:

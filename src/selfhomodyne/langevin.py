@@ -27,7 +27,14 @@ an exact harmonic rotation, and a second OU half-step.  In the noiseless
 undriven limit the map is the exact oscillator propagator; with the bath on,
 the discrete stationary position and velocity variances of the thermal
 oscillator are exact for any dt (fixed point of the O/2-R-O/2 map), so
-equipartition holds without dt extrapolation.
+equipartition holds without dt extrapolation.  The step is written once, as
+the scalar loop ``_StepMap.run``.  Unless the feedback loop sees the fringe
+nonlinearity, the step is the linear map s' = A s + B u (state s, inputs u);
+A and B are probed from the loop with unit vectors, and each block of steps
+runs as an exact chunked scan (``_scan``) that agrees with the loop to
+rounding.  Only a loop that sees the fringe runs the scalar loop.  A loop
+whose A (for the fringe: its linearization) has a spectral radius above 1 is
+rejected before integrating.
 
 Runs are deterministic: (config, seed) -> bit-identical Trajectory.
 """
@@ -60,6 +67,11 @@ __all__ = [
 
 _INVSQ2 = 1.0 / math.sqrt(2.0)
 _BLOCK = 1 << 16
+
+# a loop is unstable when the spectral radius of its one-step map exceeds 1
+# by more than this: an undamped oscillator's |lambda| = 1 comes out within
+# rounding of 1, while the delayed spring loops that do grow sit >= 1e-6 above
+_RHO_TOL = 1e-9
 
 # default forward-channel noise floor sits 38 dB above the self-homodyne one
 _FORWARD_DB = 38.0
@@ -279,6 +291,200 @@ def _detector_outputs(q, p, nu_self, nu_fwd, t, setup: OpticalSetup, detector: D
     return gain * (1.0 - v_eff * np.cos(phase)) + slope * nu_self, volts_fwd
 
 
+class _StepMap:
+    """One integrator step, written once.
+
+    The state s is x, vx, y, vy and, while the loop is engaged, its
+    high-pass and low-pass filter states, the last delayed sample and the
+    n-sample delay line (oldest first).  The inputs u of a step are the rows
+    of an (n, 9) array: two OU kicks per axis (x, x, y, y, unit normals), the
+    back-action force per axis [N], the imprecision noise of the self and the
+    forward channel [m] and the drive force per axis [N].
+
+    ``run`` is the scalar loop.  The linear map s' = A s + B u is probed from
+    it with unit vectors; for a loop that sees the fringe nonlinearity it is
+    the linearization at q = 0.
+    """
+
+    def __init__(self, trap, bath, feedback, detector, setup, dt, drive_force, backaction_force_psd):
+        mass = trap.mass
+        self.dt = dt
+        self.dt_over_m = dt / mass
+        self.wx, self.wy = trap.secular_freq_x, trap.secular_freq_y
+
+        # thermal / damping half-step factors (exact OU); sigma_v is also the
+        # thermal velocity spread of the initial draw
+        gamma = gas_damping_rate(bath)
+        self.sigma_v = math.sqrt(K_B * bath.temperature / mass)
+        self.a_half = math.exp(-gamma * dt / 2.0)
+        self.ou_std = self.sigma_v * math.sqrt(-math.expm1(-gamma * dt))
+
+        # rotation constants (exact harmonic propagator)
+        self.cx, self.sx = math.cos(self.wx * dt), math.sin(self.wx * dt)
+        self.cy, self.sy = math.cos(self.wy * dt), math.sin(self.wy * dt)
+
+        # white-force and imprecision sample scales, and the drive
+        sigma_ba = math.sqrt(backaction_force_psd / (2.0 * dt))
+        self.normal_scale = np.array([
+            1.0, 1.0, 1.0, 1.0, sigma_ba, sigma_ba,
+            math.sqrt(detector.imprecision_self / (2.0 * dt)),
+            math.sqrt(detector.imprecision_forward / (2.0 * dt)),
+        ])
+        self.drive_force = drive_force
+        self.drive_w = 2.0 * math.pi * trap.drive_freq
+
+        # feedback loop: it measures (x + sgn*y)/sqrt(2) (q for the self
+        # channel, p for the forward one) and pushes along the same axis;
+        # only the self-homodyne channel sees the fringe
+        self.fb_on = feedback.engaged
+        forward = feedback.source_channel == "forward"
+        self.sgn = -1.0 if forward else 1.0
+        self.nu_col = 7 if forward else 6
+        self.k_eff = _effective_wavenumber(setup)
+        self.nonlin = self.fb_on and detector.fringe_nonlinearity and not forward
+        self.m_gfb = mass * feedback.cooling_rate
+        self.spring = 2.0 * mass * feedback.spring_gain**2
+        f_lo, f_hi = feedback.filter_band
+        self.r_hp = math.exp(-2.0 * math.pi * f_lo * dt)
+        self.a_lp = math.exp(-2.0 * math.pi * f_hi * dt)
+        self.b_lp = 1.0 - self.a_lp
+        self.n_delay = int(round(feedback.loop_delay / dt))
+        self.n_state = 4 + (3 + self.n_delay if self.fb_on else 0)
+
+        d = self.n_state
+        ab = np.array([self.run(e[:d], e[None, d:], linear=True)[2] for e in np.eye(d + 9)]).T
+        self.A, self.B = ab[:, :d], ab[:, d:]
+        # the scan skips inputs that are zero (a scale of 0) or move nothing
+        scale = [*self.normal_scale, drive_force]
+        self.live = [k for k in range(9) if scale[k] != 0.0 and self.B[:, k].any()]
+
+    def draw_inputs(self, rng, i0: int, n: int) -> np.ndarray:
+        """The inputs of steps i0 .. i0+n-1: 8 normals per step, drawn in one
+        call, the last four scaled to force and imprecision; then the drive."""
+        inputs = np.empty((n, 9))
+        np.multiply(rng.standard_normal((n, 8)), self.normal_scale, out=inputs[:, :8])
+        inputs[:, 8] = 0.0
+        if self.drive_force != 0.0:
+            # the drive always pushes along the detection axis q
+            t = np.arange(i0, i0 + n) * self.dt
+            inputs[:, 8] = self.drive_force * np.cos(self.drive_w * t) * _INVSQ2
+        return inputs
+
+    def propagate(self, state, inputs):
+        """Advance ``state`` over the rows of ``inputs``: the scalar loop when
+        the loop sees the fringe nonlinearity, else the exact scan of the
+        linear map.  Returns the x and y at the start of each step and the
+        end state."""
+        if self.nonlin:
+            return self.run(state, inputs)
+        return _scan(self.A, self.B[:, self.live], state, inputs[:, self.live])
+
+    def run(self, state, inputs, linear: bool = False):
+        """The scalar loop (see ``propagate``); ``linear`` drops the fringe
+        from the loop's measurement."""
+        dt, dt_over_m, a_half, ou_std = self.dt, self.dt_over_m, self.a_half, self.ou_std
+        wx, wy, cx, sx, cy, sy = self.wx, self.wy, self.cx, self.sx, self.cy, self.sy
+        inv_wx, inv_wy = 1.0 / wx, 1.0 / wy
+        fb_on, sgn, k_eff = self.fb_on, self.sgn, self.k_eff
+        nonlin = self.nonlin and not linear
+        m_gfb, spring, r_hp, a_lp, b_lp = self.m_gfb, self.spring, self.r_hp, self.a_lp, self.b_lp
+        sin = math.sin
+
+        x, vx, y, vy, *loop = (float(v) for v in state)
+        g1x, g2x, g1y, g2y, gbx, gby = inputs[:, :6].T.tolist()
+        drv = inputs[:, 8].tolist()
+        if fb_on:
+            hp, vf, prev, *line = loop
+            # delay line: append the new measurement, pop the oldest
+            line = deque(line)
+            push, pop = line.append, line.popleft
+            nu = inputs[:, self.nu_col].tolist()
+        n = inputs.shape[0]
+        xs = [0.0] * n
+        ys = [0.0] * n
+
+        for k in range(n):
+            xs[k] = x
+            ys[k] = y
+
+            # feedback force along the loop axis; the damping path uses the
+            # band-limited differentiator, the spring path the raw delayed
+            # measurement (a low-pass lag on a spring force anti-damps the
+            # modes at rate ~2 alpha^2/w_corner and would blow up any weakly
+            # damped run)
+            if fb_on:
+                q = (x + sgn * y) * _INVSQ2
+                push((sin(k_eff * q) / k_eff if nonlin else q) + nu[k])
+                delayed = pop()
+                hp_new = r_hp * (hp + delayed - prev)
+                vf = a_lp * vf + b_lp * (hp_new - hp) / dt
+                hp, prev = hp_new, delayed
+                u = -(m_gfb * vf + spring * delayed)
+            else:
+                u = 0.0
+
+            uax = u * _INVSQ2
+            fx = gbx[k] + drv[k] + uax
+            fy = gby[k] + drv[k] + sgn * uax
+
+            # kick
+            vx += dt_over_m * fx
+            vy += dt_over_m * fy
+            # OU half, exact rotation, OU half
+            vx = a_half * vx + ou_std * g1x[k]
+            vy = a_half * vy + ou_std * g1y[k]
+            x, vx = x * cx + vx * inv_wx * sx, -x * wx * sx + vx * cx
+            y, vy = y * cy + vy * inv_wy * sy, -y * wy * sy + vy * cy
+            vx = a_half * vx + ou_std * g2x[k]
+            vy = a_half * vy + ou_std * g2y[k]
+
+        end = [x, vx, y, vy] + ([hp, vf, prev, *line] if fb_on else [])
+        return xs, ys, end
+
+
+def _scan(A, B, state, inputs):
+    """Propagate s' = A s + B u from ``state`` over the rows u of ``inputs``,
+    vectorized across chunks of L ~ sqrt(n) steps: (1) the zero-start
+    response of every chunk, (2) a sequential carry of the chunk starts
+    through A^L, (3) a rerun of every chunk from its true start.  Returns the
+    x and y at the start of each step and the end state.
+
+    The per-step products go through ``einsum``, not ``@``: on a 2-core host
+    the multithreaded OpenBLAS behind ``@`` ran a tall (n x inputs) product
+    ~10x slower than one thread, and erratically."""
+    n, d = inputs.shape[0], A.shape[0]
+    L = math.isqrt(n)
+    C = -(-n // L)
+    ab = np.concatenate((A, B), axis=1)
+    # w[l, :, c] = (s, u) at step l of chunk c; one einsum per step writes
+    # the s of step l + 1 of every chunk
+    w = np.empty((L + 1, ab.shape[1], C))
+    padded = np.zeros((C * L, B.shape[1]))
+    padded[:n] = inputs
+    w[:L, d:] = padded.reshape(C, L, -1).transpose(1, 2, 0)
+
+    # (1) zero-start response: z[:, c] is where chunk c ends from s = 0
+    w[0, :d] = 0.0
+    for l in range(L):
+        np.einsum("ij,jc->ic", ab, w[l], out=w[l + 1, :d])
+    z = w[L, :d].copy()
+
+    # (2) true chunk starts: s_c = A^L s_(c-1) + z_(c-1)
+    a_pow = np.linalg.matrix_power(A, L)
+    w[0, :d, 0] = state
+    for c in range(1, C):
+        w[0, :d, c] = np.einsum("ij,j->i", a_pow, w[0, :d, c - 1]) + z[:, c - 1]
+
+    # (3) rerun every chunk from its true start
+    for l in range(L):
+        np.einsum("ij,jc->ic", ab, w[l], out=w[l + 1, :d])
+
+    c_end = (n - 1) // L
+    x = w[:L, 0].T.reshape(-1)[:n]
+    y = w[:L, 2].T.reshape(-1)[:n]
+    return x, y, w[n - c_end * L, :d, c_end].copy()
+
+
 def simulate(
     trap,
     bath: Bath,
@@ -300,8 +506,9 @@ def simulate(
     drive frequency along the detection axis (micromotion stand-in, off by
     default).  ``backaction_force_psd`` is the one-sided radiation-pressure
     force PSD applied independently on each axis (use
-    optics.backaction_psd(P, lambda)).  Deterministic for a given
-    (arguments, seed).
+    optics.backaction_psd(P, lambda)).  A feedback loop whose one-step map
+    has a spectral radius above 1 is rejected before integrating.
+    Deterministic for a given (arguments, seed).
     """
     from .modes import radial_modes  # local import, avoids cycle at module load
 
@@ -325,53 +532,23 @@ def simulate(
             "(20 samples per fastest period/filter corner)"
         )
 
+    step = _StepMap(trap, bath, feedback, detector, setup, dt, drive_force, backaction_force_psd)
+    rho = float(np.max(np.abs(np.linalg.eigvals(step.A))))
+    if rho > 1.0 + _RHO_TOL:
+        raise ValueError(
+            f"unstable feedback loop: max|lambda| = {rho:.6g} > 1 with a "
+            f"{step.n_delay}-sample loop delay"
+        )
+
     rng = np.random.default_rng(seed)
-    mass = trap.mass
-    wx, wy = trap.secular_freq_x, trap.secular_freq_y
-
-    # thermal / damping half-step factors (exact OU); sigma_v is also the
-    # thermal velocity spread of the initial draw
-    gamma = gas_damping_rate(bath)
-    sigma_v = math.sqrt(K_B * bath.temperature / mass)
-    a_half = math.exp(-gamma * dt / 2.0)
-    ou_std = sigma_v * math.sqrt(-math.expm1(-gamma * dt))
-
-    # rotation constants (exact harmonic propagator)
-    cx, sx = math.cos(wx * dt), math.sin(wx * dt)
-    cy, sy = math.cos(wy * dt), math.sin(wy * dt)
-
-    # white-force and imprecision sample scales
-    sigma_ba = math.sqrt(backaction_force_psd / (2.0 * dt))
-    sigma_self = math.sqrt(detector.imprecision_self / (2.0 * dt))
-    sigma_fwd = math.sqrt(detector.imprecision_forward / (2.0 * dt))
-
-    # feedback loop: it measures (x + sgn*y)/sqrt(2) (q for the self channel,
-    # p for the forward one) and pushes along the same axis; only the
-    # self-homodyne channel sees the fringe
-    fb_on = feedback.engaged
-    forward = feedback.source_channel == "forward"
-    sgn = -1.0 if forward else 1.0
-    k_eff = _effective_wavenumber(setup)
-    nonlin = detector.fringe_nonlinearity and not forward
-    gfb = feedback.cooling_rate
-    spring = 2.0 * mass * feedback.spring_gain**2
-    f_lo, f_hi = feedback.filter_band
-    r_hp = math.exp(-2.0 * math.pi * f_lo * dt)
-    a_lp = math.exp(-2.0 * math.pi * f_hi * dt)
-    b_lp = 1.0 - a_lp
-    # delay line: append the new measurement, pop the oldest
-    delay_line = deque([0.0] * int(round(feedback.loop_delay / dt)))
-    push, pop = delay_line.append, delay_line.popleft
-
-    drive_w = 2.0 * math.pi * trap.drive_freq
-
     if initial_state is not None:
         x, y, vx, vy = (float(v) for v in initial_state)
     else:
-        x = rng.standard_normal() * sigma_v / wx
-        y = rng.standard_normal() * sigma_v / wy
-        vx = rng.standard_normal() * sigma_v
-        vy = rng.standard_normal() * sigma_v
+        x = rng.standard_normal() * step.sigma_v / step.wx
+        y = rng.standard_normal() * step.sigma_v / step.wy
+        vx = rng.standard_normal() * step.sigma_v
+        vy = rng.standard_normal() * step.sigma_v
+    state = [x, vx, y, vy] + [0.0] * (step.n_state - 4)
 
     # first, so that a locked run's time grid is freed before the outputs exist
     mirror_d = _mirror_position(setup, detector, np.arange(n_steps) * dt)
@@ -379,77 +556,22 @@ def simulate(
     out_y = np.empty(n_steps)
     out_vs = np.empty(n_steps)
     out_vf = np.empty(n_steps)
-
-    prev_delayed = hp = hp_prev = vf = 0.0  # loop filter state
-
     lock_lost = False
-    dt_over_m = dt / mass
-    inv_wx, inv_wy = 1.0 / wx, 1.0 / wy
-    sin, cos = math.sin, math.cos
 
     for i0 in range(0, n_steps, _BLOCK):
         nblk = min(_BLOCK, n_steps - i0)
-        # columns: two OU kicks per axis (x, x, y, y), then the back-action
-        # force per axis and the imprecision noise per channel
-        normals = rng.standard_normal((nblk, 8))
-        normals[:, 4:] *= (sigma_ba, sigma_ba, sigma_self, sigma_fwd)
-        g1x, g2x, g1y, g2y, gbx, gby = normals[:, :6].T.tolist()
-        nu_self, nu_fwd = normals[:, 6:].T
-        nu_loop = (nu_fwd if forward else nu_self).tolist() if fb_on else None
-
-        bx = [0.0] * nblk
-        by = [0.0] * nblk
-
-        for k in range(nblk):
-            bx[k] = x
-            by[k] = y
-
-            # feedback force along the loop axis; the damping path uses the
-            # band-limited differentiator, the spring path the raw delayed
-            # measurement (a low-pass lag on a spring force anti-damps the
-            # modes at rate ~2 alpha^2/w_corner and would blow up any weakly
-            # damped run)
-            if fb_on:
-                q = (x + sgn * y) * _INVSQ2
-                push((sin(k_eff * q) / k_eff if nonlin else q) + nu_loop[k])
-                delayed = pop()
-                hp = r_hp * (hp + delayed - prev_delayed)
-                prev_delayed = delayed
-                vf = a_lp * vf + b_lp * (hp - hp_prev) / dt
-                hp_prev = hp
-                u = -(mass * gfb * vf + spring * delayed)
-            else:
-                u = 0.0
-
-            # the drive always pushes along the detection axis q
-            drv = drive_force * cos(drive_w * ((i0 + k) * dt)) * _INVSQ2 if drive_force != 0.0 else 0.0
-            uax = u * _INVSQ2
-            fx = gbx[k] + drv + uax
-            fy = gby[k] + drv + sgn * uax
-
-            # kick
-            vx += dt_over_m * fx
-            vy += dt_over_m * fy
-            # OU half, exact rotation, OU half
-            vx = a_half * vx + ou_std * g1x[k]
-            vy = a_half * vy + ou_std * g1y[k]
-            x, vx = x * cx + vx * inv_wx * sx, -x * wx * sx + vx * cx
-            y, vy = y * cy + vy * inv_wy * sy, -y * wy * sy + vy * cy
-            vx = a_half * vx + ou_std * g2x[k]
-            vy = a_half * vy + ou_std * g2y[k]
-
+        inputs = step.draw_inputs(rng, i0, nblk)
         blk = slice(i0, i0 + nblk)
-        out_x[blk] = bx
-        out_y[blk] = by
+        out_x[blk], out_y[blk], state = step.propagate(state, inputs)
         q = (out_x[blk] + out_y[blk]) * _INVSQ2
         p = (out_x[blk] - out_y[blk]) * _INVSQ2
         out_vs[blk], out_vf[blk] = _detector_outputs(
-            q, p, nu_self, nu_fwd, np.arange(i0, i0 + nblk) * dt, setup, detector
+            q, p, inputs[:, 6], inputs[:, 7], np.arange(i0, i0 + nblk) * dt, setup, detector
         )
         if detector.mirror_mode == "locked" and not lock_lost:
             lock_lost = bool(np.any(np.abs(q) > setup.wavelength / 4.0))
-        # drop this block's sample lists before the next block makes its own
-        del g1x, g2x, g1y, g2y, gbx, gby, nu_loop, bx, by
+        # drop this block's inputs before the next block draws its own
+        del inputs
 
     return Trajectory(
         dt=dt,

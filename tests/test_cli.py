@@ -85,6 +85,12 @@ class TestConfig:
         for overrides in bad:
             with pytest.raises(ConfigError):
                 ScenarioConfig.from_dict(overrides)
+        # sweeps too short to run: the error names the key
+        short = [("scattered_powers_w", []), ("cooling_rates_rad_per_s", []),
+                 ("cooling_rates_rad_per_s", [0.0, 100.0])]
+        for key, value in short:
+            with pytest.raises(ConfigError, match=key):
+                ScenarioConfig.from_dict({"sweeps": {key: value}})
         # an integral float is still an integral seed
         assert ScenarioConfig.from_dict({"sim": {"seed": 7.0}}).seed == 7
 
@@ -243,6 +249,26 @@ class TestDeterminismAndErrors:
         err = json.loads((out / "error_manifest.json").read_text())
         assert err["error"].startswith("ConfigError") and "seed" in err["error"]
 
+    @pytest.mark.parametrize("temperature, lost", [(1e-6, False), (300.0, True)])
+    def test_psd_manifest_records_lock_status(self, tmp_path, temperature, lost):
+        over = dict(FAST_SCAN, bath={"pressure_mbar": 0.5, "temperature_k": temperature})
+        code, out = run_cli(tmp_path, "psd", over)
+        assert code == 0
+        assert json.loads((out / "manifest.json").read_text())["lock_lost"] is lost
+
+    def test_unstable_loop_nonzero_exit(self, tmp_path):
+        # the cool-sweep gains at 2 pi x 160 rad/s with an 8-sample delay
+        gain = 2 * math.pi * 160.0
+        over = dict(FAST_SCAN, feedback={
+            "cooling_rate_rad_per_s": gain, "spring_gain_rad_per_s": 250.0 * math.sqrt(gain),
+            "loop_delay_s": 8 * 2.0**-17,
+        }, sim=dict(FAST_SCAN["sim"], dt_s=2.0**-17))
+        code, out = run_cli(tmp_path, "psd", over)
+        assert code == 1
+        assert not (out / "manifest.json").exists()
+        err = json.loads((out / "error_manifest.json").read_text())["error"]
+        assert "unstable" in err and "8-sample" in err
+
     def test_invalid_config_nonzero_exit(self, tmp_path):
         code, out = run_cli(tmp_path, "efficiency-report", {"optics": {"visibility": 2.0}})
         assert code == 1
@@ -309,6 +335,13 @@ class TestCoolSweep:
         t_idx = header.index("t_mode_k")
         temps = [r[t_idx] for r in rows]
         assert all(b < a for a, b in zip(temps, temps[1:]))
+
+    def test_lock_status_column(self, sweep_out):
+        # a 300 K thermal start swings |q| past lambda/4 on every point
+        for name in ("cool_sweep_self.csv", "cool_sweep_forward.csv"):
+            header, rows = read_csv(sweep_out / name)
+            assert header[-1] == "lock_lost"
+            assert [r[-1] for r in rows] == [1.0] * len(rows)
 
     def test_forward_channel_runs_hotter(self, sweep_out):
         header, rows_self = read_csv(sweep_out / "cool_sweep_self.csv")

@@ -8,10 +8,14 @@ fringes.
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from selfhomodyne import langevin
 from selfhomodyne.constants import K_B
 from selfhomodyne.langevin import (
     Bath,
@@ -289,6 +293,81 @@ class TestLoopDelayAndAxis:
         bound = (k_eff * float(np.max(np.abs(lin.q)))) ** 2
         dev = float(np.max(np.abs(nl.x - lin.x))) / float(np.max(np.abs(lin.x)))
         assert 0.0 < dev <= bound < 0.1
+
+
+class TestLoopStability:
+    """A loop whose one-step map (for the fringe: its linearization) has a
+    spectral radius above 1 is rejected before integrating."""
+
+    @pytest.mark.parametrize("fringe", [False, True])
+    def test_delayed_cool_sweep_loop_rejected(self, fringe):
+        # the cool-sweep gains at 2 pi x 160 rad/s: |lambda| - 1 = +1.3e-2
+        gain = 2 * math.pi * 160.0
+        fb = FeedbackConfig(cooling_rate=gain, spring_gain=250.0 * math.sqrt(gain), loop_delay=8 * DT17)
+        det = DetectorModel(fringe_nonlinearity=fringe)
+        with pytest.raises(ValueError, match=r"max\|lambda\| = 1\.01.*8-sample"):
+            simulate(TRAP, Bath(pressure=2e-2), fb, det, SETUP, duration=0.01, dt=DT17, seed=0)
+
+    def test_benchmark_psd_loop_accepted(self):
+        # cold, viscous-only, nonlinear loop with a 4-sample delay
+        fb = FeedbackConfig(cooling_rate=2 * math.pi * 160.0, loop_delay=4 * DT17)
+        det = DetectorModel(fringe_nonlinearity=True)
+        bath = Bath(pressure=2e-2, temperature=1.0)
+        traj = simulate(TRAP, bath, fb, det, SETUP, duration=0.05, dt=DT17, seed=1)
+        assert not traj.lock_lost
+
+
+class TestScanAgainstScalarLoop:
+    """Every linear run goes through the vectorized scan of s' = A s + B u;
+    the scalar loop that A and B are probed from is the reference."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(["open", "ramp", "self-homodyne", "forward"]),
+        delay=st.integers(0, 4),
+        gain_hz=st.floats(40.0, 640.0),
+        spring=st.booleans(),
+        fringe=st.booleans(),
+        drive=st.booleans(),
+        backaction=st.booleans(),
+        hot=st.booleans(),
+        n_steps=st.sampled_from([2, 3, 97, 4099, (1 << 16) + 1, (1 << 16) + 1234]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_matches_scalar_loop(
+        self, kind, delay, gain_hz, spring, fringe, drive, backaction, hot, n_steps, seed
+    ):
+        fb = NO_FB
+        det = DetectorModel(fringe_nonlinearity=fringe and kind != "self-homodyne")
+        if kind == "ramp":
+            det = dataclasses.replace(det, mirror_mode="ramp", ramp_rate=2e-6)
+        elif kind != "open":
+            fb = FeedbackConfig(
+                cooling_rate=2 * math.pi * gain_hz,
+                spring_gain=2 * math.pi * 250.0 if spring else 0.0,
+                loop_delay=delay * DT17,
+                source_channel=kind,
+            )
+        bath = Bath(pressure=2e-2, temperature=300.0 if hot else 1e-3)
+        kwargs = dict(
+            duration=n_steps * DT17, dt=DT17, seed=seed,
+            drive_force=1e-18 if drive else 0.0,
+            backaction_force_psd=backaction_psd(1e-7, SETUP.wavelength) if backaction else 0.0,
+        )
+        fast = simulate(TRAP, bath, fb, det, SETUP, **kwargs)
+        with mock.patch.object(langevin._StepMap, "propagate", langevin._StepMap.run):
+            ref = simulate(TRAP, bath, fb, det, SETUP, **kwargs)
+        for name in ("x", "y", "volts_self", "volts_fwd"):
+            a, b = getattr(fast, name), getattr(ref, name)
+            tol = 1e-10 * np.max(np.abs(b))
+            if kind == "ramp" and name == "volts_self":
+                # the ramp's fringe phase 4 pi (f + d)/lambda ~ 2.4e6 rad is
+                # resolved to one float spacing (~5e-10 rad); a q that differs
+                # by rounding can move it by that step, and the output with it
+                phase = 4 * math.pi * (SETUP.focal_length + ref.mirror_d[-1]) / SETUP.wavelength
+                tol += 2 * np.spacing(phase)
+            assert np.max(np.abs(a - b)) <= tol, name
+        assert fast.lock_lost == ref.lock_lost
 
 
 class TestLockLoss:
