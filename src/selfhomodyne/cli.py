@@ -21,10 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ScenarioConfig, _seed
+from .config import ScenarioConfig, _seed
 from .constants import CONSTANTS, K_B
 from .langevin import (
-    DetectorModel,
     FeedbackConfig,
     _effective_visibility,
     gas_damping_rate,
@@ -86,14 +85,28 @@ def _write_manifest(out_dir: Path, command: str, cfg: ScenarioConfig, seed: int,
     )
 
 
-def _point_seed(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng([seed, index])
+def _point_seed(seed: int, index: int) -> int:
+    """The simulation seed of sweep point ``index``, derived from the run seed."""
+    return int(np.random.default_rng([seed, index]).integers(2**31))
+
+
+def _sweep(threads: int, point, args) -> list:
+    """``point(*a)`` for each tuple ``a`` in ``args``, on up to ``threads``
+    threads; results in the order of ``args``."""
+    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
+        return list(pool.map(lambda a: point(*a), args))
 
 
 def _calibration_slope(cfg: ScenarioConfig) -> float:
     """Volts-per-meter from the fringe-slope rule S = 4 pi A_volts / lambda,
-    with the model's fringe amplitude in detector units."""
+    with the model's fringe amplitude in detector units.  A setup without
+    fringe contrast has no slope, and its detector output no position."""
     amp_volts = cfg.detector.gain * _effective_visibility(cfg.setup)
+    if amp_volts == 0.0:
+        raise ValueError(
+            "no fringe contrast to calibrate positions with: optics visibility, "
+            "mirror_field_reflectivity or detector gain_volts is 0"
+        )
     return fringe_slope(amp_volts, cfg.setup.wavelength)
 
 
@@ -133,6 +146,7 @@ def cmd_fringe_scan(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int)
 
 def cmd_calibrate(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) -> dict:
     """Run a fringe scan and fit the volts-per-meter conversion."""
+    model_slope = _calibration_slope(cfg)
     traj = _ramp_run(cfg, seed)
     result = run_calibration(traj, cfg.setup.wavelength)
     _write_json(
@@ -142,29 +156,28 @@ def cmd_calibrate(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) -
             "fringe_amplitude_volts": result.fringe_amplitude_volts,
             "fringe_frequency_hz": result.fringe_frequency_hz,
             "fringes_covered": result.fringes_covered,
-            "model_slope_volts_per_meter": _calibration_slope(cfg),
+            "model_slope_volts_per_meter": model_slope,
         },
     )
     return {"outputs": ["calibration.json"]}
 
 
 def _imprecision_point(cfg: ScenarioConfig, seed: int, index: int, power: float):
+    """One imprecision-sweep point: the configured detector, locked, with
+    the shot-noise floor predicted at ``power``."""
     setup = cfg.setup
+    slope = _calibration_slope(cfg)
     eta = detection_efficiency(setup)
     s_pred = imprecision(power, eta, setup.wavelength)
     s_ideal = imprecision(power, 1.0, setup.wavelength)
-    det = DetectorModel(
-        imprecision_self=s_pred,
-        imprecision_forward=cfg.detector.imprecision_forward,
-        gain=cfg.detector.gain,
-    )
+    det = dataclasses.replace(cfg.detector, imprecision_self=s_pred, mirror_mode="locked")
     traj = simulate(
         cfg.trap, cfg.bath, FeedbackConfig(), det, setup,
-        duration=cfg.duration, dt=cfg.dt, seed=int(_point_seed(seed, index).integers(2**31)),
+        duration=cfg.duration, dt=cfg.dt, seed=_point_seed(seed, index),
         initial_state=(0.0, 0.0, 0.0, 0.0),
         backaction_force_psd=backaction_psd(power, setup.wavelength),
     )
-    q_rec = traj.volts_self / _calibration_slope(cfg)
+    q_rec = traj.volts_self / slope
     psd = welch_psd(q_rec, traj.sample_rate, segment_len=min(1 << 15, q_rec.size // 8))
     s_ext = imprecision_from_floor(psd, _FLOOR_BAND)
     return power, s_pred, s_ideal, s_ext
@@ -172,11 +185,9 @@ def _imprecision_point(cfg: ScenarioConfig, seed: int, index: int, power: float)
 
 def cmd_imprecision_sweep(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) -> dict:
     """Predicted vs simulated imprecision floor over scattered power."""
-    powers = [float(p) for p in cfg.tree["sweeps"]["scattered_powers_w"]]
-    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
-        rows = list(
-            pool.map(lambda item: _imprecision_point(cfg, seed, *item), enumerate(powers))
-        )
+    rows = _sweep(
+        threads, _imprecision_point, [(cfg, seed, i, p) for i, p in enumerate(cfg.scattered_powers)]
+    )
     _write_csv(
         out_dir / "imprecision_sweep.csv",
         ["power_w", "s_imp_predicted_m2_per_hz", "s_imp_ideal_m2_per_hz", "s_imp_extracted_m2_per_hz"],
@@ -188,20 +199,16 @@ def cmd_imprecision_sweep(cfg: ScenarioConfig, seed: int, out_dir: Path, threads
 def _cool_point(cfg: ScenarioConfig, seed: int, index: int, gfb: float, alpha: float, channel: str):
     """One cooling-sweep point: simulate, fit the high mode, return the
     measured cooling rate (total linewidth) and mode temperature."""
-    feedback = FeedbackConfig(
-        cooling_rate=gfb,
-        spring_gain=alpha,
-        loop_delay=cfg.feedback.loop_delay,
-        filter_band=cfg.feedback.filter_band,
-        source_channel=channel,
+    slope = _calibration_slope(cfg)
+    feedback = dataclasses.replace(
+        cfg.feedback, cooling_rate=gfb, spring_gain=alpha, source_channel=channel
     )
     traj = simulate(
         cfg.trap, cfg.bath, feedback, cfg.detector, cfg.setup,
-        duration=cfg.duration, dt=cfg.dt,
-        seed=int(_point_seed(seed, index).integers(2**31)),
+        duration=cfg.duration, dt=cfg.dt, seed=_point_seed(seed, index),
     )
     n0 = int(cfg.transient / cfg.dt)
-    q_rec = traj.volts_self[n0:] / _calibration_slope(cfg)
+    q_rec = traj.volts_self[n0:] / slope
     psd = welch_psd(q_rec, traj.sample_rate, segment_len=min(1 << 18, q_rec.size // 4))
 
     sol = radial_modes(cfg.trap.secular_freq_x, cfg.trap.secular_freq_y, alpha)
@@ -229,15 +236,13 @@ def _cool_point(cfg: ScenarioConfig, seed: int, index: int, gfb: float, alpha: f
 
 
 def _cool_channel(cfg: ScenarioConfig, seed: int, channel: str, threads: int):
-    sweeps = cfg.tree["sweeps"]
-    rates = [float(g) for g in sweeps["cooling_rates_rad_per_s"]]
-    coef = float(sweeps["spring_gain_coef"]) if channel == "self-homodyne" else 0.0
-    points = [(i, g, coef * math.sqrt(g), channel) for i, g in enumerate(rates)]
+    coef = cfg.spring_gain_coef if channel == "self-homodyne" else 0.0
     offset = 0 if channel == "self-homodyne" else 1000
-    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
-        results = list(
-            pool.map(lambda p: _cool_point(cfg, seed, offset + p[0], p[1], p[2], p[3]), points)
-        )
+    points = [
+        (cfg, seed, offset + i, g, coef * math.sqrt(g), channel)
+        for i, g in enumerate(cfg.cooling_rates)
+    ]
+    results = _sweep(threads, _cool_point, points)
     fit_points = [(r["gamma_fb_rad_per_s"], r["t_mode_k"]) for r in results]
     b_ext = (
         math.pi * cfg.trap.mass * cfg.trap.secular_freq_y**2
@@ -275,10 +280,9 @@ def cmd_cool_sweep(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) 
 
 def cmd_modes(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) -> dict:
     """Closed-form eigenanalysis vs a generic symmetric eigensolver."""
-    gains = [float(a) for a in cfg.tree["sweeps"]["mode_spring_gains_rad_per_s"]]
     wx, wy = cfg.trap.secular_freq_x, cfg.trap.secular_freq_y
     entries = []
-    for alpha in gains:
+    for alpha in cfg.mode_spring_gains:
         sol = radial_modes(wx, wy, alpha)
         mat = np.array(
             [[wx**2 + alpha**2, alpha**2], [alpha**2, wy**2 + alpha**2]]
@@ -332,12 +336,13 @@ def cmd_efficiency_report(cfg: ScenarioConfig, seed: int, out_dir: Path, threads
 def cmd_psd(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) -> dict:
     """Simulate the configured scenario and export the calibrated PSD; the
     manifest records whether the mirror lock was lost."""
+    slope = _calibration_slope(cfg)
     traj = simulate(
         cfg.trap, cfg.bath, cfg.feedback, cfg.detector, cfg.setup,
         duration=cfg.duration, dt=cfg.dt, seed=seed,
     )
     n0 = int(cfg.transient / cfg.dt)
-    q_rec = traj.volts_self[n0:] / _calibration_slope(cfg)
+    q_rec = traj.volts_self[n0:] / slope
     psd = welch_psd(q_rec, traj.sample_rate, segment_len=min(1 << 17, q_rec.size // 4))
     psd.write_csv(out_dir / "psd.csv")
     return {"outputs": ["psd.csv"], "lock_lost": traj.lock_lost}
@@ -379,7 +384,7 @@ def main(argv=None) -> int:
         seed = cfg.seed if args.seed is None else _seed(args.seed)
         report = _COMMANDS[args.command](cfg, seed, out_dir, args.threads)
         _write_manifest(out_dir, args.command, cfg, seed, report)
-    except (ConfigError, FitError, ValueError, OSError) as exc:
+    except (FitError, ValueError, ArithmeticError, OSError) as exc:
         _write_json(
             out_dir / "error_manifest.json",
             {"command": args.command, "error": f"{type(exc).__name__}: {exc}"},

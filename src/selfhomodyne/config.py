@@ -39,7 +39,6 @@ def default_config_dict() -> dict:
             "focal_length_m": 0.05,
             "mirror_distance_m": 0.10,
             "polarization_axis": [0.0, 1.0, 0.0],
-            "axis_projection_angle_rad": math.pi / 4,
         },
         "scatterer": {
             "radius_m": 150e-9,
@@ -50,9 +49,7 @@ def default_config_dict() -> dict:
         "trap": {
             "secular_freq_x_hz": 2100.0,
             "secular_freq_y_hz": 3200.0,
-            "secular_freq_z_hz": 1100.0,
             "drive_freq_hz": 11000.0,
-            "stability_q": 0.8,
         },
         "bath": {
             "pressure_mbar": 2e-8,
@@ -135,11 +132,11 @@ def _integral(value) -> int:
     return int(value)
 
 
-def _reals(value) -> list[float]:
+def _reals(value) -> tuple[float, ...]:
     """A JSON array of finite numbers."""
     if not isinstance(value, list):
         raise TypeError(f"expected an array of numbers, got {value!r}")
-    return [_real(v) for v in value]
+    return tuple(_real(v) for v in value)
 
 
 def _seed(value) -> int:
@@ -159,7 +156,8 @@ def _flag(value) -> bool:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario: typed sub-configs plus the raw (merged) tree."""
+    """Validated scenario: the typed values every command reads, plus the
+    raw (merged) tree, kept only to serialize and hash the scenario."""
 
     tree: dict = field(repr=False)
     setup: OpticalSetup = field(repr=False)
@@ -169,26 +167,18 @@ class ScenarioConfig:
     bath: Bath = field(repr=False)
     detector: DetectorModel = field(repr=False)
     feedback: FeedbackConfig = field(repr=False)
+    dt: float                               # [s]
+    duration: float                         # [s]
+    transient: float                        # [s]
+    seed: int
+    scattered_powers: tuple[float, ...]     # [W]
+    cooling_rates: tuple[float, ...]        # [rad/s]
+    spring_gain_coef: float                 # alpha = coef * sqrt(cooling_rate)
+    mode_spring_gains: tuple[float, ...]    # [rad/s]
 
     @property
     def scenario_id(self) -> str:
         return self.tree["scenario_id"]
-
-    @property
-    def dt(self) -> float:
-        return float(self.tree["sim"]["dt_s"])
-
-    @property
-    def duration(self) -> float:
-        return float(self.tree["sim"]["duration_s"])
-
-    @property
-    def transient(self) -> float:
-        return float(self.tree["sim"]["transient_s"])
-
-    @property
-    def seed(self) -> int:
-        return int(self.tree["sim"]["seed"])
 
     @classmethod
     def from_dict(cls, overrides: dict | None = None) -> "ScenarioConfig":
@@ -205,7 +195,6 @@ class ScenarioConfig:
                 focal_length=_real(opt["focal_length_m"]),
                 mirror_distance=_real(opt["mirror_distance_m"]),
                 polarization_axis=tuple(_real(v) for v in opt["polarization_axis"]),
-                axis_projection_angle=_real(opt["axis_projection_angle_rad"]),
             )
             sca = tree["scatterer"]
             scatterer = Scatterer(
@@ -222,9 +211,7 @@ class ScenarioConfig:
             trap = TrapConfig(
                 secular_freq_x=2.0 * math.pi * _real(trp["secular_freq_x_hz"]),
                 secular_freq_y=2.0 * math.pi * _real(trp["secular_freq_y_hz"]),
-                secular_freq_z=2.0 * math.pi * _real(trp["secular_freq_z_hz"]),
                 drive_freq=_real(trp["drive_freq_hz"]),
-                stability_q=_real(trp["stability_q"]),
                 mass=_real(sca["mass_kg"]),
             )
             bth = tree["bath"]
@@ -255,13 +242,13 @@ class ScenarioConfig:
                 source_channel=str(fbk["source_channel"]),
             )
             sim = tree["sim"]
-            if _real(sim["dt_s"]) <= 0 or _real(sim["duration_s"]) <= 0:
+            dt, duration = _real(sim["dt_s"]), _real(sim["duration_s"])
+            transient = _real(sim["transient_s"])
+            if dt <= 0 or duration <= 0:
                 raise ValueError("sim dt_s and duration_s must be positive")
-            if _real(sim["transient_s"]) < 0 or _real(sim["transient_s"]) >= _real(
-                sim["duration_s"]
-            ):
+            if transient < 0 or transient >= duration:
                 raise ValueError("sim transient_s must lie in [0, duration_s)")
-            _seed(sim["seed"])
+            seed = _seed(sim["seed"])
             swp = tree["sweeps"]
             powers = _reals(swp["scattered_powers_w"])
             if not powers or any(p <= 0 for p in powers):
@@ -270,14 +257,18 @@ class ScenarioConfig:
             if len(rates) < 3:
                 # the cooling-curve fit of cool-sweep needs three points
                 raise ValueError("sweeps cooling_rates_rad_per_s needs at least 3 entries")
-            gains = rates + _reals(swp["mode_spring_gains_rad_per_s"])
-            if any(g < 0 for g in gains + [_real(swp["spring_gain_coef"])]):
+            coef = _real(swp["spring_gain_coef"])
+            mode_gains = _reals(swp["mode_spring_gains_rad_per_s"])
+            if any(g < 0 for g in rates + mode_gains + (coef,)):
                 raise ValueError("sweeps gains and spring_gain_coef must be >= 0")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid configuration: {exc}") from exc
         return cls(
             tree=tree, setup=setup, scatterer=scatterer, beam=beam,
             trap=trap, bath=bath, detector=detector, feedback=feedback,
+            dt=dt, duration=duration, transient=transient, seed=seed,
+            scattered_powers=powers, cooling_rates=rates,
+            spring_gain_coef=coef, mode_spring_gains=mode_gains,
         )
 
     @classmethod

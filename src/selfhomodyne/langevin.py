@@ -48,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import modes
 from .constants import K_B
 from .optics import OpticalSetup, _effective_wavenumber, fringe_slope
 
@@ -287,7 +288,10 @@ def _detector_outputs(q, p, nu_self, nu_fwd, t, setup: OpticalSetup, detector: D
         meas = np.sin(k_eff * q) / k_eff if detector.fringe_nonlinearity else q
         return lock_sign * slope * (meas + nu_self), volts_fwd
     d_now = _mirror_position(setup, detector, t)
-    phase = 4.0 * math.pi * (setup.focal_length + d_now) / setup.wavelength + k_eff * q
+    # float64 resolves the ~2.4e6 rad mirror term only to ~5e-10 rad: wrap it
+    # before adding k_eff q, so the phase keeps the precision of q
+    mirror_phase = 4.0 * math.pi * (setup.focal_length + d_now) / setup.wavelength
+    phase = np.mod(mirror_phase, 2.0 * math.pi) + k_eff * q
     return gain * (1.0 - v_eff * np.cos(phase)) + slope * nu_self, volts_fwd
 
 
@@ -510,8 +514,6 @@ def simulate(
     has a spectral radius above 1 is rejected before integrating.
     Deterministic for a given (arguments, seed).
     """
-    from .modes import radial_modes  # local import, avoids cycle at module load
-
     if duration <= 0.0 or dt <= 0.0:
         raise ValueError("duration and dt must be positive")
     if backaction_force_psd < 0.0:
@@ -520,7 +522,8 @@ def simulate(
     if n_steps < 2:
         raise ValueError("duration too short for the chosen dt")
 
-    mode_sol = radial_modes(trap.secular_freq_x, trap.secular_freq_y, feedback.spring_gain)
+    # looked up on the module at each call, where perfbench's tracer patches it
+    mode_sol = modes.radial_modes(trap.secular_freq_x, trap.secular_freq_y, feedback.spring_gain)
     f_limit = mode_sol.freq_high / (2.0 * math.pi)
     if feedback.engaged:
         f_limit = max(f_limit, feedback.filter_band[1])

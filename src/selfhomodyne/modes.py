@@ -45,17 +45,13 @@ class TrapConfig:
 
     secular_freq_x: float = 2.0 * math.pi * 2100.0
     secular_freq_y: float = 2.0 * math.pi * 3200.0
-    secular_freq_z: float = 2.0 * math.pi * 1100.0
     drive_freq: float = 11e3  # [Hz]
-    stability_q: float = 0.8
     mass: float = 2.0e-17
 
     def __post_init__(self):
-        for name in ("secular_freq_x", "secular_freq_y", "secular_freq_z", "drive_freq"):
+        for name in ("secular_freq_x", "secular_freq_y", "drive_freq"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        if not 0.0 < self.stability_q < 1.0:
-            raise ValueError("stability_q must lie in (0, 1)")
         if self.mass <= 0.0:
             raise ValueError("mass must be positive")
 

@@ -100,7 +100,6 @@ class OpticalSetup:
     focal_length: float = 0.05
     mirror_distance: float = 0.10
     polarization_axis: tuple = _Y_AXIS
-    axis_projection_angle: float = math.pi / 4
 
     def __post_init__(self):
         if not 0.0 < self.half_aperture <= math.pi / 2:
@@ -133,12 +132,6 @@ class OpticalSetup:
         """One-way path R_s = focal_length + mirror_distance [m]."""
         return self.focal_length + self.mirror_distance
 
-    @property
-    def projection_factor(self) -> float:
-        """Imprecision penalty 1/cos^2 of the detection-to-motion axis angle
-        (2 for the 45-degree trap geometry)."""
-        return 1.0 / math.cos(self.axis_projection_angle) ** 2
-
 
 @dataclass(frozen=True)
 class Scatterer:
@@ -147,7 +140,6 @@ class Scatterer:
     radius: float = 150e-9
     refractive_index: float = 1.45
     mass: float = 2.0e-17
-    position: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
         if self.radius <= 0.0:
@@ -169,7 +161,6 @@ class Beam:
     power: float
     waist: float
     wavelength: float = 780e-9
-    polarization_axis: tuple = _Y_AXIS
 
     def __post_init__(self):
         if self.power < 0.0:

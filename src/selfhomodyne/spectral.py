@@ -38,7 +38,6 @@ class Psd:
 
     frequencies: np.ndarray
     values: np.ndarray
-    one_sided: bool = True
 
     def __post_init__(self):
         f = np.asarray(self.frequencies, dtype=float)
@@ -60,7 +59,7 @@ class Psd:
         sel = (self.frequencies >= f_lo) & (self.frequencies <= f_hi)
         if not np.any(sel):
             raise ValueError(f"band ({f_lo}, {f_hi}) Hz contains no PSD bins")
-        return Psd(self.frequencies[sel], self.values[sel], self.one_sided)
+        return Psd(self.frequencies[sel], self.values[sel])
 
     def integral(self) -> float:
         """Total power, integral of the density over the grid."""
@@ -159,14 +158,12 @@ def welch_psd(
     series,
     sample_rate: float,
     segment_len: int,
-    overlap: float = 0.5,
     window: str = "hann",
 ) -> Psd:
     """Averaged one-sided periodogram of a uniformly sampled series.
 
-    ``overlap`` is the segment overlap fraction.  Window is "hann" or
-    "rectangular".  No detrending is applied, so a DC component shows up in
-    the zero bin.
+    Segments overlap by half.  Window is "hann" or "rectangular".  No
+    detrending is applied, so a DC component shows up in the zero bin.
     """
     x = np.asarray(series, dtype=float)
     if x.size == 0:
@@ -175,15 +172,13 @@ def welch_psd(
         raise ValueError("segment_len must lie in [1, len(series)]")
     if window not in ("hann", "rectangular"):
         raise ValueError("window must be 'hann' or 'rectangular'")
-    if not 0.0 <= overlap < 1.0:
-        raise ValueError("overlap fraction must lie in [0, 1)")
     win = "hann" if window == "hann" else "boxcar"
     freqs, values = signal.welch(
         x,
         fs=sample_rate,
         window=win,
         nperseg=segment_len,
-        noverlap=int(overlap * segment_len),
+        noverlap=segment_len // 2,
         detrend=False,
         return_onesided=True,
         scaling="density",
@@ -264,10 +259,9 @@ def lorentzian_fit(psd: Psd, band: tuple[float, float], max_iterations: int = 20
 def cooling_curve_fit(
     points,
     mode: str = "A-and-B",
-    weights=None,
     external_b: float | None = None,
 ) -> CoolingCurveFit:
-    """Weighted least squares of T = A/gamma + B*gamma (or T = A/gamma).
+    """Least squares of T = A/gamma + B*gamma (or T = A/gamma).
 
     ``points`` is a sequence of (gamma [rad/s], T [K]).  In "A-only" mode the
     fit has the single parameter A (valid well below the temperature
@@ -279,7 +273,6 @@ def cooling_curve_fit(
     gamma, temp = pts[:, 0], pts[:, 1]
     if np.any(gamma <= 0.0):
         raise ValueError("cooling rates must be positive")
-    w = np.ones_like(gamma) if weights is None else np.asarray(weights, dtype=float)
 
     if mode == "A-only":
         design = (1.0 / gamma)[:, None]
@@ -288,19 +281,16 @@ def cooling_curve_fit(
     else:
         raise ValueError("mode must be 'A-only' or 'A-and-B'")
 
-    sw = np.sqrt(w)
-    dm = design * sw[:, None]
-    rhs = temp * sw
     # judge degeneracy on unit-norm columns (the raw 1/gamma and gamma
     # columns are legitimately many orders of magnitude apart)
-    col_scale = np.linalg.norm(dm, axis=0)
-    if np.any(col_scale == 0.0) or np.linalg.cond(dm / col_scale) > 1e8:
+    col_scale = np.linalg.norm(design, axis=0)
+    if np.any(col_scale == 0.0) or np.linalg.cond(design / col_scale) > 1e8:
         raise FitError("degenerate design matrix in cooling-curve fit")
-    coef_scaled, *_ = np.linalg.lstsq(dm / col_scale, rhs, rcond=None)
+    coef_scaled, *_ = np.linalg.lstsq(design / col_scale, temp, rcond=None)
     coef = coef_scaled / col_scale
-    resid = rhs - dm @ coef
+    resid = temp - design @ coef
     dof = max(len(gamma) - design.shape[1], 1)
-    cov = np.linalg.inv(dm.T @ dm) * float(resid @ resid) / dof
+    cov = np.linalg.inv(design.T @ design) * float(resid @ resid) / dof
 
     if mode == "A-only":
         b = external_b if external_b is not None else 0.0

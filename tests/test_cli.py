@@ -2,14 +2,20 @@
 and exit codes.  Commands run in-process through main()."""
 
 import csv
+import dataclasses
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from selfhomodyne import cli
 from selfhomodyne.cli import main
 from selfhomodyne.config import ConfigError, ScenarioConfig
+from selfhomodyne.optics import detection_efficiency, imprecision
 
 
 def run_cli(tmp_path, command, overrides=None, extra=()):
@@ -52,6 +58,11 @@ class TestConfig:
             ScenarioConfig.from_dict({"optic": {}})
         with pytest.raises(ConfigError, match="unknown config key"):
             ScenarioConfig.from_dict({"optics": {"wavelength_nm": 780}})
+        # settings that no computation read are gone
+        for table, key in [("optics", "axis_projection_angle_rad"),
+                           ("trap", "secular_freq_z_hz"), ("trap", "stability_q")]:
+            with pytest.raises(ConfigError, match="unknown config key"):
+                ScenarioConfig.from_dict({table: {key: 0.5}})
 
     def test_invalid_value_rejected(self):
         bad = [
@@ -93,6 +104,62 @@ class TestConfig:
                 ScenarioConfig.from_dict({"sweeps": {key: value}})
         # an integral float is still an integral seed
         assert ScenarioConfig.from_dict({"sim": {"seed": 7.0}}).seed == 7
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _sim(draw):
+    duration = draw(_floats(1e-3, 1e3))
+    return {
+        "dt_s": draw(_floats(1e-9, 1e-3)),
+        "duration_s": duration,
+        "transient_s": draw(_floats(0.0, 0.99)) * duration,
+        "seed": draw(st.integers(0, 2**63)),
+    }
+
+
+_OVERRIDES = st.fixed_dictionaries({}, optional={
+    "sim": _sim(),
+    "sweeps": st.fixed_dictionaries({}, optional={
+        "scattered_powers_w": st.lists(_floats(1e-12, 1.0), min_size=1, max_size=6),
+        "cooling_rates_rad_per_s": st.lists(_floats(0.0, 1e4), min_size=3, max_size=8),
+        "spring_gain_coef": _floats(0.0, 1e3),
+        "mode_spring_gains_rad_per_s": st.lists(_floats(0.0, 1e5), max_size=6),
+    }),
+    "detector": st.fixed_dictionaries({}, optional={
+        "imprecision_self_m2_per_hz": _floats(0.0, 1e-20),
+        "imprecision_forward_m2_per_hz": _floats(0.0, 1e-14),
+        "fringe_nonlinearity": st.booleans(),
+        "mirror_mode": st.sampled_from(["locked", "ramp"]),
+        "ramp_rate_m_per_s": _floats(0.0, 1e-4),
+        "lock_setpoint_index": st.integers(0, 9),
+        "gain_volts": _floats(1e-3, 1e3),
+    }),
+})
+
+
+class TestConfigRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(overrides=_OVERRIDES)
+    def test_parse_serialize_parse(self, overrides):
+        cfg = ScenarioConfig.from_dict(overrides)
+        again = ScenarioConfig.from_dict(json.loads(cfg.to_json()))
+        assert again.to_json() == cfg.to_json()
+        assert again.sha256() == cfg.sha256()
+        assert again == cfg
+        # the typed values are the ones the tree holds
+        sim, swp = cfg.tree["sim"], cfg.tree["sweeps"]
+        assert (cfg.dt, cfg.duration, cfg.transient, cfg.seed) == (
+            sim["dt_s"], sim["duration_s"], sim["transient_s"], sim["seed"]
+        )
+        assert cfg.scattered_powers == tuple(swp["scattered_powers_w"])
+        assert cfg.cooling_rates == tuple(swp["cooling_rates_rad_per_s"])
+        assert cfg.spring_gain_coef == swp["spring_gain_coef"]
+        assert cfg.mode_spring_gains == tuple(swp["mode_spring_gains_rad_per_s"])
+        assert type(cfg.seed) is int
 
 
 class TestEfficiencyReport:
@@ -227,6 +294,23 @@ class TestImprecisionSweep:
         row = next(r for r in rows if r[0] == pytest.approx(8.4e-8))
         assert math.sqrt(row[1]) == pytest.approx(1.7e-12, rel=0.05)
 
+    def test_simulates_the_configured_detector(self, tmp_path):
+        # the scenario's detector, locked, with the predicted floor
+        over = {
+            "detector": {"fringe_nonlinearity": True, "lock_setpoint_index": 1,
+                         "mirror_mode": "ramp", "ramp_rate_m_per_s": 2e-6},
+            "sim": {"dt_s": 2.0**-16, "duration_s": 0.25, "transient_s": 0.0, "seed": 3},
+            "sweeps": {"scattered_powers_w": [8.4e-8]},
+        }
+        with mock.patch.object(cli, "simulate", wraps=cli.simulate) as sim:
+            code, _ = run_cli(tmp_path, "imprecision-sweep", over)
+        assert code == 0
+        cfg = ScenarioConfig.from_dict(over)
+        s_pred = imprecision(8.4e-8, detection_efficiency(cfg.setup), cfg.setup.wavelength)
+        expected = dataclasses.replace(cfg.detector, imprecision_self=s_pred, mirror_mode="locked")
+        (call,) = sim.call_args_list
+        assert call.args[3] == expected
+
 
 class TestDeterminismAndErrors:
     def test_rerun_byte_identical(self, tmp_path):
@@ -274,6 +358,26 @@ class TestDeterminismAndErrors:
         assert code == 1
         err = json.loads((out / "error_manifest.json").read_text())
         assert "error" in err
+
+    @pytest.mark.parametrize("command, optics, output", [
+        ("psd", {"visibility": 0.0}, "psd.csv"),
+        ("psd", {"mirror_field_reflectivity": 0.0}, "psd.csv"),
+        ("imprecision-sweep", {"visibility": 0.0}, "imprecision_sweep.csv"),
+        ("imprecision-sweep", {"mirror_field_reflectivity": 0.0}, "imprecision_sweep.csv"),
+        ("calibrate", {"visibility": 0.0}, "calibration.json"),
+        ("calibrate", {"mirror_field_reflectivity": 0.0}, "calibration.json"),
+        ("efficiency-report", {"mirror_field_reflectivity": 0.0}, "efficiency_report.json"),
+    ], ids=["psd-V0", "psd-rho0", "imprecision-sweep-V0", "imprecision-sweep-rho0",
+            "calibrate-V0", "calibrate-rho0", "efficiency-report-rho0"])
+    def test_zero_fringe_contrast_nonzero_exit(self, tmp_path, command, optics, output):
+        code, out = run_cli(tmp_path, command, dict(IMP_SWEEP, optics=optics))
+        assert code == 1
+        assert not (out / output).exists() and not (out / "manifest.json").exists()
+        err = json.loads((out / "error_manifest.json").read_text())["error"]
+        if command == "efficiency-report":
+            assert err.startswith("ZeroDivisionError")
+        else:
+            assert "no fringe contrast" in err
 
     def test_malformed_json_nonzero_exit(self, tmp_path):
         cfg_path = tmp_path / "bad.json"

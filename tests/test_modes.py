@@ -232,6 +232,4 @@ class TestTrapConfig:
         with pytest.raises(ValueError):
             TrapConfig(secular_freq_x=0.0)
         with pytest.raises(ValueError):
-            TrapConfig(stability_q=1.5)
-        with pytest.raises(ValueError):
             TrapConfig(mass=0.0)

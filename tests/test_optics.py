@@ -426,7 +426,6 @@ class TestImprecision:
         assert imprecision(1e-7, 0.5, 780e-9, projection_factor=2.0) == pytest.approx(
             2 * imprecision(1e-7, 0.5, 780e-9), rel=1e-12
         )
-        assert OpticalSetup().projection_factor == pytest.approx(2.0, rel=1e-12)
 
     def test_division_errors(self):
         with pytest.raises(ZeroDivisionError):
