@@ -92,8 +92,13 @@ def _point_seed(seed: int, index: int) -> int:
 
 def _sweep(threads: int, point, args) -> list:
     """``point(*a)`` for each tuple ``a`` in ``args``, on up to ``threads``
-    threads; results in the order of ``args``."""
-    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
+    threads; results in the order of ``args``.  One thread runs the points
+    in the calling thread: a pool of one worker would add nothing but a
+    fresh thread per sweep, whose malloc arena may or may not be reused,
+    so the peak memory of a run would vary from run to run."""
+    if threads <= 1:
+        return [point(*a) for a in args]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(lambda a: point(*a), args))
 
 
