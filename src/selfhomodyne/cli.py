@@ -201,17 +201,30 @@ def cmd_imprecision_sweep(cfg: ScenarioConfig, seed: int, out_dir: Path, threads
     return {"outputs": ["imprecision_sweep.csv"]}
 
 
-def _cool_point(cfg: ScenarioConfig, seed: int, index: int, gfb: float, alpha: float, channel: str):
-    """One cooling-sweep point: simulate, fit the high mode, return the
-    measured cooling rate (total linewidth) and mode temperature."""
+def _cool_point(cfg: ScenarioConfig, seed: int, index: int, gfb: float, channel: str):
+    """Cooling-sweep point ``index`` of ``channel``: simulate, fit the high
+    mode, return the measured cooling rate (total linewidth) and mode
+    temperature.  The spring gain follows the sweep rule
+    alpha = spring_gain_coef * sqrt(gamma_fb) on the self-homodyne channel
+    and is 0 on the forward one."""
     slope = _calibration_slope(cfg)
+    coef = cfg.spring_gain_coef if channel == "self-homodyne" else 0.0
+    alpha = coef * math.sqrt(gfb)
     feedback = dataclasses.replace(
         cfg.feedback, cooling_rate=gfb, spring_gain=alpha, source_channel=channel
     )
-    traj = simulate(
-        cfg.trap, cfg.bath, feedback, cfg.detector, cfg.setup,
-        duration=cfg.duration, dt=cfg.dt, seed=_point_seed(seed, index),
-    )
+    offset = 0 if channel == "self-homodyne" else 1000
+    try:
+        traj = simulate(
+            cfg.trap, cfg.bath, feedback, cfg.detector, cfg.setup,
+            duration=cfg.duration, dt=cfg.dt, seed=_point_seed(seed, offset + index),
+        )
+    except ValueError as exc:
+        raise ValueError(
+            f"cool-sweep {channel} point {index}: gamma_fb = {gfb:.6g} rad/s, "
+            f"alpha = {alpha:.6g} rad/s (spring rule alpha = spring_gain_coef * "
+            f"sqrt(gamma_fb), 0 on the forward channel): {exc}"
+        ) from exc
     n0 = int(cfg.transient / cfg.dt)
     q_rec = traj.volts_self[n0:] / slope
     psd = welch_psd(q_rec, traj.sample_rate, segment_len=min(1 << 18, q_rec.size // 4))
@@ -241,12 +254,7 @@ def _cool_point(cfg: ScenarioConfig, seed: int, index: int, gfb: float, alpha: f
 
 
 def _cool_channel(cfg: ScenarioConfig, seed: int, channel: str, threads: int):
-    coef = cfg.spring_gain_coef if channel == "self-homodyne" else 0.0
-    offset = 0 if channel == "self-homodyne" else 1000
-    points = [
-        (cfg, seed, offset + i, g, coef * math.sqrt(g), channel)
-        for i, g in enumerate(cfg.cooling_rates)
-    ]
+    points = [(cfg, seed, i, g, channel) for i, g in enumerate(cfg.cooling_rates)]
     results = _sweep(threads, _cool_point, points)
     fit_points = [(r["gamma_fb_rad_per_s"], r["t_mode_k"]) for r in results]
     b_ext = (
@@ -325,6 +333,11 @@ def cmd_efficiency_report(cfg: ScenarioConfig, seed: int, out_dir: Path, threads
     # delta_chi straight from the two sensitivities (well-defined up to NA=1)
     chi_m = mirror_sensitivity(setup)
     chi_p = particle_sensitivity(setup, mode="exact")
+    if chi_m + chi_p == 0.0:
+        raise ZeroDivisionError(
+            "delta_chi = 2 (chi_m - chi_p)/(chi_m + chi_p) is undefined: the mirror and "
+            "particle sensitivities are both 0 because optics.mirror_field_reflectivity is 0"
+        )
     payload = {
         "eta_collection": collection_efficiency(setup.half_aperture, setup.polarization_axis),
         "eta_detection": detection_efficiency(setup),
@@ -341,6 +354,11 @@ def cmd_efficiency_report(cfg: ScenarioConfig, seed: int, out_dir: Path, threads
 def cmd_psd(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) -> dict:
     """Simulate the configured scenario and export the calibrated PSD; the
     manifest records whether the mirror lock was lost."""
+    if cfg.detector.mirror_mode != "locked":
+        raise ValueError(
+            "psd needs detector.mirror_mode 'locked': a ramping mirror records a "
+            "fringe scan, not a position"
+        )
     slope = _calibration_slope(cfg)
     traj = simulate(
         cfg.trap, cfg.bath, cfg.feedback, cfg.detector, cfg.setup,

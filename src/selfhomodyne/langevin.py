@@ -308,6 +308,11 @@ class _StepMap:
     ``run`` is the scalar loop.  The linear map s' = A s + B u is probed from
     it with unit vectors; for a loop that sees the fringe nonlinearity it is
     the linearization at q = 0.
+
+    A step map serves one ``simulate`` call.  It allocates the multi-MB block
+    buffers once (the scan workspace once per block size) and reuses them
+    for every block: fresh buffers of that size per block would each be a
+    fresh mmap and page-fault in anew.
     """
 
     def __init__(self, trap, bath, feedback, detector, setup, dt, drive_force, backaction_force_psd):
@@ -361,12 +366,18 @@ class _StepMap:
         # the scan skips inputs that are zero (a scale of 0) or move nothing
         scale = [*self.normal_scale, drive_force]
         self.live = [k for k in range(9) if scale[k] != 0.0 and self.B[:, k].any()]
+        self.ab = np.concatenate((self.A, self.B[:, self.live]), axis=1)
+        self._normals = self._inputs = self._work = None
 
     def draw_inputs(self, rng, i0: int, n: int) -> np.ndarray:
         """The inputs of steps i0 .. i0+n-1: 8 normals per step, drawn in one
-        call, the last four scaled to force and imprecision; then the drive."""
-        inputs = np.empty((n, 9))
-        np.multiply(rng.standard_normal((n, 8)), self.normal_scale, out=inputs[:, :8])
+        call, the last four scaled to force and imprecision; then the drive.
+        The result is a view of the map's input buffer, valid until the next
+        draw."""
+        if self._inputs is None or self._inputs.shape[0] < n:
+            self._normals, self._inputs = np.empty((n, 8)), np.empty((n, 9))
+        normals, inputs = self._normals[:n], self._inputs[:n]
+        np.multiply(rng.standard_normal(out=normals), self.normal_scale, out=inputs[:, :8])
         inputs[:, 8] = 0.0
         if self.drive_force != 0.0:
             # the drive always pushes along the detection axis q
@@ -381,7 +392,18 @@ class _StepMap:
         end state."""
         if self.nonlin:
             return self.run(state, inputs)
-        return _scan(self.A, self.B[:, self.live], state, inputs[:, self.live])
+        n = inputs.shape[0]
+        if self._work is None or self._work[0] != n:
+            # chunks of L ~ sqrt(n) steps: w[l, :, c] = (s, u) at step l of
+            # chunk c, the live inputs in a zero-padded (C*L, live) copy, A^L
+            L = math.isqrt(n)
+            C = -(-n // L)
+            w = np.empty((L + 1, self.ab.shape[1], C))
+            padded = np.zeros((C * L, len(self.live)))
+            self._work = (n, w, padded, np.linalg.matrix_power(self.A, L))
+        _, w, padded, a_pow = self._work
+        np.take(inputs, self.live, axis=1, out=padded[:n])
+        return _scan(self.ab, a_pow, state, w, padded, n)
 
     def run(self, state, inputs, linear: bool = False):
         """The scalar loop (see ``propagate``); ``linear`` drops the fringe
@@ -446,25 +468,20 @@ class _StepMap:
         return xs, ys, end
 
 
-def _scan(A, B, state, inputs):
-    """Propagate s' = A s + B u from ``state`` over the rows u of ``inputs``,
-    vectorized across chunks of L ~ sqrt(n) steps: (1) the zero-start
-    response of every chunk, (2) a sequential carry of the chunk starts
-    through A^L, (3) a rerun of every chunk from its true start.  Returns the
-    x and y at the start of each step and the end state.
+def _scan(ab, a_pow, state, w, padded, n):
+    """Propagate s' = A s + B u, ``ab`` = [A | B], from ``state`` over the
+    first n rows u of ``padded``, vectorized across the C chunks of L steps
+    laid out in the workspace ``w`` (L + 1, d + inputs, C): (1) the
+    zero-start response of every chunk, (2) a sequential carry of the chunk
+    starts through ``a_pow`` = A^L, (3) a rerun of every chunk from its true
+    start.  Returns the x and y at the start of each step and the end state.
 
     The per-step products go through ``einsum``, not ``@``: on a 2-core host
     the multithreaded OpenBLAS behind ``@`` ran a tall (n x inputs) product
     ~10x slower than one thread, and erratically."""
-    n, d = inputs.shape[0], A.shape[0]
-    L = math.isqrt(n)
-    C = -(-n // L)
-    ab = np.concatenate((A, B), axis=1)
-    # w[l, :, c] = (s, u) at step l of chunk c; one einsum per step writes
-    # the s of step l + 1 of every chunk
-    w = np.empty((L + 1, ab.shape[1], C))
-    padded = np.zeros((C * L, B.shape[1]))
-    padded[:n] = inputs
+    d = ab.shape[0]
+    L, C = w.shape[0] - 1, w.shape[2]
+    # one einsum per step writes the s of step l + 1 of every chunk
     w[:L, d:] = padded.reshape(C, L, -1).transpose(1, 2, 0)
 
     # (1) zero-start response: z[:, c] is where chunk c ends from s = 0
@@ -474,7 +491,6 @@ def _scan(A, B, state, inputs):
     z = w[L, :d].copy()
 
     # (2) true chunk starts: s_c = A^L s_(c-1) + z_(c-1)
-    a_pow = np.linalg.matrix_power(A, L)
     w[0, :d, 0] = state
     for c in range(1, C):
         w[0, :d, c] = np.einsum("ij,j->i", a_pow, w[0, :d, c - 1]) + z[:, c - 1]
@@ -573,8 +589,6 @@ def simulate(
         )
         if detector.mirror_mode == "locked" and not lock_lost:
             lock_lost = bool(np.any(np.abs(q) > setup.wavelength / 4.0))
-        # drop this block's inputs before the next block draws its own
-        del inputs
 
     return Trajectory(
         dt=dt,

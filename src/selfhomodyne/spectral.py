@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, signal
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Psd",
@@ -162,8 +162,12 @@ def welch_psd(
 ) -> Psd:
     """Averaged one-sided periodogram of a uniformly sampled series.
 
-    Segments overlap by half.  Window is "hann" or "rectangular".  No
-    detrending is applied, so a DC component shows up in the zero bin.
+    Segments of ``segment_len`` samples overlap by half (the step is
+    segment_len - segment_len // 2).  Window is "hann" (periodic) or
+    "rectangular".  No detrending is applied, so a DC component shows up in
+    the zero bin.  The density scaling is 1/(fs sum(win^2)), doubled on every
+    bin but DC and, for an even segment, Nyquist: scipy's Welch estimator
+    with noverlap = segment_len // 2 and no detrending.
     """
     x = np.asarray(series, dtype=float)
     if x.size == 0:
@@ -172,18 +176,18 @@ def welch_psd(
         raise ValueError("segment_len must lie in [1, len(series)]")
     if window not in ("hann", "rectangular"):
         raise ValueError("window must be 'hann' or 'rectangular'")
-    win = "hann" if window == "hann" else "boxcar"
-    freqs, values = signal.welch(
-        x,
-        fs=sample_rate,
-        window=win,
-        nperseg=segment_len,
-        noverlap=segment_len // 2,
-        detrend=False,
-        return_onesided=True,
-        scaling="density",
-    )
-    return Psd(freqs, values)
+    n = segment_len
+    if window == "hann" and n > 1:
+        win = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(n) / n)
+    else:
+        win = np.ones(n)  # a one-sample Hann window is 1, as in scipy
+    segments = sliding_window_view(x, n)[:: n - n // 2]
+    values = np.mean(np.abs(np.fft.rfft(segments * win, axis=-1)) ** 2, axis=0)
+    # np.sum, not win @ win: a BLAS dot wakes OpenBLAS worker threads, which
+    # keep spinning on the other cores after the call returns
+    values /= sample_rate * np.sum(win * win)
+    values[1 : (n + 1) // 2] *= 2.0
+    return Psd(np.fft.rfftfreq(n, 1.0 / sample_rate), values)
 
 
 def _lorentz_model(f, center, fwhm, area, floor):
@@ -202,6 +206,8 @@ def lorentzian_fit(psd: Psd, band: tuple[float, float], max_iterations: int = 20
     scatter is large.  Convergence at relative parameter step 1e-8; failure
     raises FitError with the solver message.
     """
+    from scipy import optimize
+
     sub = psd.band(*band)
     f, s = sub.frequencies, sub.values
     if f.size < 8:
@@ -303,6 +309,8 @@ def gaussian_waist_fit(positions, intensities, max_iterations: int = 2000):
 
     Needs at least 5 samples spanning more than one waist.
     """
+    from scipy import optimize
+
     z = np.asarray(positions, dtype=float)
     y = np.asarray(intensities, dtype=float)
     if z.size != y.size or z.size < 5:

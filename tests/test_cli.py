@@ -5,6 +5,10 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import selfhomodyne
 from selfhomodyne import cli
 from selfhomodyne.cli import main
 from selfhomodyne.config import ConfigError, ScenarioConfig
@@ -376,8 +381,33 @@ class TestDeterminismAndErrors:
         err = json.loads((out / "error_manifest.json").read_text())["error"]
         if command == "efficiency-report":
             assert err.startswith("ZeroDivisionError")
+            assert "delta_chi" in err and "mirror_field_reflectivity is 0" in err
         else:
             assert "no fringe contrast" in err
+
+    def test_psd_rejects_ramp_mode(self, tmp_path):
+        # a ramping mirror records a fringe scan, not a position
+        over = dict(FAST_SCAN, detector={"mirror_mode": "ramp", "ramp_rate_m_per_s": 2e-6})
+        code, out = run_cli(tmp_path, "psd", over)
+        assert code == 1
+        assert not (out / "psd.csv").exists() and not (out / "manifest.json").exists()
+        err = json.loads((out / "error_manifest.json").read_text())["error"]
+        assert "mirror_mode 'locked'" in err
+
+    def test_unstable_cool_sweep_point_named(self, tmp_path):
+        # alpha = 250 sqrt(gamma_fb) with a 1-sample delay: point 1 is unstable
+        over = {
+            "feedback": {"loop_delay_s": 2.0**-17},
+            "sim": {"duration_s": 0.5, "transient_s": 0.1, "seed": 5},
+            "sweeps": {"cooling_rates_rad_per_s": [0.0, 2 * math.pi * 20.0, 2 * math.pi * 40.0]},
+        }
+        code, out = run_cli(tmp_path, "cool-sweep", over)
+        assert code == 1
+        assert not (out / "manifest.json").exists()
+        err = json.loads((out / "error_manifest.json").read_text())["error"]
+        assert "self-homodyne point 1: gamma_fb = 125.664 rad/s" in err
+        assert "alpha = 2802.5 rad/s (spring rule alpha = spring_gain_coef * sqrt(gamma_fb)" in err
+        assert "unstable feedback loop" in err and "1-sample" in err
 
     def test_malformed_json_nonzero_exit(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
@@ -454,3 +484,29 @@ class TestCoolSweep:
         # at the highest gain the noisy forward loop cannot reach the
         # self-homodyne temperature
         assert rows_fwd[-1][t_idx] > rows_self[-1][t_idx]
+
+
+def test_commands_load_no_scipy(tmp_path):
+    """Only the fits import scipy: a fresh interpreter that imports the
+    package and runs the commands without a fit never loads it."""
+    config = {
+        "sim": {"dt_s": 2.0**-16, "duration_s": 0.5, "transient_s": 0.1, "seed": 9},
+        "sweeps": {"scattered_powers_w": [8.4e-8]},
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    code = """
+import sys
+import selfhomodyne
+from selfhomodyne import cli
+tmp = sys.argv[1]
+for command in ("efficiency-report", "modes", "imprecision-sweep", "psd"):
+    argv = ["--config", tmp + "/config.json", "--out", tmp + "/" + command, command]
+    assert cli.main(argv) == 0, command
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = str(Path(selfhomodyne.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+    )
+    assert proc.stdout.strip() == "[]"

@@ -2,13 +2,16 @@
 
 Synthetic signals with known spectra serve as oracles: sinusoids carry power
 a^2/2, seeded Gaussian noise of variance S*fs/2 has a flat one-sided density
-S, and exact model curves must be recovered to numerical precision.
+S, and exact model curves must be recovered to numerical precision.  The
+numpy Welch estimator is checked against scipy.signal.welch, which the
+package itself does not import.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy import signal
 
 from selfhomodyne.constants import K_B
 from selfhomodyne.spectral import (
@@ -85,6 +88,25 @@ class TestWelchPsd:
     def test_resolution_property(self):
         psd = welch_psd(np.ones(4096), 1024.0, segment_len=512)
         assert psd.resolution == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("n, segment_len", [
+        (458752, 114688),  # a cool-sweep point
+        (196608, 49152),   # the benchmark psd
+        (4096, 512),
+        (5000, 512),       # the step does not divide the series
+        (4097, 511),       # odd segments
+        (1001, 127),
+    ])
+    @pytest.mark.parametrize("window", ["hann", "rectangular"])
+    def test_matches_scipy_welch(self, n, segment_len, window):
+        x = np.random.default_rng(n).standard_normal(n) + 0.3
+        psd = welch_psd(x, 131072.0, segment_len=segment_len, window=window)
+        f, ref = signal.welch(
+            x, fs=131072.0, window="hann" if window == "hann" else "boxcar",
+            nperseg=segment_len, noverlap=segment_len // 2, detrend=False,
+        )
+        np.testing.assert_allclose(psd.frequencies, f, rtol=1e-12)
+        np.testing.assert_allclose(psd.values, ref, rtol=1e-12, atol=1e-12 * ref.max())
 
 
 class TestLorentzianFit:
