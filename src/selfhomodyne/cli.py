@@ -62,9 +62,11 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    """Strict JSON: a NaN or infinity raises ValueError before the file is
+    opened, as neither has a JSON form."""
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_manifest(out_dir: Path, command: str, cfg: ScenarioConfig, seed: int, report: dict) -> None:
@@ -253,14 +255,10 @@ def _cool_point(cfg: ScenarioConfig, seed: int, index: int, gfb: float, channel:
     }
 
 
-def _cool_channel(cfg: ScenarioConfig, seed: int, channel: str, threads: int):
+def _cool_channel(cfg: ScenarioConfig, seed: int, channel: str, threads: int, b_ext: float):
     points = [(cfg, seed, i, g, channel) for i, g in enumerate(cfg.cooling_rates)]
     results = _sweep(threads, _cool_point, points)
     fit_points = [(r["gamma_fb_rad_per_s"], r["t_mode_k"]) for r in results]
-    b_ext = (
-        math.pi * cfg.trap.mass * cfg.trap.secular_freq_y**2
-        * cfg.detector.imprecision_self / (2.0 * K_B)
-    )
     curve = cooling_curve_fit(fit_points, mode="A-only", external_b=b_ext)
     return results, curve
 
@@ -269,9 +267,18 @@ def cmd_cool_sweep(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) 
     """Feedback-gain sweep for both detector channels: per-point mode
     analysis, temperature and lock status (1 when |q| passed lambda/4), and
     the sweep-level cooling-curve fit."""
+    b_ext = (
+        math.pi * cfg.trap.mass * cfg.trap.secular_freq_y**2
+        * cfg.detector.imprecision_self / (2.0 * K_B)
+    )
+    if b_ext <= 0.0:
+        raise ValueError(
+            "cool-sweep needs detector.imprecision_self_m2_per_hz > 0: the cooling-curve "
+            "fit takes B = pi m w_y^2 S_imp / (2 k_B) from it, and B = 0 has no T_min"
+        )
     outputs = []
     for channel, name in (("self-homodyne", "self"), ("forward", "forward")):
-        results, curve = _cool_channel(cfg, seed, channel, threads)
+        results, curve = _cool_channel(cfg, seed, channel, threads, b_ext)
         header = [
             "gamma_fb_rad_per_s", "alpha_rad_per_s", "nu_low_hz", "nu_high_hz",
             "theta_fb_rad", "t_mode_k", "fitted_a_rad_k_per_s", "t_min_k",
@@ -345,7 +352,8 @@ def cmd_efficiency_report(cfg: ScenarioConfig, seed: int, out_dir: Path, threads
         "p_rayleigh_w": p_ray,
         "s_backaction_n2_per_hz": s_ba,
         "s_gas_n2_per_hz": s_gas,
-        "s_gas_over_s_backaction": s_gas / s_ba if s_ba > 0 else math.inf,
+        # null without back-action (zero beam power): the ratio has no value
+        "s_gas_over_s_backaction": s_gas / s_ba if s_ba > 0 else None,
     }
     _write_json(out_dir / "efficiency_report.json", payload)
     return {"outputs": ["efficiency_report.json"]}

@@ -49,7 +49,6 @@ def default_config_dict() -> dict:
         "trap": {
             "secular_freq_x_hz": 2100.0,
             "secular_freq_y_hz": 3200.0,
-            "drive_freq_hz": 11000.0,
         },
         "bath": {
             "pressure_mbar": 2e-8,
@@ -200,7 +199,6 @@ class ScenarioConfig:
             scatterer = Scatterer(
                 radius=_real(sca["radius_m"]),
                 refractive_index=_real(sca["refractive_index"]),
-                mass=_real(sca["mass_kg"]),
             )
             beam = Beam(
                 power=_real(tree["beam"]["power_w"]),
@@ -211,7 +209,6 @@ class ScenarioConfig:
             trap = TrapConfig(
                 secular_freq_x=2.0 * math.pi * _real(trp["secular_freq_x_hz"]),
                 secular_freq_y=2.0 * math.pi * _real(trp["secular_freq_y_hz"]),
-                drive_freq=_real(trp["drive_freq_hz"]),
                 mass=_real(sca["mass_kg"]),
             )
             bth = tree["bath"]

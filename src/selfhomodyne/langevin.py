@@ -3,7 +3,7 @@ and of the interferometric detector watching it.
 
 The two radial degrees of freedom obey
 
-    m x_i'' = -m w_i^2 x_i - m gamma x_i' + F_th,i + F_ba,i + F_fb,i + F_drv,i
+    m x_i'' = -m w_i^2 x_i - m gamma x_i' + F_th,i + F_ba,i + F_fb,i
 
 with independent white thermal and back-action forces of the configured
 one-sided PSDs.  The feedback force acts along the detection axis
@@ -21,10 +21,10 @@ self-homodyne and forward channels for both ``simulate`` and
 block of stored samples; the per-step loop computes only the motion and the
 feedback measurement.
 
-Integrator: per step, external forces (feedback, back-action, drive) enter
-as an impulse, then a half-step of exact damping+thermal Ornstein-Uhlenbeck,
-an exact harmonic rotation, and a second OU half-step.  In the noiseless
-undriven limit the map is the exact oscillator propagator; with the bath on,
+Integrator: per step, external forces (feedback, back-action) enter as an
+impulse, then a half-step of exact damping+thermal Ornstein-Uhlenbeck, an
+exact harmonic rotation, and a second OU half-step.  In the noiseless
+open-loop limit the map is the exact oscillator propagator; with the bath on,
 the discrete stationary position and velocity variances of the thermal
 oscillator are exact for any dt (fixed point of the O/2-R-O/2 map), so
 equipartition holds without dt extrapolation.  The step is written once, as
@@ -301,21 +301,21 @@ class _StepMap:
     The state s is x, vx, y, vy and, while the loop is engaged, its
     high-pass and low-pass filter states, the last delayed sample and the
     n-sample delay line (oldest first).  The inputs u of a step are the rows
-    of an (n, 9) array: two OU kicks per axis (x, x, y, y, unit normals), the
-    back-action force per axis [N], the imprecision noise of the self and the
-    forward channel [m] and the drive force per axis [N].
+    of an (n, 8) array: two OU kicks per axis (x, x, y, y, unit normals), the
+    back-action force per axis [N] and the imprecision noise of the self and
+    the forward channel [m], each a scaled normal.
 
     ``run`` is the scalar loop.  The linear map s' = A s + B u is probed from
     it with unit vectors; for a loop that sees the fringe nonlinearity it is
     the linearization at q = 0.
 
     A step map serves one ``simulate`` call.  It allocates the multi-MB block
-    buffers once (the scan workspace once per block size) and reuses them
-    for every block: fresh buffers of that size per block would each be a
-    fresh mmap and page-fault in anew.
+    buffer once (the scan workspace once per block size) and reuses it for
+    every block: a fresh buffer of that size per block would be a fresh mmap
+    and page-fault in anew.
     """
 
-    def __init__(self, trap, bath, feedback, detector, setup, dt, drive_force, backaction_force_psd):
+    def __init__(self, trap, bath, feedback, detector, setup, dt, backaction_force_psd):
         mass = trap.mass
         self.dt = dt
         self.dt_over_m = dt / mass
@@ -332,15 +332,13 @@ class _StepMap:
         self.cx, self.sx = math.cos(self.wx * dt), math.sin(self.wx * dt)
         self.cy, self.sy = math.cos(self.wy * dt), math.sin(self.wy * dt)
 
-        # white-force and imprecision sample scales, and the drive
+        # white-force and imprecision sample scales
         sigma_ba = math.sqrt(backaction_force_psd / (2.0 * dt))
         self.normal_scale = np.array([
             1.0, 1.0, 1.0, 1.0, sigma_ba, sigma_ba,
             math.sqrt(detector.imprecision_self / (2.0 * dt)),
             math.sqrt(detector.imprecision_forward / (2.0 * dt)),
         ])
-        self.drive_force = drive_force
-        self.drive_w = 2.0 * math.pi * trap.drive_freq
 
         # feedback loop: it measures (x + sgn*y)/sqrt(2) (q for the self
         # channel, p for the forward one) and pushes along the same axis;
@@ -361,29 +359,22 @@ class _StepMap:
         self.n_state = 4 + (3 + self.n_delay if self.fb_on else 0)
 
         d = self.n_state
-        ab = np.array([self.run(e[:d], e[None, d:], linear=True)[2] for e in np.eye(d + 9)]).T
+        ab = np.array([self.run(e[:d], e[None, d:], linear=True)[2] for e in np.eye(d + 8)]).T
         self.A, self.B = ab[:, :d], ab[:, d:]
         # the scan skips inputs that are zero (a scale of 0) or move nothing
-        scale = [*self.normal_scale, drive_force]
-        self.live = [k for k in range(9) if scale[k] != 0.0 and self.B[:, k].any()]
+        self.live = [k for k in range(8) if self.normal_scale[k] != 0.0 and self.B[:, k].any()]
         self.ab = np.concatenate((self.A, self.B[:, self.live]), axis=1)
-        self._normals = self._inputs = self._work = None
+        self._inputs = self._work = None
 
-    def draw_inputs(self, rng, i0: int, n: int) -> np.ndarray:
-        """The inputs of steps i0 .. i0+n-1: 8 normals per step, drawn in one
-        call, the last four scaled to force and imprecision; then the drive.
+    def draw_inputs(self, rng, n: int) -> np.ndarray:
+        """The inputs of the next n steps: 8 normals per step, drawn in one
+        call and scaled in place, the last four to force and imprecision.
         The result is a view of the map's input buffer, valid until the next
         draw."""
         if self._inputs is None or self._inputs.shape[0] < n:
-            self._normals, self._inputs = np.empty((n, 8)), np.empty((n, 9))
-        normals, inputs = self._normals[:n], self._inputs[:n]
-        np.multiply(rng.standard_normal(out=normals), self.normal_scale, out=inputs[:, :8])
-        inputs[:, 8] = 0.0
-        if self.drive_force != 0.0:
-            # the drive always pushes along the detection axis q
-            t = np.arange(i0, i0 + n) * self.dt
-            inputs[:, 8] = self.drive_force * np.cos(self.drive_w * t) * _INVSQ2
-        return inputs
+            self._inputs = np.empty((n, 8))
+        buf = self._inputs[:n]
+        return np.multiply(rng.standard_normal(out=buf), self.normal_scale, out=buf)
 
     def propagate(self, state, inputs):
         """Advance ``state`` over the rows of ``inputs``: the scalar loop when
@@ -418,7 +409,6 @@ class _StepMap:
 
         x, vx, y, vy, *loop = (float(v) for v in state)
         g1x, g2x, g1y, g2y, gbx, gby = inputs[:, :6].T.tolist()
-        drv = inputs[:, 8].tolist()
         if fb_on:
             hp, vf, prev, *line = loop
             # delay line: append the new measurement, pop the oldest
@@ -450,8 +440,8 @@ class _StepMap:
                 u = 0.0
 
             uax = u * _INVSQ2
-            fx = gbx[k] + drv[k] + uax
-            fy = gby[k] + drv[k] + sgn * uax
+            fx = gbx[k] + uax
+            fy = gby[k] + sgn * uax
 
             # kick
             vx += dt_over_m * fx
@@ -515,17 +505,14 @@ def simulate(
     dt: float,
     seed: int,
     initial_state: tuple | None = None,
-    drive_force: float = 0.0,
     backaction_force_psd: float = 0.0,
 ) -> Trajectory:
     """Integrate the radial motion and synthesize both detector channels.
 
     ``trap`` is a modes.TrapConfig.  When ``initial_state`` (x, y, vx, vy) is
     None, positions and velocities are drawn from the thermal state at the
-    bath temperature.  ``drive_force`` adds a deterministic tone at the trap
-    drive frequency along the detection axis (micromotion stand-in, off by
-    default).  ``backaction_force_psd`` is the one-sided radiation-pressure
-    force PSD applied independently on each axis (use
+    bath temperature.  ``backaction_force_psd`` is the one-sided
+    radiation-pressure force PSD applied independently on each axis (use
     optics.backaction_psd(P, lambda)).  A feedback loop whose one-step map
     has a spectral radius above 1 is rejected before integrating.
     Deterministic for a given (arguments, seed).
@@ -551,7 +538,7 @@ def simulate(
             "(20 samples per fastest period/filter corner)"
         )
 
-    step = _StepMap(trap, bath, feedback, detector, setup, dt, drive_force, backaction_force_psd)
+    step = _StepMap(trap, bath, feedback, detector, setup, dt, backaction_force_psd)
     rho = float(np.max(np.abs(np.linalg.eigvals(step.A))))
     if rho > 1.0 + _RHO_TOL:
         raise ValueError(
@@ -579,7 +566,7 @@ def simulate(
 
     for i0 in range(0, n_steps, _BLOCK):
         nblk = min(_BLOCK, n_steps - i0)
-        inputs = step.draw_inputs(rng, i0, nblk)
+        inputs = step.draw_inputs(rng, nblk)
         blk = slice(i0, i0 + nblk)
         out_x[blk], out_y[blk], state = step.propagate(state, inputs)
         q = (out_x[blk] + out_y[blk]) * _INVSQ2

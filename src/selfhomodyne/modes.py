@@ -45,11 +45,10 @@ class TrapConfig:
 
     secular_freq_x: float = 2.0 * math.pi * 2100.0
     secular_freq_y: float = 2.0 * math.pi * 3200.0
-    drive_freq: float = 11e3  # [Hz]
     mass: float = 2.0e-17
 
     def __post_init__(self):
-        for name in ("secular_freq_x", "secular_freq_y", "drive_freq"):
+        for name in ("secular_freq_x", "secular_freq_y"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
         if self.mass <= 0.0:

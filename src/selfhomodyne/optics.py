@@ -139,15 +139,12 @@ class Scatterer:
 
     radius: float = 150e-9
     refractive_index: float = 1.45
-    mass: float = 2.0e-17
 
     def __post_init__(self):
         if self.radius <= 0.0:
             raise ValueError("radius must be positive")
         if self.refractive_index <= 1.0:
             raise ValueError("refractive_index must exceed 1")
-        if self.mass <= 0.0:
-            raise ValueError("mass must be positive")
 
     def is_rayleigh(self, wavelength: float) -> bool:
         """True when the dipole approximation is comfortable (r < lambda/2)."""

@@ -20,7 +20,9 @@ import selfhomodyne
 from selfhomodyne import cli
 from selfhomodyne.cli import main
 from selfhomodyne.config import ConfigError, ScenarioConfig
-from selfhomodyne.optics import detection_efficiency, imprecision
+from selfhomodyne.langevin import Bath, DetectorModel, FeedbackConfig
+from selfhomodyne.modes import TrapConfig
+from selfhomodyne.optics import OpticalSetup, Scatterer, detection_efficiency, imprecision
 
 
 def run_cli(tmp_path, command, overrides=None, extra=()):
@@ -58,6 +60,17 @@ class TestConfig:
         assert cfg.trap.secular_freq_y == pytest.approx(2 * math.pi * 3200)
         assert cfg.bath.pressure == 2e-8
 
+    def test_defaults_are_library_defaults(self):
+        # the operating point is written twice, in default_config_dict() and
+        # in the dataclass defaults: the two must agree
+        cfg = ScenarioConfig.from_dict({})
+        assert cfg.setup == OpticalSetup()
+        assert cfg.scatterer == Scatterer()
+        assert cfg.trap == TrapConfig()
+        assert cfg.bath == Bath()
+        assert cfg.detector == DetectorModel()
+        assert cfg.feedback == FeedbackConfig()
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
             ScenarioConfig.from_dict({"optic": {}})
@@ -65,7 +78,8 @@ class TestConfig:
             ScenarioConfig.from_dict({"optics": {"wavelength_nm": 780}})
         # settings that no computation read are gone
         for table, key in [("optics", "axis_projection_angle_rad"),
-                           ("trap", "secular_freq_z_hz"), ("trap", "stability_q")]:
+                           ("trap", "secular_freq_z_hz"), ("trap", "stability_q"),
+                           ("trap", "drive_freq_hz")]:
             with pytest.raises(ConfigError, match="unknown config key"):
                 ScenarioConfig.from_dict({table: {key: 0.5}})
 
@@ -97,6 +111,8 @@ class TestConfig:
             {"sweeps": {"mode_spring_gains_rad_per_s": "abc"}},
             {"sweeps": {"mode_spring_gains_rad_per_s": [True]}},
             {"sweeps": {"mode_spring_gains_rad_per_s": [-1.0]}},
+            # the mass reaches the physics, and its check, through TrapConfig
+            {"scatterer": {"mass_kg": -1e-18}},
         ]
         for overrides in bad:
             with pytest.raises(ConfigError):
@@ -201,6 +217,19 @@ class TestEfficiencyReport:
         assert "hbar_j_s" in manifest["constants"]
         assert len(manifest["config_sha256"]) == 64
 
+    def test_zero_power_writes_strict_json(self, tmp_path):
+        # without back-action the gas/back-action ratio is null, not Infinity
+        code, out = run_cli(tmp_path, "efficiency-report", {"beam": {"power_w": 0}})
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        text = (out / "efficiency_report.json").read_text()
+        report = json.loads(text, parse_constant=reject)
+        assert report["s_backaction_n2_per_hz"] == 0.0
+        assert report["s_gas_over_s_backaction"] is None
+
 
 FAST_SCAN = {
     "bath": {"pressure_mbar": 0.5, "temperature_k": 1e-6},
@@ -296,8 +325,8 @@ class TestImprecisionSweep:
     def test_sensitivity_at_84_nw(self, tmp_path):
         code, out = run_cli(tmp_path, "imprecision-sweep", IMP_SWEEP)
         _, rows = read_csv(out / "imprecision_sweep.csv")
-        row = next(r for r in rows if r[0] == pytest.approx(8.4e-8))
-        assert math.sqrt(row[1]) == pytest.approx(1.7e-12, rel=0.05)
+        row = next(r for r in rows if r[0] == pytest.approx(8.4e-8, abs=0))
+        assert math.sqrt(row[1]) == pytest.approx(1.7e-12, rel=0.05, abs=0)
 
     def test_simulates_the_configured_detector(self, tmp_path):
         # the scenario's detector, locked, with the predicted floor
@@ -408,6 +437,18 @@ class TestDeterminismAndErrors:
         assert "self-homodyne point 1: gamma_fb = 125.664 rad/s" in err
         assert "alpha = 2802.5 rad/s (spring rule alpha = spring_gain_coef * sqrt(gamma_fb)" in err
         assert "unstable feedback loop" in err and "1-sample" in err
+
+    def test_cool_sweep_zero_imprecision_rejected_before_simulating(self, tmp_path):
+        # B = pi m w_y^2 S_imp / (2 k_B) = 0 leaves the cooling curve no T_min
+        over = {"detector": {"imprecision_self_m2_per_hz": 0.0}}
+        with mock.patch.object(cli, "simulate") as sim:
+            code, out = run_cli(tmp_path, "cool-sweep", over)
+        assert code == 1
+        sim.assert_not_called()
+        assert not list(out.glob("*.csv")) and not (out / "manifest.json").exists()
+        err = json.loads((out / "error_manifest.json").read_text())["error"]
+        assert err.startswith("ValueError: ")
+        assert "detector.imprecision_self_m2_per_hz" in err and "B = pi m w_y^2 S_imp" in err
 
     def test_malformed_json_nonzero_exit(self, tmp_path):
         cfg_path = tmp_path / "bad.json"

@@ -55,7 +55,7 @@ class TestBathModel:
 
     def test_damping_at_low_pressure(self):
         assert gas_damping_rate(Bath(pressure=2e-8)) == pytest.approx(
-            2 * math.pi * 8.6e-6, rel=1e-12
+            2 * math.pi * 8.6e-6, rel=1e-12, abs=0
         )
 
     def test_zero_pressure(self):
@@ -73,7 +73,7 @@ class TestBathModel:
         # published table quotes 4.6e-41 for the same inputs (recorded, not
         # reproduced)
         s = thermal_force_psd(Bath(pressure=2e-8, temperature=300.0), 2.0e-17)
-        assert s == pytest.approx(1.79e-41, rel=1e-2)
+        assert s == pytest.approx(1.79e-41, rel=1e-2, abs=0)
 
     def test_gas_noise_dominates_backaction(self):
         s_gas = thermal_force_psd(Bath(pressure=2e-8, temperature=300.0), 2.0e-17)
@@ -88,7 +88,7 @@ class TestWhiteForceSamples:
         for level in (1.79e-41, 1.9e-43):
             dt = DT16
             samples = white_force_samples(level, dt, 1_000_000, rng)
-            assert float(np.var(samples)) == pytest.approx(level / (2 * dt), rel=0.02)
+            assert float(np.var(samples)) == pytest.approx(level / (2 * dt), rel=0.02, abs=0)
 
     def test_invalid_args(self):
         rng = np.random.default_rng(0)
@@ -123,23 +123,21 @@ class TestThermalEquilibrium:
         expected = (K_B * 300.0 / (2 * TRAP.mass)) * (
             1 / TRAP.secular_freq_x**2 + 1 / TRAP.secular_freq_y**2
         )
-        assert float(np.var(traj.q)) == pytest.approx(expected, rel=0.05)
+        assert float(np.var(traj.q)) == pytest.approx(expected, rel=0.05, abs=0)
 
     def test_halving_dt_preserves_variance(self):
-        # deterministic driven steady state isolates discretization bias
-        # (the stochastic steady state is dt-exact by construction)
-        bath = Bath(pressure=0.5, temperature=0.0)
+        # a deterministic ringdown under feedback isolates the discretization
+        # of the loop (the stochastic steady state is dt-exact by construction)
+        bath = Bath(pressure=2e-2, temperature=0.0)
         fb = FeedbackConfig(cooling_rate=2 * math.pi * 50, spring_gain=2 * math.pi * 500)
-        det = QUIET
         out = []
         for dt in (DT17, DT17 / 2):
             traj = simulate(
-                TRAP, bath, fb, det, SETUP, duration=1.0, dt=dt, seed=4,
-                initial_state=(0.0, 0.0, 0.0, 0.0), drive_force=1e-18,
+                TRAP, bath, fb, QUIET, SETUP, duration=0.2, dt=dt, seed=4,
+                initial_state=(10e-9, 0.0, 0.0, 0.0),
             )
-            n0 = int(0.5 / dt)
-            out.append(float(np.var(traj.q[n0:])))
-        assert out[1] == pytest.approx(out[0], rel=0.01)
+            out.append(float(np.var(traj.q)))
+        assert out[1] == pytest.approx(out[0], rel=0.01, abs=0)
 
 
 class TestEnergyDecay:
@@ -160,7 +158,7 @@ class TestEnergyDecay:
         for frac in (0.2, 0.4, 0.6, 0.8, 1.0):
             k = int(frac * (energy.size - 1))
             expected = energy[0] * math.exp(-gamma * t[k])
-            assert energy[k] == pytest.approx(expected, rel=0.02)
+            assert energy[k] == pytest.approx(expected, rel=0.02, abs=0)
 
 
 class TestBackactionHeating:
@@ -183,7 +181,7 @@ class TestBackactionHeating:
             rates.append((float(np.mean(e_tot[-n // 10 :])) - float(np.mean(e_tot[: n // 10]))) / (
                 0.9 * duration
             ))
-        assert float(np.mean(rates)) == pytest.approx(s_ba / (2 * TRAP.mass), rel=0.10)
+        assert float(np.mean(rates)) == pytest.approx(s_ba / (2 * TRAP.mass), rel=0.10, abs=0)
 
 
 class TestFeedbackSpring:
@@ -328,14 +326,13 @@ class TestScanAgainstScalarLoop:
         gain_hz=st.floats(40.0, 640.0),
         spring=st.booleans(),
         fringe=st.booleans(),
-        drive=st.booleans(),
         backaction=st.booleans(),
         hot=st.booleans(),
         n_steps=st.sampled_from([2, 3, 97, 4099, (1 << 16) + 1, (1 << 16) + 1234]),
         seed=st.integers(0, 2**31 - 1),
     )
     def test_matches_scalar_loop(
-        self, kind, delay, gain_hz, spring, fringe, drive, backaction, hot, n_steps, seed
+        self, kind, delay, gain_hz, spring, fringe, backaction, hot, n_steps, seed
     ):
         fb = NO_FB
         det = DetectorModel(fringe_nonlinearity=fringe and kind != "self-homodyne")
@@ -351,7 +348,6 @@ class TestScanAgainstScalarLoop:
         bath = Bath(pressure=2e-2, temperature=300.0 if hot else 1e-3)
         kwargs = dict(
             duration=n_steps * DT17, dt=DT17, seed=seed,
-            drive_force=1e-18 if drive else 0.0,
             backaction_force_psd=backaction_psd(1e-7, SETUP.wavelength) if backaction else 0.0,
         )
         fast = simulate(TRAP, bath, fb, det, SETUP, **kwargs)
@@ -442,7 +438,7 @@ class TestDetectorSynthesis:
         t = np.arange(n) * DT16
         q = q_amp * np.sin(2 * math.pi * f_d * t)
         out = synthesize_detector(q, setup, det, dt=DT16)
-        # least-squares amplitude at the drive frequency
+        # least-squares amplitude at the tone frequency
         design = np.column_stack(
             [np.cos(2 * math.pi * f_d * t), np.sin(2 * math.pi * f_d * t)]
         )
@@ -529,29 +525,7 @@ class TestTrajectoryExport:
         det = DetectorModel(imprecision_self=1e-24, imprecision_forward=s_fwd)
         bath = Bath(pressure=0.5, temperature=1e-6)
         traj = simulate(TRAP, bath, NO_FB, det, SETUP, duration=0.5, dt=DT16, seed=13)
-        assert float(np.var(traj.volts_fwd)) == pytest.approx(s_fwd / (2 * DT16), rel=0.05)
-
-
-class TestMicromotionDrive:
-    def test_drive_tone_appears_at_trap_drive_frequency(self):
-        bath = Bath(pressure=0.5, temperature=1e-6)
-        # deterministic tone along the detection axis at the trap drive
-        traj = simulate(
-            TRAP, bath, NO_FB, QUIET, SETUP, duration=1.0, dt=2.0**-18, seed=4,
-            initial_state=(0.0, 0.0, 0.0, 0.0), drive_force=1e-18,
-        )
-        psd = welch_psd(traj.q, 2.0**18, segment_len=1 << 17)
-        sub = psd.band(10500.0, 11500.0)
-        f_peak = float(sub.frequencies[np.argmax(sub.values)])
-        assert f_peak == pytest.approx(TRAP.drive_freq, abs=2 * sub.resolution)
-
-    def test_off_by_default(self):
-        bath = Bath(pressure=0.5, temperature=0.0)
-        traj = simulate(
-            TRAP, bath, NO_FB, QUIET, SETUP, duration=0.1, dt=DT16, seed=4,
-            initial_state=(0.0, 0.0, 0.0, 0.0),
-        )
-        assert float(np.max(np.abs(traj.q))) == 0.0
+        assert float(np.var(traj.volts_fwd)) == pytest.approx(s_fwd / (2 * DT16), rel=0.05, abs=0)
 
 
 class TestConfigTypes:
@@ -571,4 +545,4 @@ class TestConfigTypes:
 
     def test_forward_default_38_db(self):
         det = DetectorModel(imprecision_self=3e-24)
-        assert det.imprecision_forward == pytest.approx(3e-24 * 10**3.8, rel=1e-12)
+        assert det.imprecision_forward == pytest.approx(3e-24 * 10**3.8, rel=1e-12, abs=0)

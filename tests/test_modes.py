@@ -180,17 +180,17 @@ class TestModeTemperature:
     def test_inverse_of_equipartition(self):
         m, nu, t = 2.0e-17, WY, 0.05
         var = K_B * t / (m * nu**2)
-        assert mode_temperature(m, nu, var, 0.0) == pytest.approx(t, rel=1e-12)
+        assert mode_temperature(m, nu, var, 0.0) == pytest.approx(t, rel=1e-12, abs=0)
 
     def test_projection_correction_doubles(self):
         m, nu, var = 2.0e-17, WY, 1e-18
         t0 = mode_temperature(m, nu, var, 0.0)
         t45 = mode_temperature(m, nu, var, math.pi / 4)
-        assert t45 == pytest.approx(2 * t0, rel=1e-12)
+        assert t45 == pytest.approx(2 * t0, rel=1e-12, abs=0)
 
     def test_paper_mass_accepted_verbatim(self):
         t = mode_temperature(2.0e-17, WY, K_B * 0.018 / (2.0e-17 * WY**2), 0.0)
-        assert t == pytest.approx(0.018, rel=1e-12)
+        assert t == pytest.approx(0.018, rel=1e-12, abs=0)
 
     def test_orthogonal_axis_raises(self):
         with pytest.raises(ZeroDivisionError):

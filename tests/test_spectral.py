@@ -44,19 +44,19 @@ class TestWelchPsd:
         x = amp * np.sin(2 * math.pi * f0 * t)
         psd = welch_psd(x, fs, segment_len=1 << 13)
         peak = psd.band(f0 - 50, f0 + 50)
-        assert peak.integral() == pytest.approx(amp**2 / 2, rel=0.01)
+        assert peak.integral() == pytest.approx(amp**2 / 2, rel=0.01, abs=0)
 
     def test_white_noise_level(self):
         fs, level = 65536.0, 4.0e-24
         x = white_position_noise(level, fs, 1 << 19, seed=42)
         psd = welch_psd(x, fs, segment_len=1 << 12)  # >= 100 averaged segments
         med = float(np.median(psd.values[1:-1]))
-        assert med == pytest.approx(level, rel=0.03)
+        assert med == pytest.approx(level, rel=0.03, abs=0)
         # flat across decades
         lo = float(np.median(psd.band(100, 1000).values))
         hi = float(np.median(psd.band(10000, 30000).values))
-        assert lo == pytest.approx(level, rel=0.03)
-        assert hi == pytest.approx(level, rel=0.03)
+        assert lo == pytest.approx(level, rel=0.03, abs=0)
+        assert hi == pytest.approx(level, rel=0.03, abs=0)
 
     def test_dc_series_power_in_zero_bin(self):
         x = np.full(4096, 2.5)
@@ -117,8 +117,8 @@ class TestLorentzianFit:
         fit = lorentzian_fit(psd, (2800.0, 3600.0))
         assert fit.center == pytest.approx(truth["center"], rel=1e-3)
         assert fit.fwhm == pytest.approx(truth["fwhm"], rel=1e-3)
-        assert fit.area == pytest.approx(truth["area"], rel=1e-3)
-        assert fit.floor == pytest.approx(truth["floor"], rel=1e-3)
+        assert fit.area == pytest.approx(truth["area"], rel=1e-3, abs=0)
+        assert fit.floor == pytest.approx(truth["floor"], rel=1e-3, abs=0)
 
     def test_noisy_curve_floor_recovery(self):
         rng = np.random.default_rng(11)
@@ -127,8 +127,10 @@ class TestLorentzianFit:
         # multiplicative scatter mimicking Welch bin statistics (32 averages)
         vals = truth * rng.gamma(32.0, 1.0 / 32.0, f.size)
         fit = lorentzian_fit(Psd(f, vals), (2000.0, 4400.0))
-        assert fit.floor == pytest.approx(5.0e-24, rel=0.1)
-        assert fit.area == pytest.approx(2e-16, rel=0.1)
+        # the Lorentzian tail is 130x the floor at the band edge, so the data
+        # pin the floor only to its fitted standard error (~116%)
+        assert abs(fit.floor - 5.0e-24) <= 3 * fit.std_errors()[3]
+        assert fit.area == pytest.approx(2e-16, rel=0.1, abs=0)
 
     def test_narrow_band_rejected(self):
         f = np.linspace(0, 100, 64)
@@ -224,7 +226,7 @@ class TestGaussianWaistFit:
         y = np.exp(-2 * z**2 / w0**2) + 0.1
         w_a, _ = gaussian_waist_fit(z, y)
         w_b, _ = gaussian_waist_fit(z, 10.0 * y)
-        assert w_b == pytest.approx(w_a, rel=1e-10)
+        assert w_b == pytest.approx(w_a, rel=1e-10, abs=0)
 
     def test_noise_robustness_monte_carlo(self):
         w0 = 0.29e-3
@@ -249,7 +251,7 @@ class TestImprecisionFromFloor:
         x = white_position_noise(level, fs, 1 << 18, seed=9)
         psd = welch_psd(x, fs, segment_len=1 << 12)
         got = imprecision_from_floor(psd, (5000.0, 20000.0))
-        assert got == pytest.approx(level, rel=0.1)
+        assert got == pytest.approx(level, rel=0.1, abs=0)
 
     def test_two_channel_separation_38_db(self):
         fs = 65536.0
