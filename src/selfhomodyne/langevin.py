@@ -32,9 +32,10 @@ the scalar loop ``_StepMap.run``.  Unless the feedback loop sees the fringe
 nonlinearity, the step is the linear map s' = A s + B u (state s, inputs u);
 A and B are probed from the loop with unit vectors, and each block of steps
 runs as an exact chunked scan (``_scan``) that agrees with the loop to
-rounding.  Only a loop that sees the fringe runs the scalar loop.  A loop
-whose A (for the fringe: its linearization) has a spectral radius above 1 is
-rejected before integrating.
+rounding: the zero-start response of every chunk, a carry of the chunk
+starts, and x and y by superposition of the two.  Only a loop that sees the
+fringe runs the scalar loop.  A loop whose A (for the fringe: its
+linearization) has a spectral radius above 1 is rejected before integrating.
 
 Runs are deterministic: (config, seed) -> bit-identical Trajectory.
 """
@@ -268,7 +269,8 @@ def _mirror_position(setup: OpticalSetup, detector: DetectorModel, t):
 def _detector_outputs(q, p, nu_self, nu_fwd, t, setup: OpticalSetup, detector: DetectorModel):
     """The detector model: map the detection-axis and orthogonal
     displacements q and p [m], the position-referred imprecision noise of
-    each channel [m] and the sample times t [s] to (volts_self, volts_fwd).
+    each channel [m] and the sample times t [s] (read in ramp mode only) to
+    (volts_self, volts_fwd).
 
     Locked mode: the mirror sits on the mid-fringe point and the signal is
     lock_sign * S * (q + nu_self), S = gain * V_eff * k_eff, with q replaced
@@ -385,16 +387,34 @@ class _StepMap:
             return self.run(state, inputs)
         n = inputs.shape[0]
         if self._work is None or self._work[0] != n:
-            # chunks of L ~ sqrt(n) steps: w[l, :, c] = (s, u) at step l of
-            # chunk c, the live inputs in a zero-padded (C*L, live) copy, A^L
-            L = math.isqrt(n)
-            C = -(-n // L)
-            w = np.empty((L + 1, self.ab.shape[1], C))
-            padded = np.zeros((C * L, len(self.live)))
-            self._work = (n, w, padded, np.linalg.matrix_power(self.A, L))
-        _, w, padded, a_pow = self._work
-        np.take(inputs, self.live, axis=1, out=padded[:n])
-        return _scan(self.ab, a_pow, state, w, padded, n)
+            self._work = (n, *self._workspace(n))
+        _, w, a_pow, a_end, rows_pow = self._work
+        # w[l, d + j, c] = live input j at step l of chunk c: one strided copy
+        # per live column; the padding after step n stays zero
+        d, L = self.n_state, w.shape[0] - 1
+        c_full = n // L
+        for j, k in enumerate(self.live):
+            w[:L, d + j, :c_full] = inputs[: c_full * L, k].reshape(c_full, L).T
+            if n > c_full * L:
+                w[: n - c_full * L, d + j, c_full] = inputs[c_full * L :, k]
+        return _scan(self.ab, a_pow, a_end, rows_pow, state, w, n)
+
+    def _workspace(self, n: int):
+        """The scan workspace for blocks of n steps: chunks of L ~ sqrt(n)
+        steps, w (L + 1, d + live inputs, C chunks) zeroed, A^L, the power
+        A^(l_end) that reaches the end state within the last chunk, and rows
+        0 and 2 (x and y) of A^l for l < L."""
+        d, A = self.n_state, self.A
+        L = math.isqrt(n)
+        C = -(-n // L)
+        w = np.zeros((L + 1, self.ab.shape[1], C))
+        rows_pow = np.empty((2, d, L))
+        rows = np.eye(d)[[0, 2]]
+        for l in range(L):
+            rows_pow[:, :, l] = rows
+            rows = rows @ A
+        l_end = n - (n - 1) // L * L
+        return w, np.linalg.matrix_power(A, L), np.linalg.matrix_power(A, l_end), rows_pow
 
     def run(self, state, inputs, linear: bool = False):
         """The scalar loop (see ``propagate``); ``linear`` drops the fringe
@@ -458,41 +478,46 @@ class _StepMap:
         return xs, ys, end
 
 
-def _scan(ab, a_pow, state, w, padded, n):
-    """Propagate s' = A s + B u, ``ab`` = [A | B], from ``state`` over the
-    first n rows u of ``padded``, vectorized across the C chunks of L steps
-    laid out in the workspace ``w`` (L + 1, d + inputs, C): (1) the
-    zero-start response of every chunk, (2) a sequential carry of the chunk
-    starts through ``a_pow`` = A^L, (3) a rerun of every chunk from its true
-    start.  Returns the x and y at the start of each step and the end state.
+def _scan(ab, a_pow, a_end, rows_pow, state, w, n):
+    """Propagate s' = A s + B u, ``ab`` = [A | B], from ``state`` over n
+    steps whose live inputs are laid out in the workspace ``w`` (L + 1,
+    d + inputs, C chunks of L steps), vectorized across the chunks: (1) one
+    matmul per step gives the zero-start response of every chunk, (2) a
+    sequential carry of the chunk starts s_c through ``a_pow`` = A^L, (3)
+    by superposition the x and y at step l of chunk c are the zero-start
+    response plus rows 0 and 2 of A^l (``rows_pow``) times s_c, and the end
+    state is ``a_end`` s_c plus the zero-start response at the end of the
+    last chunk.  Returns the x and y at the start of each step and the end
+    state.
 
-    The per-step products go through ``einsum``, not ``@``: on a 2-core host
-    the multithreaded OpenBLAS behind ``@`` ran a tall (n x inputs) product
-    ~10x slower than one thread, and erratically."""
+    Measured per 65 536-step block of the self closed loop (d = 7, 5 live
+    inputs, 2-vCPU host): (1) takes ~1.1 ms with ``matmul`` where the same
+    products through ``einsum`` took ~3.5 ms, and (3) ~0.8 ms where a
+    sequential rerun of every chunk took ~3.5 ms.  These small products run
+    on one OpenBLAS thread: user CPU stays at wall time, the same as with
+    one thread forced."""
     d = ab.shape[0]
-    L, C = w.shape[0] - 1, w.shape[2]
-    # one einsum per step writes the s of step l + 1 of every chunk
-    w[:L, d:] = padded.reshape(C, L, -1).transpose(1, 2, 0)
+    L = w.shape[0] - 1
 
-    # (1) zero-start response: z[:, c] is where chunk c ends from s = 0
-    w[0, :d] = 0.0
+    # (1) zero-start response: w[l, :d, c] is chunk c after l steps from
+    # s = 0 (w[0, :d] is never written and stays zero)
     for l in range(L):
-        np.einsum("ij,jc->ic", ab, w[l], out=w[l + 1, :d])
-    z = w[L, :d].copy()
+        np.matmul(ab, w[l], out=w[l + 1, :d])
 
-    # (2) true chunk starts: s_c = A^L s_(c-1) + z_(c-1)
-    w[0, :d, 0] = state
-    for c in range(1, C):
-        w[0, :d, c] = np.einsum("ij,j->i", a_pow, w[0, :d, c - 1]) + z[:, c - 1]
+    # (2) true chunk starts: s_c = A^L s_(c-1) + z_(c-1), z = w[L, :d]
+    starts = np.empty((w.shape[2], d))
+    starts[0] = state
+    for c in range(1, starts.shape[0]):
+        starts[c] = a_pow @ starts[c - 1] + w[L, :d, c - 1]
 
-    # (3) rerun every chunk from its true start
-    for l in range(L):
-        np.einsum("ij,jc->ic", ab, w[l], out=w[l + 1, :d])
-
+    # (3) x and y in step order: starts @ rows_pow[i] is (C, L)
+    x = starts @ rows_pow[0]
+    x += w[:L, 0].T
+    y = starts @ rows_pow[1]
+    y += w[:L, 2].T
     c_end = (n - 1) // L
-    x = w[:L, 0].T.reshape(-1)[:n]
-    y = w[:L, 2].T.reshape(-1)[:n]
-    return x, y, w[n - c_end * L, :d, c_end].copy()
+    end = a_end @ starts[c_end] + w[n - c_end * L, :d, c_end]
+    return x.reshape(-1)[:n], y.reshape(-1)[:n], end
 
 
 def simulate(
@@ -571,8 +596,10 @@ def simulate(
         out_x[blk], out_y[blk], state = step.propagate(state, inputs)
         q = (out_x[blk] + out_y[blk]) * _INVSQ2
         p = (out_x[blk] - out_y[blk]) * _INVSQ2
+        # the sample times: only the ramp mirror reads them
+        t = np.arange(i0, i0 + nblk) * dt if detector.mirror_mode == "ramp" else None
         out_vs[blk], out_vf[blk] = _detector_outputs(
-            q, p, inputs[:, 6], inputs[:, 7], np.arange(i0, i0 + nblk) * dt, setup, detector
+            q, p, inputs[:, 6], inputs[:, 7], t, setup, detector
         )
         if detector.mirror_mode == "locked" and not lock_lost:
             lock_lost = bool(np.any(np.abs(q) > setup.wavelength / 4.0))

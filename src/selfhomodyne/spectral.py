@@ -182,7 +182,8 @@ def welch_psd(
     else:
         win = np.ones(n)  # a one-sample Hann window is 1, as in scipy
     segments = sliding_window_view(x, n)[:: n - n // 2]
-    values = np.mean(np.abs(np.fft.rfft(segments * win, axis=-1)) ** 2, axis=0)
+    power = np.abs(np.fft.rfft(segments * win, axis=-1))
+    values = np.mean(np.square(power, out=power), axis=0)
     # np.sum, not win @ win: a BLAS dot wakes OpenBLAS worker threads, which
     # keep spinning on the other cores after the call returns
     values /= sample_rate * np.sum(win * win)

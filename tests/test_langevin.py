@@ -350,6 +350,25 @@ class TestScanAgainstScalarLoop:
             duration=n_steps * DT17, dt=DT17, seed=seed,
             backaction_force_psd=backaction_psd(1e-7, SETUP.wavelength) if backaction else 0.0,
         )
+        self.assert_matches_scalar_loop(bath, fb, det, **kwargs)
+
+    @pytest.mark.parametrize("channel", ["self-homodyne", "forward"])
+    def test_bench_sweep_loop_over_three_blocks(self, channel):
+        # the fastest cool-sweep point over three full blocks and a partial
+        # one: the workspace is reused and the state carried across three
+        # block boundaries
+        gain = 2 * math.pi * 640.0
+        fb = FeedbackConfig(
+            cooling_rate=gain, spring_gain=250.0 * math.sqrt(gain), source_channel=channel
+        )
+        det = DetectorModel(imprecision_forward=2.2e-16)
+        n_steps = 3 * (1 << 16) + 777
+        self.assert_matches_scalar_loop(
+            Bath(pressure=2e-2), fb, det, duration=n_steps * DT17, dt=DT17, seed=5
+        )
+
+    @staticmethod
+    def assert_matches_scalar_loop(bath, fb, det, **kwargs):
         fast = simulate(TRAP, bath, fb, det, SETUP, **kwargs)
         with mock.patch.object(langevin._StepMap, "propagate", langevin._StepMap.run):
             ref = simulate(TRAP, bath, fb, det, SETUP, **kwargs)
