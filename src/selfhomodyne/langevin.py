@@ -37,6 +37,13 @@ starts, and x and y by superposition of the two.  Only a loop that sees the
 fringe runs the scalar loop.  A loop whose A (for the fringe: its
 linearization) has a spectral radius above 1 is rejected before integrating.
 
+The inputs of each block are 8 normals per step from one generator.  While
+the calling thread scans a block and forms its detector outputs, one helper
+thread draws the next block into the other of two input slots (the draw
+releases the GIL), so a run uses up to two cores; a run of one block starts
+no thread.  The generator draws the blocks in order, one at a time, so the
+stream is the serial one.
+
 Runs are deterministic: (config, seed) -> bit-identical Trajectory.
 """
 
@@ -311,10 +318,18 @@ class _StepMap:
     it with unit vectors; for a loop that sees the fringe nonlinearity it is
     the linearization at q = 0.
 
-    A step map serves one ``simulate`` call.  It allocates the multi-MB block
-    buffer once (the scan workspace once per block size) and reuses it for
-    every block: a fresh buffer of that size per block would be a fresh mmap
-    and page-fault in anew.
+    A step map serves one ``simulate`` call.  Its inputs live in two slots,
+    block j in slot j % 2, so that one block can be drawn while the other is
+    scanned.  ``allocate_slots`` makes them once per call (the scan
+    workspace is made once per block size) and every block reuses them: a
+    fresh multi-MB buffer per block would be a fresh mmap and page-fault in
+    anew.  The slots are allocated in the calling thread, not in the thread
+    that draws: a slot allocated there comes from a second glibc arena, and
+    with one slot allocated there the bench cool-sweep peaked at 127.0 MB
+    instead of 122.6 MB.  They
+    are two arrays, each sized to its block, not one (2, n, 8) array: a run
+    of one full block and a short one (the 0.59 s fringe scan: 65 536 +
+    11 141 steps) holds 4.7 MB of inputs, not 8 MB.
     """
 
     def __init__(self, trap, bath, feedback, detector, setup, dt, backaction_force_psd):
@@ -366,16 +381,19 @@ class _StepMap:
         # the scan skips inputs that are zero (a scale of 0) or move nothing
         self.live = [k for k in range(8) if self.normal_scale[k] != 0.0 and self.B[:, k].any()]
         self.ab = np.concatenate((self.A, self.B[:, self.live]), axis=1)
-        self._inputs = self._work = None
+        self._slots = self._work = None
 
-    def draw_inputs(self, rng, n: int) -> np.ndarray:
+    def allocate_slots(self, sizes) -> None:
+        """The two input slots for blocks of ``sizes`` steps: slot i is sized
+        to block i, the largest block that uses it."""
+        self._slots = [np.empty((n, 8)) for n in sizes[:2]]
+
+    def draw_inputs(self, rng, slot: int, n: int) -> np.ndarray:
         """The inputs of the next n steps: 8 normals per step, drawn in one
-        call and scaled in place, the last four to force and imprecision.
-        The result is a view of the map's input buffer, valid until the next
-        draw."""
-        if self._inputs is None or self._inputs.shape[0] < n:
-            self._inputs = np.empty((n, 8))
-        buf = self._inputs[:n]
+        call into input slot ``slot`` and scaled in place, the last four to
+        force and imprecision.  The result is a view of the slot, valid
+        until the slot is drawn again."""
+        buf = self._slots[slot][:n]
         return np.multiply(rng.standard_normal(out=buf), self.normal_scale, out=buf)
 
     def propagate(self, state, inputs):
@@ -589,20 +607,34 @@ def simulate(
     out_vf = np.empty(n_steps)
     lock_lost = False
 
-    for i0 in range(0, n_steps, _BLOCK):
-        nblk = min(_BLOCK, n_steps - i0)
-        inputs = step.draw_inputs(rng, nblk)
-        blk = slice(i0, i0 + nblk)
-        out_x[blk], out_y[blk], state = step.propagate(state, inputs)
-        q = (out_x[blk] + out_y[blk]) * _INVSQ2
-        p = (out_x[blk] - out_y[blk]) * _INVSQ2
-        # the sample times: only the ramp mirror reads them
-        t = np.arange(i0, i0 + nblk) * dt if detector.mirror_mode == "ramp" else None
-        out_vs[blk], out_vf[blk] = _detector_outputs(
-            q, p, inputs[:, 6], inputs[:, 7], t, setup, detector
-        )
-        if detector.mirror_mode == "locked" and not lock_lost:
-            lock_lost = bool(np.any(np.abs(q) > setup.wavelength / 4.0))
+    # imported here, not with the package: it loads logging, which added
+    # ~20 ms (8%) to `import selfhomodyne`
+    from concurrent.futures import ThreadPoolExecutor
+
+    # block b + 1 is drawn on a helper thread while block b is scanned (the
+    # draw releases the GIL); one generator draws every block in order, and
+    # draw b + 1 starts only once draw b is done, so the stream is the serial
+    # one.  The pool starts its thread at the first submit, so a run of one
+    # block, with nothing to overlap, starts none.
+    sizes = [min(_BLOCK, n_steps - i0) for i0 in range(0, n_steps, _BLOCK)]
+    step.allocate_slots(sizes)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for b, nblk in enumerate(sizes):
+            inputs = step.draw_inputs(rng, 0, nblk) if b == 0 else pending.result()
+            if b + 1 < len(sizes):
+                pending = pool.submit(step.draw_inputs, rng, (b + 1) % 2, sizes[b + 1])
+            i0 = b * _BLOCK
+            blk = slice(i0, i0 + nblk)
+            out_x[blk], out_y[blk], state = step.propagate(state, inputs)
+            q = (out_x[blk] + out_y[blk]) * _INVSQ2
+            p = (out_x[blk] - out_y[blk]) * _INVSQ2
+            # the sample times: only the ramp mirror reads them
+            t = np.arange(i0, i0 + nblk) * dt if detector.mirror_mode == "ramp" else None
+            out_vs[blk], out_vf[blk] = _detector_outputs(
+                q, p, inputs[:, 6], inputs[:, 7], t, setup, detector
+            )
+            if detector.mirror_mode == "locked" and not lock_lost:
+                lock_lost = bool(np.any(np.abs(q) > setup.wavelength / 4.0))
 
     return Trajectory(
         dt=dt,

@@ -304,6 +304,14 @@ IMP_SWEEP = {
 }
 
 
+COOL_THREADS = {
+    "bath": {"pressure_mbar": 2e-2},
+    "detector": {"imprecision_forward_m2_per_hz": 2.2e-16},
+    "sim": {"duration_s": 1.5, "transient_s": 0.25, "seed": 77},
+    "sweeps": {"cooling_rates_rad_per_s": [0.0, 2 * math.pi * 40.0, 2 * math.pi * 160.0]},
+}
+
+
 class TestImprecisionSweep:
     def test_columns_and_physics(self, tmp_path):
         code, out = run_cli(tmp_path, "imprecision-sweep", IMP_SWEEP)
@@ -464,6 +472,12 @@ class TestDeterminismAndErrors:
         assert (out_a / "imprecision_sweep.csv").read_bytes() == (
             out_b / "imprecision_sweep.csv"
         ).read_bytes()
+        # 3 blocks per point: two sweep threads each run a helper thread
+        # that draws one block while the other is scanned
+        _, out_a = run_cli(tmp_path / "c", "cool-sweep", COOL_THREADS)
+        _, out_b = run_cli(tmp_path / "d", "cool-sweep", COOL_THREADS, extra=["--threads", "2"])
+        for name in ("cool_sweep_self.csv", "cool_sweep_forward.csv"):
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
 COOL_FAST = {

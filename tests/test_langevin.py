@@ -8,6 +8,7 @@ fringes.
 
 import dataclasses
 import math
+import threading
 from unittest import mock
 
 import numpy as np
@@ -113,6 +114,83 @@ class TestDeterminism:
         a = simulate(TRAP, bath, NO_FB, QUIET, SETUP, duration=0.05, dt=DT16, seed=1)
         b = simulate(TRAP, bath, NO_FB, QUIET, SETUP, duration=0.05, dt=DT16, seed=2)
         assert not np.array_equal(a.x, b.x)
+
+
+class TestBlockPipeline:
+    """Block b + 1 is drawn on a helper thread while block b is scanned."""
+
+    N_STEPS = 3 * (1 << 16) + 777
+    GAIN = 2 * math.pi * 640.0
+    FB = FeedbackConfig(cooling_rate=GAIN, spring_gain=250.0 * math.sqrt(GAIN))
+    S_BA = backaction_psd(1e-7, SETUP.wavelength)
+
+    def run(self, n_steps=N_STEPS, seed=21):
+        return simulate(
+            TRAP, Bath(pressure=2e-2), self.FB, DetectorModel(), SETUP,
+            duration=n_steps * DT17, dt=DT17, seed=seed, backaction_force_psd=self.S_BA,
+        )
+
+    def test_inputs_are_the_serial_stream(self):
+        seen = []
+        propagate = langevin._StepMap.propagate
+
+        def record(step, state, inputs):
+            seen.append(inputs.copy())
+            return propagate(step, state, inputs)
+
+        with mock.patch.object(langevin._StepMap, "propagate", record):
+            traj = self.run(seed=21)
+        assert [b.shape[0] for b in seen] == [1 << 16] * 3 + [777]
+
+        det = DetectorModel()
+        sigma_ba = math.sqrt(self.S_BA / (2 * DT17))
+        scale = np.array([1.0, 1.0, 1.0, 1.0, sigma_ba, sigma_ba,
+                          math.sqrt(det.imprecision_self / (2 * DT17)),
+                          math.sqrt(det.imprecision_forward / (2 * DT17))])
+        rng = np.random.default_rng(21)
+        rng.standard_normal(4)  # the thermal initial state
+        serial = rng.standard_normal((self.N_STEPS, 8)) * scale
+        inputs = np.concatenate(seen)
+        assert np.array_equal(inputs, serial)
+        # a slot redrawn before its block's outputs were formed would break this
+        p = (traj.x - traj.y) * langevin._INVSQ2
+        assert np.array_equal(traj.volts_fwd, det.gain * (p + inputs[:, 7]))
+
+    @pytest.mark.parametrize("n_steps, helpers", [(N_STEPS, 1), (1 << 16, 0)])
+    def test_helper_thread_joined(self, n_steps, helpers):
+        before = threading.active_count()
+        during = []
+        propagate = langevin._StepMap.propagate
+
+        def count(step, state, inputs):
+            during.append(threading.active_count())
+            return propagate(step, state, inputs)
+
+        with mock.patch.object(langevin._StepMap, "propagate", count):
+            self.run(n_steps)
+        # a run of one block starts no thread
+        assert during[0] == before + helpers
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("method", ["propagate", "draw_inputs"])
+    def test_failure_in_second_block_joins_helper(self, method):
+        # draw_inputs of block 2 runs on the helper thread, propagate on the caller's
+        err = RuntimeError("second block")
+        calls = []
+        original = getattr(langevin._StepMap, method)
+
+        def fail_second(step, *args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise err
+            return original(step, *args)
+
+        before = threading.active_count()
+        with mock.patch.object(langevin._StepMap, method, fail_second):
+            with pytest.raises(RuntimeError) as caught:
+                self.run()
+        assert caught.value is err
+        assert threading.active_count() == before
 
 
 class TestThermalEquilibrium:
