@@ -10,7 +10,6 @@ error_manifest.json and exit nonzero.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -43,22 +42,9 @@ from .optics import (
     rayleigh_scattered_power,
 )
 from .spectral import FitError, cooling_curve_fit, imprecision_from_floor, lorentzian_fit, welch_psd
+from .spectral import write_csv as _write_csv  # the CSV call point perfbench traces
 
 _FLOOR_BAND = (8000.0, 30000.0)  # resonance-free band for floor extraction [Hz]
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -143,10 +129,7 @@ def cmd_fringe_scan(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int)
         visibility = 0.0  # no fringes (e.g. no mirror)
     else:
         visibility = run_calibration(traj, lam).visibility
-    rows = [
-        (disp[k], traj.volts_self[k], visibility)
-        for k in range(disp.size)
-    ]
+    rows = list(zip(disp.tolist(), traj.volts_self.tolist(), [visibility] * disp.size))
     _write_csv(out_dir / "fringe_scan.csv", ["mirror_displacement_m", "detector_volts", "visibility"], rows)
     return {"outputs": ["fringe_scan.csv"]}
 

@@ -49,7 +49,6 @@ Runs are deterministic: (config, seed) -> bit-identical Trajectory.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -59,6 +58,7 @@ import numpy as np
 from . import modes
 from .constants import K_B
 from .optics import OpticalSetup, _effective_wavenumber, fringe_slope
+from .spectral import FitError, write_csv
 
 __all__ = [
     "Bath",
@@ -196,13 +196,8 @@ class Trajectory:
         return 1.0 / self.dt
 
     def to_csv(self, path) -> None:
-        cols = (self.x, self.y, self.q, self.volts_self, self.volts_fwd, self.mirror_d)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "x", "y", "q", "volts_self", "volts_fwd", "mirror_d"])
-            for k in range(self.x.size):
-                row = [f"{k * self.dt:.17g}"] + [f"{c[k]:.17g}" for c in cols]
-                writer.writerow(row)
+        cols = (self.time, self.x, self.y, self.q, self.volts_self, self.volts_fwd, self.mirror_d)
+        write_csv(path, ["t", "x", "y", "q", "volts_self", "volts_fwd", "mirror_d"], zip(*cols))
 
 
 @dataclass(frozen=True)
@@ -670,6 +665,78 @@ def synthesize_detector(
     return volts_self
 
 
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
+_MAX_EVALS = 500
+
+
+def _minimize_bounded(func, lo: float, hi: float, xatol: float) -> tuple[float, int]:
+    """Brent's bounded minimization of ``func`` on [lo, hi]: the iterates of
+    scipy's ``minimize_scalar(method="bounded")`` (golden-section steps,
+    parabolic steps where acceptable, tolerance sqrt(2.2e-16)*|x| + xatol/3),
+    so x and the evaluation count equal scipy's.  Returns (x, evaluations);
+    raises FitError when ``_MAX_EVALS`` evaluations do not converge."""
+    a, b = lo, hi
+    xf = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = func(xf)
+    evals = 1
+    rat = e = 0.0
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through xf, w and v
+            r = (xf - w) * (fx - fv)
+            q = (xf - v) * (fx - fw)
+            p = (xf - v) * q - (xf - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        step = max(abs(rat), tol1)
+        x = xf + (step if rat >= 0.0 else -step)
+        fu = func(x)
+        evals += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            v, fv = w, fw
+            w, fw = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fw or w == xf:
+                v, fv = w, fw
+                w, fw = x, fu
+            elif fu <= fv or v == xf or v == w:
+                v, fv = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if evals >= _MAX_EVALS:
+            raise FitError(
+                f"bounded minimization on [{lo:.17g}, {hi:.17g}] did not converge in "
+                f"{_MAX_EVALS} evaluations (last x = {xf:.17g})"
+            )
+    return xf, evals
+
+
 def run_calibration(trajectory: Trajectory, wavelength: float) -> CalibrationResult:
     """Extract the volts-per-meter scale from a mirror-ramp trajectory.
 
@@ -677,12 +744,15 @@ def run_calibration(trajectory: Trajectory, wavelength: float) -> CalibrationRes
     fringe frequency refined from the FFT peak, and returns
     S = 4 pi A_volts / lambda for A_volts = sqrt(C1^2 + C2^2).
     """
-    from scipy import optimize
-
     v = np.asarray(trajectory.volts_self, dtype=float)
     n = v.size
     if n < 16:
         raise ValueError("trajectory too short for calibration")
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise ValueError(
+            f"volts_self has {bad.size} non-finite sample(s), the first at index {bad[0]}"
+        )
     dt = trajectory.dt
     duration = n * dt
 
@@ -702,13 +772,7 @@ def run_calibration(trajectory: Trajectory, wavelength: float) -> CalibrationRes
         return float(r @ r)
 
     df = 1.0 / duration
-    res = optimize.minimize_scalar(
-        residual,
-        bounds=(max(f0 - 1.5 * df, 0.1 * df), f0 + 1.5 * df),
-        method="bounded",
-        options={"xatol": df * 1e-12},
-    )
-    f_fit = float(res.x)
+    f_fit, _ = _minimize_bounded(residual, max(f0 - 1.5 * df, 0.1 * df), f0 + 1.5 * df, df * 1e-12)
     # parabolic polish: the residual is locally quadratic in f, so the
     # three-point vertex lands on the minimum to float precision
     for h in (1e-4 * df, 1e-7 * df):

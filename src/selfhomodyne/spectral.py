@@ -1,5 +1,6 @@
 """Spectral estimation and fitting: Welch PSDs, Lorentzian resonance fits,
-cooling-curve fits, Gaussian beam-waist fits, and noise-floor extraction.
+cooling-curve fits, Gaussian beam-waist fits, and noise-floor extraction;
+and the one CSV writer of the package (``write_csv``).
 
 PSDs are one-sided densities: white noise of position PSD S produces a flat
 estimate at S, and the integral over frequency reproduces the variance of a
@@ -8,9 +9,9 @@ zero-mean signal (Parseval, window-corrected).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -25,7 +26,10 @@ __all__ = [
     "cooling_curve_fit",
     "gaussian_waist_fit",
     "imprecision_from_floor",
+    "write_csv",
 ]
+
+_CSV_BATCH = 1 << 12  # rows formatted per write
 
 
 class FitError(RuntimeError):
@@ -66,11 +70,35 @@ class Psd:
         return float(np.sum(self.values) * self.resolution)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["f_hz", "psd_m2_per_hz"])
-            for f, v in zip(self.frequencies, self.values):
-                writer.writerow([f"{f:.17g}", f"{v:.17g}"])
+        write_csv(path, ["f_hz", "psd_m2_per_hz"], zip(self.frequencies.tolist(), self.values.tolist()))
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` as CSV: float cells (numpy float64
+    included) as ``'%.17g'``, every other cell as ``str()``, lines ended by
+    ``\\r\\n``.  These are the bytes ``csv.writer`` writes for cells that
+    need no quoting; no cell is quoted, so no header or ``str()`` cell may
+    hold a comma, a double quote or a line break.
+
+    Rows with the same cell types share one template, so formatting a row
+    is a single ``%`` operation.  Up to ``_CSV_BATCH`` rows are formatted
+    and written at a time, so a lazy ``rows`` costs memory for one batch.
+    """
+    templates = {}
+
+    def line(row):
+        kinds = tuple(map(type, row))
+        template = templates.get(kinds)
+        if template is None:
+            cells = ["%.17g" if issubclass(k, float) else "%s" for k in kinds]
+            template = templates[kinds] = ",".join(cells) + "\r\n"
+        return template % tuple(row)
+
+    rows = iter(rows)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        while batch := list(islice(rows, _CSV_BATCH)):
+            fh.write("".join(map(line, batch)))
 
 
 @dataclass(frozen=True)

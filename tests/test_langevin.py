@@ -32,7 +32,7 @@ from selfhomodyne.langevin import (
 )
 from selfhomodyne.modes import TrapConfig, radial_modes
 from selfhomodyne.optics import OpticalSetup, backaction_psd
-from selfhomodyne.spectral import welch_psd
+from selfhomodyne.spectral import FitError, welch_psd
 
 TRAP = TrapConfig()
 SETUP = OpticalSetup()
@@ -587,6 +587,79 @@ class TestCalibration:
         traj = self.make_synthetic_ramp(1.0, 0.4, 2.0, 4096.0)  # 0.8 fringe
         with pytest.raises(ValueError, match="insufficient"):
             run_calibration(traj, 780e-9)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        traj = self.make_synthetic_ramp(1.0, 3.7, 2.0, 4096.0)
+        traj.volts_self[[1234, 5000, 7000]] = bad
+        with pytest.raises(ValueError, match="3 non-finite sample.*index 1234"):
+            run_calibration(traj, 780e-9)
+
+    def test_unconverged_frequency_search_raises(self, monkeypatch):
+        monkeypatch.setattr(langevin, "_MAX_EVALS", 4)
+        traj = self.make_synthetic_ramp(1.0, 3.7, 2.0, 4096.0)
+        with pytest.raises(FitError, match="did not converge in 4 evaluations"):
+            run_calibration(traj, 780e-9)
+
+
+class TestBoundedMinimizer:
+    """``_minimize_bounded`` takes scipy's bounded Brent iterates: the same
+    x and the same evaluation count, compared exactly.  scipy is imported
+    here only; the package does not import it for the calibration."""
+
+    @staticmethod
+    def scipy_bounded(func, lo, hi, xatol):
+        from scipy import optimize
+
+        return optimize.minimize_scalar(
+            func, bounds=(lo, hi), method="bounded", options={"xatol": xatol}
+        )
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_default_ramp_residual_matches_scipy(self, seed, monkeypatch):
+        from selfhomodyne import cli
+        from selfhomodyne.config import ScenarioConfig
+
+        calls = []
+        real = langevin._minimize_bounded
+
+        def recording(func, lo, hi, xatol):
+            calls.append((func, lo, hi, xatol, real(func, lo, hi, xatol)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(langevin, "_minimize_bounded", recording)
+        cfg = ScenarioConfig.from_dict({})
+        run_calibration(cli._ramp_run(cfg, seed), cfg.setup.wavelength)
+        (func, lo, hi, xatol, (x, evals)), = calls
+        ref = self.scipy_bounded(func, lo, hi, xatol)
+        assert ref.status == 0
+        assert x == ref.x
+        assert evals == ref.nfev
+
+    @pytest.mark.parametrize(
+        "func, lo, hi, xatol",
+        [
+            (lambda x: (x - 0.3) ** 2 + 1.0, -1.0, 2.0, 1e-5),  # interior minimum
+            (lambda x: (x - 0.3) ** 2 + 1.0, -1.0, 2.0, 1e-12),
+            (lambda x: abs(x - 0.123), -1.0, 1.0, 0.0),  # kink: golden steps
+            (lambda x: (x + 1.0) ** 2, 0.0, 1.0, 1e-5),  # minimum at the lower bound
+            (lambda x: (x - 1.0) ** 2, 0.0, 1.0, 1e-9),  # minimum at the upper bound
+            (lambda x: 2.0, 0.0, 1.0, 1e-5),  # constant
+        ],
+        ids=["interior", "interior-tight", "kink", "lower-bound", "upper-bound", "constant"],
+    )
+    def test_matches_scipy(self, func, lo, hi, xatol):
+        ref = self.scipy_bounded(func, lo, hi, xatol)
+        assert ref.status == 0
+        assert langevin._minimize_bounded(func, lo, hi, xatol) == (ref.x, ref.nfev)
+
+    def test_evaluation_cap_raises(self):
+        # xatol = 0 with the minimum at x = 0 leaves a zero tolerance: scipy
+        # stops at the cap with status 1, the port raises
+        ref = self.scipy_bounded(lambda x: x * x, -1.0, 1.0, 0.0)
+        assert (ref.status, ref.nfev) == (1, langevin._MAX_EVALS)
+        with pytest.raises(FitError, match="did not converge in 500 evaluations"):
+            langevin._minimize_bounded(lambda x: x * x, -1.0, 1.0, 0.0)
 
 
 class TestTrajectoryExport:

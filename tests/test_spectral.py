@@ -7,12 +7,14 @@ numpy Welch estimator is checked against scipy.signal.welch, which the
 package itself does not import.
 """
 
+import csv
 import math
 
 import numpy as np
 import pytest
 from scipy import signal
 
+from selfhomodyne import spectral
 from selfhomodyne.constants import K_B
 from selfhomodyne.spectral import (
     CoolingCurveFit,
@@ -23,6 +25,7 @@ from selfhomodyne.spectral import (
     imprecision_from_floor,
     lorentzian_fit,
     welch_psd,
+    write_csv,
 )
 
 
@@ -293,3 +296,30 @@ class TestPsdType:
         rows = path.read_text().strip().split("\n")
         assert rows[0].strip() == "f_hz,psd_m2_per_hz"
         assert float(rows[2].split(",")[1]) == 2e-24
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("batch", [4, spectral._CSV_BATCH])
+    def test_bytes_match_csv_writer(self, tmp_path, monkeypatch, batch):
+        """The bulk writer writes the bytes of csv.writer with floats as
+        f"{v:.17g}" and other cells as str(), whatever the cell types and
+        however the rows fall into write batches."""
+        monkeypatch.setattr(spectral, "_CSV_BATCH", batch)
+        floats = [
+            0.1, -2.5e-24, 1.0 / 3.0, float("nan"), float("inf"), float("-inf"),
+            -0.0, 5e-324, 1e308, 0.0,
+        ]
+        rows = [(v, np.float64(v), k) for k, v in enumerate(floats)]
+        rows += [[np.float64(1e-300), 7, -1], (2**70, 3.0, True), (np.int64(5), -0.0, 0.7)]
+        header = ["a_m", "b_v", "c"]
+
+        path = tmp_path / "bulk.csv"
+        write_csv(path, header, iter(rows))
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([f"{v:.17g}" if isinstance(v, float) else str(v) for v in row])
+        assert path.read_bytes() == ref.read_bytes()
+        assert path.read_bytes().count(b"\r\n") == len(rows) + 1
