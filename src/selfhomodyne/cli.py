@@ -199,6 +199,7 @@ def _cool_point(cfg: ScenarioConfig, seed: int, index: int, gfb: float, channel:
         cfg.feedback, cooling_rate=gfb, spring_gain=alpha, source_channel=channel
     )
     offset = 0 if channel == "self-homodyne" else 1000
+    point = f"cool-sweep {channel} point {index}: gamma_fb = {gfb:.6g} rad/s"
     try:
         traj = simulate(
             cfg.trap, cfg.bath, feedback, cfg.detector, cfg.setup,
@@ -206,13 +207,9 @@ def _cool_point(cfg: ScenarioConfig, seed: int, index: int, gfb: float, channel:
         )
     except ValueError as exc:
         raise ValueError(
-            f"cool-sweep {channel} point {index}: gamma_fb = {gfb:.6g} rad/s, "
-            f"alpha = {alpha:.6g} rad/s (spring rule alpha = spring_gain_coef * "
+            f"{point}, alpha = {alpha:.6g} rad/s (spring rule alpha = spring_gain_coef * "
             f"sqrt(gamma_fb), 0 on the forward channel): {exc}"
         ) from exc
-    n0 = int(cfg.transient / cfg.dt)
-    q_rec = traj.volts_self[n0:] / slope
-    psd = welch_psd(q_rec, traj.sample_rate, segment_len=min(1 << 18, q_rec.size // 4))
 
     sol = radial_modes(cfg.trap.secular_freq_x, cfg.trap.secular_freq_y, alpha)
     gamma0 = gas_damping_rate(cfg.bath)
@@ -222,7 +219,13 @@ def _cool_point(cfg: ScenarioConfig, seed: int, index: int, gfb: float, channel:
     gap_hz = (sol.freq_high - sol.freq_low) / (2.0 * math.pi)
     half = min(max(6.0 * gamma_exp / (2.0 * math.pi), 150.0), 0.4 * gap_hz)
     f_hi_mode = sol.freq_high / (2.0 * math.pi)
-    fit = lorentzian_fit(psd, (f_hi_mode - half, f_hi_mode + half))
+    n0 = int(cfg.transient / cfg.dt)
+    q_rec = traj.volts_self[n0:] / slope
+    try:
+        psd = welch_psd(q_rec, traj.sample_rate, segment_len=min(1 << 18, q_rec.size // 4))
+        fit = lorentzian_fit(psd, (f_hi_mode - half, f_hi_mode + half))
+    except (FitError, ValueError) as exc:
+        raise type(exc)(f"{point}: fit of the upper mode failed: {exc}") from exc
     t_mode = mode_temperature(
         cfg.trap.mass, 2.0 * math.pi * fit.center, fit.area, sol.theta_fb
     )
@@ -235,6 +238,8 @@ def _cool_point(cfg: ScenarioConfig, seed: int, index: int, gfb: float, channel:
         "theta_fb_rad": sol.theta_fb,
         "t_mode_k": t_mode,
         "lock_lost": traj.lock_lost,
+        "fwhm_hz": fit.fwhm,
+        "bin_hz": psd.resolution,
     }
 
 
@@ -249,7 +254,9 @@ def _cool_channel(cfg: ScenarioConfig, seed: int, channel: str, threads: int, b_
 def cmd_cool_sweep(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) -> dict:
     """Feedback-gain sweep for both detector channels: per-point mode
     analysis, temperature and lock status (1 when |q| passed lambda/4), and
-    the sweep-level cooling-curve fit."""
+    the sweep-level cooling-curve fit.  The manifest lists as
+    ``unresolved_fits`` every point whose fitted linewidth is below one PSD
+    bin: its rate and temperature are not measured by the spectrum."""
     b_ext = (
         math.pi * cfg.trap.mass * cfg.trap.secular_freq_y**2
         * cfg.detector.imprecision_self / (2.0 * K_B)
@@ -259,9 +266,14 @@ def cmd_cool_sweep(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) 
             "cool-sweep needs detector.imprecision_self_m2_per_hz > 0: the cooling-curve "
             "fit takes B = pi m w_y^2 S_imp / (2 k_B) from it, and B = 0 has no T_min"
         )
-    outputs = []
+    outputs, unresolved = [], []
     for channel, name in (("self-homodyne", "self"), ("forward", "forward")):
         results, curve = _cool_channel(cfg, seed, channel, threads, b_ext)
+        unresolved += [
+            {"channel": channel, "index": i, "fwhm_hz": r["fwhm_hz"], "bin_hz": r["bin_hz"]}
+            for i, r in enumerate(results)
+            if r["fwhm_hz"] < r["bin_hz"]
+        ]
         header = [
             "gamma_fb_rad_per_s", "alpha_rad_per_s", "nu_low_hz", "nu_high_hz",
             "theta_fb_rad", "t_mode_k", "fitted_a_rad_k_per_s", "t_min_k",
@@ -278,7 +290,7 @@ def cmd_cool_sweep(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) 
         fname = f"cool_sweep_{name}.csv"
         _write_csv(out_dir / fname, header, rows)
         outputs.append(fname)
-    return {"outputs": outputs}
+    return {"outputs": outputs, "unresolved_fits": unresolved}
 
 
 def cmd_modes(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) -> dict:

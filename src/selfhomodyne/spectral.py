@@ -5,6 +5,12 @@ and the one CSV writer of the package (``write_csv``).
 PSDs are one-sided densities: white noise of position PSD S produces a flat
 estimate at S, and the integral over frequency reproduces the variance of a
 zero-mean signal (Parseval, window-corrected).
+
+The two nonlinear fits share one numpy solver, ``_least_squares``:
+Levenberg-Marquardt with an analytic Jacobian and optional box bounds (each
+trial point is projected onto the box; a variable at a bound whose gradient
+points out of it is held fixed), stopped by scipy's ``least_squares`` rules.
+``_covariance`` turns its Jacobian into curve_fit's covariance.
 """
 
 from __future__ import annotations
@@ -219,9 +225,113 @@ def welch_psd(
     return Psd(np.fft.rfftfreq(n, 1.0 / sample_rate), values)
 
 
+def _least_squares(residuals, jacobian, x0, x_scale, bounds=None, max_nfev=2000):
+    """Minimize sum(residuals(x)**2) by Levenberg-Marquardt; returns the
+    solution x and the residuals and their Jacobian there.
+
+    The solver works in the scaled variables z = x / x_scale, with J the
+    Jacobian in z.  A trial step solves (J^T J + lam I) dz = -J^T r through
+    the SVD of J, so a rank-deficient J gives the minimum-norm step and a
+    retry with a new lam costs no new factorization.  Nielsen's rule updates
+    lam: a step that lowers the cost is accepted and
+    lam *= max(1/3, 1 - (2 rho - 1)^3), where rho is the fall of the cost
+    over the fall the linearized model predicts; a rejected step multiplies
+    lam by 2, 4, 8, ...  The first lam is 1e-3 s_min^2, Nielsen's start
+    taken from the smallest singular value of J rather than the largest:
+    the curvatures of the scaled parameters span decades, and a lam set by
+    the stiffest would freeze the others.  When lam is 0 (J is rank
+    deficient) a rejection sets it to 1e-3 s_max^2.
+
+    With ``bounds = (lower, upper)`` every trial point is projected onto the
+    box, and a variable at a bound whose cost gradient points out of the box
+    is held fixed for that step.
+
+    The stopping rules are those of scipy's ``least_squares`` with its
+    default ftol = 1e-8 and the xtol = 1e-10 both fits used with scipy: a
+    trial step, accepted or not, ends the fit when it lowers the cost by
+    less than ftol of it with rho > 1/4, or when it moves x by less than
+    xtol * (xtol + |x|), both norms taken in the unscaled x.  FitError after
+    ``max_nfev`` evaluations of ``residuals``.
+    """
+    scale = np.asarray(x_scale, dtype=float)
+    k = scale.size
+    lower, upper = (np.full(k, -np.inf), np.full(k, np.inf)) if bounds is None else bounds
+    x = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    r = residuals(x)
+    cost = float(r @ r)
+    if not math.isfinite(cost):
+        raise FitError("residuals are not finite at the initial guess")
+    nfev, lam, nu = 1, None, 2.0
+    while True:
+        jac = jacobian(x)
+        if not np.all(np.isfinite(jac)):
+            raise FitError(f"Jacobian is not finite at x = {x.tolist()}")
+        js = jac * scale
+        grad = js.T @ r
+        free = ~(((x <= lower) & (grad > 0.0)) | ((x >= upper) & (grad < 0.0)))
+        if not free.any():
+            return x, r, jac
+        u, s, vt = np.linalg.svd(js[:, free], full_matrices=False)
+        sur = s * (u.T @ r)
+        if lam is None:
+            lam = 1e-3 * s[-1] ** 2
+        while True:
+            if nfev >= max_nfev:
+                raise FitError(f"did not converge in {max_nfev} evaluations (x = {x.tolist()})")
+            den = s * s + lam
+            step = np.zeros(k)
+            step[free] = -(vt.T @ np.divide(sur, den, out=np.zeros_like(s), where=den > 0.0))
+            x_new = np.clip(x + step * scale, lower, upper)
+            r_new = residuals(x_new)
+            nfev += 1
+            cost_new = float(r_new @ r_new)
+            lin = r + js @ ((x_new - x) / scale)
+            predicted = cost - float(lin @ lin)
+            rho = (cost - cost_new) / predicted if predicted > 0.0 else 0.0
+            done = (
+                cost - cost_new < 1e-8 * cost and rho > 0.25
+                or np.linalg.norm(x_new - x) < 1e-10 * (1e-10 + np.linalg.norm(x))
+            )
+            if cost_new < cost:
+                x, r, cost = x_new, r_new, cost_new
+                lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+                nu = 2.0
+                if done or cost == 0.0:
+                    return x, r, jacobian(x)
+                break
+            if done:
+                return x, r, jac
+            lam = lam * nu if lam > 0.0 else 1e-3 * s[0] ** 2
+            nu *= 2.0
+
+
+def _covariance(jac, r) -> np.ndarray:
+    """curve_fit's covariance: the pseudo-inverse of jac^T jac, dropping
+    singular values at or below eps * max(jac.shape) * s_max, times the
+    residual variance chi^2 / (n - k)."""
+    _, s, vt = np.linalg.svd(jac, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(jac.shape) * s[0]
+    vt = vt[keep]
+    return (vt.T / s[keep] ** 2) @ vt * (float(r @ r) / (jac.shape[0] - jac.shape[1]))
+
+
 def _lorentz_model(f, center, fwhm, area, floor):
+    """A peak of zero width adds nothing, even on the bin at its center."""
     half = fwhm / 2.0
-    return floor + (1.0 / math.pi) * area * half / ((f - center) ** 2 + half * half)
+    den = (f - center) ** 2 + half * half
+    return floor + (area * half / math.pi) / np.where(den > 0.0, den, np.inf)
+
+
+def _lorentz_jacobian(f, center, fwhm, area, floor):
+    """d model / d (center, fwhm, area, floor), one column each."""
+    half = fwhm / 2.0
+    df = f - center
+    den = df * df + half * half
+    den = np.where(den > 0.0, den, np.inf)
+    peak = area / (math.pi * den * den)
+    return np.column_stack(
+        [2.0 * half * df * peak, 0.5 * (df * df - half * half) * peak, half / (math.pi * den), np.ones_like(f)]
+    )
 
 
 def lorentzian_fit(psd: Psd, band: tuple[float, float], max_iterations: int = 2000) -> LorentzianFit:
@@ -230,13 +340,22 @@ def lorentzian_fit(psd: Psd, band: tuple[float, float], max_iterations: int = 20
     Weighted least squares with sigma proportional to the local PSD level
     (Welch bin scatter scales with the level, so raw-scale uniform weights
     would be dominated by the peak).  The weights come from the fitted model,
-    refined over a few reweighting passes: weighting by the *data* values
+    refined over three reweighting passes: weighting by the *data* values
     correlates weights with the noise and biases the peak low when the bin
-    scatter is large.  Convergence at relative parameter step 1e-8; failure
-    raises FitError with the solver message.
-    """
-    from scipy import optimize
+    scatter is large.
 
+    Each pass is a Levenberg-Marquardt solve (``_least_squares``) with the
+    analytic Jacobian, the variables scaled by the initial guess and the box
+    center in ``band``, fwhm, area and floor >= 0: a trial point is
+    projected onto the box, and a variable at a bound whose gradient points
+    outward is held fixed.  It stops by scipy's rules with xtol = 1e-10 and
+    ftol = 1e-8, as the bounded ``curve_fit`` this replaces did, and agrees
+    with it to ~1e-3 standard errors.  A pass that needs more than
+    ``max_iterations`` residual evaluations raises FitError.  The covariance
+    is computed as ``curve_fit`` computes it: the pseudo-inverse of J^T J
+    from the SVD of the weighted Jacobian J, singular values at or below
+    eps * max(J.shape) * s_max dropped, times chi^2 / (n - 4).
+    """
     sub = psd.band(*band)
     f, s = sub.frequencies, sub.values
     if f.size < 8:
@@ -257,28 +376,20 @@ def lorentzian_fit(psd: Psd, band: tuple[float, float], max_iterations: int = 20
     area0 = float(np.sum(np.clip(y - floor0, 0.0, None)) * sub.resolution)
     p0 = [center0, fwhm0, max(area0, 1e-12), max(floor0, 1e-12)]
 
+    bounds = (np.array([band[0], 0.0, 0.0, 0.0]), np.array([band[1], np.inf, np.inf, np.inf]))
     sigma = np.maximum(y, 1e-12)
-    popt = None
+    popt = p0
     try:
         for _ in range(3):
-            popt, pcov = optimize.curve_fit(
-                _lorentz_model,
-                f,
-                y,
-                p0=p0 if popt is None else popt,
-                sigma=sigma,
-                absolute_sigma=False,
-                maxfev=max_iterations,
-                xtol=1e-10,
-                x_scale=p0,
-                bounds=([band[0], 0.0, 0.0, 0.0], [band[1], np.inf, np.inf, np.inf]),
+            popt, r, jac = _least_squares(
+                lambda p, sigma=sigma: (_lorentz_model(f, *p) - y) / sigma,
+                lambda p, sigma=sigma: _lorentz_jacobian(f, *p) / sigma[:, None],
+                popt, p0, bounds, max_nfev=max_iterations,
             )
             sigma = np.maximum(_lorentz_model(f, *popt), 1e-12)
-    except RuntimeError as exc:
-        raise FitError(
-            f"Lorentzian fit did not converge in {max_iterations} evaluations "
-            f"(band {band}, p0={p0}): {exc}"
-        ) from exc
+    except FitError as exc:
+        raise FitError(f"Lorentzian fit in band {band} (p0={p0}) {exc}") from exc
+    pcov = _covariance(jac, r)
     unscale = np.array([1.0, 1.0, scale, scale])
     popt = popt * unscale
     pcov = pcov * np.outer(unscale, unscale)
@@ -336,10 +447,12 @@ def cooling_curve_fit(
 def gaussian_waist_fit(positions, intensities, max_iterations: int = 2000):
     """Fit I(z) = I_pk exp(-2 z^2 / w0^2) + offset and return (w0, w0_err).
 
-    Needs at least 5 samples spanning more than one waist.
+    Needs at least 5 samples spanning more than one waist.  An unbounded
+    ``_least_squares`` solve with the analytic Jacobian, the variables
+    scaled by the guessed peak height, waist and peak height; the error is
+    the square root of the w0 entry of the covariance, computed as
+    ``lorentzian_fit`` computes it.
     """
-    from scipy import optimize
-
     z = np.asarray(positions, dtype=float)
     y = np.asarray(intensities, dtype=float)
     if z.size != y.size or z.size < 5:
@@ -347,24 +460,29 @@ def gaussian_waist_fit(positions, intensities, max_iterations: int = 2000):
 
     off0 = float(np.min(y))
     pk0 = float(np.max(y) - off0)
+    if not (pk0 > 0.0 and np.ptp(z) > 0.0):
+        raise ValueError("intensities must vary over a range of positions")
     # second-moment width guess
-    wgt = np.clip(y - off0, 0.0, None)
-    denom = float(np.sum(wgt))
-    w00 = math.sqrt(2.0 * float(np.sum(wgt * z * z)) / denom) if denom > 0 else float(np.ptp(z)) / 4
-    w00 = max(w00, float(np.ptp(z)) * 1e-3)
+    wgt = y - off0
+    w00 = max(math.sqrt(2.0 * float(np.sum(wgt * z * z)) / float(np.sum(wgt))), float(np.ptp(z)) * 1e-3)
 
-    def model(zz, pk, w0, off):
-        return pk * np.exp(-2.0 * zz * zz / (w0 * w0)) + off
+    def peak(p):
+        return np.exp(-2.0 * z * z / (p[1] * p[1]))
+
+    def residuals(p):
+        return p[0] * peak(p) + p[2] - y
+
+    def jacobian(p):
+        e = peak(p)
+        return np.column_stack([e, p[0] * e * 4.0 * z * z / p[1] ** 3, np.ones_like(z)])
 
     try:
-        popt, pcov = optimize.curve_fit(
-            model, z, y, p0=[pk0, w00, off0], maxfev=max_iterations, xtol=1e-10
+        popt, r, jac = _least_squares(
+            residuals, jacobian, [pk0, w00, off0], [pk0, w00, pk0], max_nfev=max_iterations
         )
-    except RuntimeError as exc:
-        raise FitError(f"Gaussian waist fit did not converge: {exc}") from exc
-    w0 = abs(float(popt[1]))
-    w0_err = float(np.sqrt(pcov[1, 1]))
-    return w0, w0_err
+    except FitError as exc:
+        raise FitError(f"Gaussian waist fit {exc}") from exc
+    return abs(float(popt[1])), float(np.sqrt(_covariance(jac, r)[1, 1]))
 
 
 def imprecision_from_floor(psd: Psd, floor_band: tuple[float, float]) -> float:

@@ -257,6 +257,8 @@ def test_criterion_9_cool_sweep_end_to_end(tmp_path):
         all(b < a for a, b in zip(temps_self, temps_self[1:])),
         "self-homodyne temperatures decrease monotonically below gamma_min",
     )
+    unresolved = json.loads((out / "manifest.json").read_text())["unresolved_fits"]
+    check(9, unresolved == [], f"every fitted linewidth spans a PSD bin or more ({unresolved})")
     check(9, elapsed < 1800.0, f"runtime {elapsed:.0f} s < 30 min")
 
 

@@ -23,6 +23,7 @@ from selfhomodyne.config import ConfigError, ScenarioConfig
 from selfhomodyne.langevin import Bath, DetectorModel, FeedbackConfig
 from selfhomodyne.modes import TrapConfig
 from selfhomodyne.optics import OpticalSetup, Scatterer, detection_efficiency, imprecision
+from selfhomodyne.spectral import FitError, lorentzian_fit
 
 
 def run_cli(tmp_path, command, overrides=None, extra=()):
@@ -446,6 +447,39 @@ class TestDeterminismAndErrors:
         assert "alpha = 2802.5 rad/s (spring rule alpha = spring_gain_coef * sqrt(gamma_fb)" in err
         assert "unstable feedback loop" in err and "1-sample" in err
 
+    def test_cool_sweep_fit_failure_named(self, tmp_path):
+        # 0.04 s of record per point leaves fewer than 8 PSD bins in the fit band
+        over = {"sim": {"duration_s": 0.05, "transient_s": 0.01}}
+        code, out = run_cli(tmp_path, "cool-sweep", over)
+        assert code == 1
+        assert not list(out.glob("*.csv")) and not (out / "manifest.json").exists()
+        err = json.loads((out / "error_manifest.json").read_text())["error"]
+        assert err.startswith(
+            "ValueError: cool-sweep self-homodyne point 0: gamma_fb = 0 rad/s: fit of the upper mode failed: "
+        )
+        assert err.endswith("band too narrow: fewer than 8 PSD bins")
+
+    def test_cool_sweep_fit_error_keeps_its_type(self, tmp_path):
+        gamma = 2 * math.pi * 40.0
+        over = dict(COOL_THREADS, sweeps={"cooling_rates_rad_per_s": [gamma, 2 * gamma, 4 * gamma]})
+        fits = []
+
+        def fail_second_fit(psd, band):
+            fits.append(band)
+            if len(fits) == 2:
+                raise FitError("did not converge in 4 evaluations")
+            return lorentzian_fit(psd, band)
+
+        with mock.patch.object(cli, "lorentzian_fit", fail_second_fit):
+            code, out = run_cli(tmp_path, "cool-sweep", over)
+        assert code == 1 and len(fits) == 2
+        assert not (out / "manifest.json").exists()
+        err = json.loads((out / "error_manifest.json").read_text())["error"]
+        assert err == (
+            "FitError: cool-sweep self-homodyne point 1: gamma_fb = 502.655 rad/s: "
+            "fit of the upper mode failed: did not converge in 4 evaluations"
+        )
+
     def test_cool_sweep_zero_imprecision_rejected_before_simulating(self, tmp_path):
         # B = pi m w_y^2 S_imp / (2 k_B) = 0 leaves the cooling curve no T_min
         over = {"detector": {"imprecision_self_m2_per_hz": 0.0}}
@@ -532,6 +566,10 @@ class TestCoolSweep:
             assert header[-1] == "lock_lost"
             assert [r[-1] for r in rows] == [1.0] * len(rows)
 
+    def test_no_unresolved_fit(self, sweep_out):
+        manifest = json.loads((sweep_out / "manifest.json").read_text())
+        assert manifest["unresolved_fits"] == []
+
     def test_forward_channel_runs_hotter(self, sweep_out):
         header, rows_self = read_csv(sweep_out / "cool_sweep_self.csv")
         _, rows_fwd = read_csv(sweep_out / "cool_sweep_forward.csv")
@@ -541,14 +579,40 @@ class TestCoolSweep:
         assert rows_fwd[-1][t_idx] > rows_self[-1][t_idx]
 
 
+# the default 2e-8 mbar: the zero-gain linewidth, ~1e-5 Hz, is far below a 5 Hz bin
+COOL_UNRESOLVED = {
+    "sim": {"duration_s": 1.0, "transient_s": 0.2, "seed": 3},
+    "sweeps": {"cooling_rates_rad_per_s": [0.0, 2 * math.pi * 20.0, 2 * math.pi * 40.0]},
+}
+
+
+def test_unresolved_fits_listed(tmp_path):
+    code_a, out_a = run_cli(tmp_path / "a", "cool-sweep", COOL_UNRESOLVED)
+    code_b, out_b = run_cli(tmp_path / "b", "cool-sweep", COOL_UNRESOLVED)
+    assert code_a == code_b == 0
+    unresolved = json.loads((out_a / "manifest.json").read_text())["unresolved_fits"]
+    assert [(u["channel"], u["index"]) for u in unresolved] == [("self-homodyne", 0), ("forward", 0)]
+    for u in unresolved:
+        assert u["bin_hz"] == 131072.0 / 26214  # segment of a quarter of the 0.8 s record
+        assert u["fwhm_hz"] < u["bin_hz"]
+    header, _ = read_csv(out_a / "cool_sweep_self.csv")
+    assert header == [
+        "gamma_fb_rad_per_s", "alpha_rad_per_s", "nu_low_hz", "nu_high_hz", "theta_fb_rad",
+        "t_mode_k", "fitted_a_rad_k_per_s", "t_min_k", "gamma_min_rad_per_s", "lock_lost",
+    ]
+    for name in ("manifest.json", "cool_sweep_self.csv", "cool_sweep_forward.csv"):
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
 def test_commands_load_no_scipy(tmp_path):
-    """Only the fits import scipy: a fresh interpreter in which any scipy
-    import fails imports the package and runs every command without a fit."""
+    """The package never imports scipy: a fresh interpreter in which any
+    scipy import fails imports the package and runs all seven commands."""
     config = {
         "sim": {"dt_s": 2.0**-16, "duration_s": 0.5, "transient_s": 0.1, "seed": 9},
         "sweeps": {"scattered_powers_w": [8.4e-8]},
     }
     (tmp_path / "config.json").write_text(json.dumps(config))
+    (tmp_path / "cool.json").write_text(json.dumps(COOL_THREADS))
     code = """
 import sys
 sys.modules["scipy"] = None  # an import of scipy or a submodule raises ImportError
@@ -556,8 +620,9 @@ import selfhomodyne
 from selfhomodyne import cli
 tmp = sys.argv[1]
 commands = ("efficiency-report", "modes", "imprecision-sweep", "psd", "fringe-scan", "calibrate")
-for command in commands:
-    argv = ["--config", tmp + "/config.json", "--out", tmp + "/" + command, command]
+for command in commands + ("cool-sweep",):
+    config = "/cool.json" if command == "cool-sweep" else "/config.json"
+    argv = ["--config", tmp + config, "--out", tmp + "/" + command, command]
     assert cli.main(argv) == 0, command
 print("ok")
 """

@@ -3,8 +3,9 @@
 Synthetic signals with known spectra serve as oracles: sinusoids carry power
 a^2/2, seeded Gaussian noise of variance S*fs/2 has a flat one-sided density
 S, and exact model curves must be recovered to numerical precision.  The
-numpy Welch estimator is checked against scipy.signal.welch, which the
-package itself does not import.
+numpy Welch estimator is checked against scipy.signal.welch and the numpy
+Lorentzian fit against scipy.optimize.curve_fit; the package itself imports
+neither.
 """
 
 import csv
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import signal
+from scipy import optimize, signal
 
 from selfhomodyne import spectral
 from selfhomodyne.constants import K_B
@@ -37,6 +38,28 @@ def white_position_noise(psd_level, fs, n, seed):
 def lorentz_curve(f, center, fwhm, area, floor):
     half = fwhm / 2.0
     return floor + (1.0 / math.pi) * area * half / ((f - center) ** 2 + half**2)
+
+
+def curve_fit_lorentzian(psd, band):
+    """lorentzian_fit as computed with scipy's curve_fit (bounded TRF): the
+    same ordinate scaling, initial guess, bounds, x_scale = p0, xtol and
+    three reweighting passes.  Returns the parameters and covariance."""
+    sub = psd.band(*band)
+    f, y = sub.frequencies, sub.values / np.max(sub.values)
+    floor0 = float(np.median(y))
+    peak = int(np.argmax(y))
+    fwhm0 = max(np.count_nonzero(y > (y[peak] + floor0) / 2.0) * sub.resolution, sub.resolution)
+    area0 = float(np.sum(np.clip(y - floor0, 0.0, None)) * sub.resolution)
+    p0 = [float(f[peak]), fwhm0, max(area0, 1e-12), max(floor0, 1e-12)]
+    sigma, popt = np.maximum(y, 1e-12), p0
+    for _ in range(3):
+        popt, pcov = optimize.curve_fit(
+            lorentz_curve, f, y, p0=popt, sigma=sigma, maxfev=2000, xtol=1e-10, x_scale=p0,
+            bounds=([band[0], 0.0, 0.0, 0.0], [band[1], np.inf, np.inf, np.inf]),
+        )
+        sigma = np.maximum(lorentz_curve(f, *popt), 1e-12)
+    unscale = np.array([1.0, 1.0, np.max(sub.values), np.max(sub.values)])
+    return popt * unscale, pcov * np.outer(unscale, unscale)
 
 
 class TestWelchPsd:
@@ -155,6 +178,53 @@ class TestLorentzianFit:
         assert set(d) == {"parameters", "standard_errors", "covariance"}
         assert len(d["covariance"]) == 4
 
+    # (FWHM in bins, floor over peak height, seed, whether the fitted floor
+    # sits at its bound 0): the FWHM spans the cool-sweep benchmark's 7-380
+    # bins, and a zero true floor leaves the fit at its bound in three cases
+    @pytest.mark.parametrize("fwhm_bins, floor_ratio, seed, floor_at_bound", [
+        (7.0, 1e-2, 0, False), (7.0, 0.0, 0, True), (7.0, 0.0, 1, False),
+        (20.0, 1e-2, 0, False), (20.0, 0.0, 0, True), (20.0, 0.0, 1, False),
+        (60.0, 1e-2, 1, False), (60.0, 0.0, 0, False), (60.0, 0.0, 1, True),
+        (150.0, 1e-2, 0, False), (150.0, 0.0, 1, False),
+        (380.0, 1e-2, 0, False), (380.0, 0.0, 1, False),
+    ])
+    def test_matches_curve_fit(self, fwhm_bins, floor_ratio, seed, floor_at_bound):
+        """Welch-like bins (chi^2 with 14 degrees of freedom, as 7 averaged
+        segments give) around a Lorentzian: every parameter within 0.01
+        standard errors, and every standard error within 1%, of curve_fit's."""
+        rng = np.random.default_rng(seed)
+        res = 131072.0 / 114688  # the cool-sweep bin at 4 s per point
+        fwhm, area = fwhm_bins * res, 1e-16
+        center = 3200.0 + rng.uniform(-0.5, 0.5) * res
+        f = np.arange(0.0, 8000.0, res)
+        truth = lorentz_curve(f, center, fwhm, area, floor_ratio * 2.0 * area / (math.pi * fwhm))
+        psd = Psd(f, truth * rng.gamma(7.0, 1.0 / 7.0, f.size))
+        half = max(6.0 * fwhm, 150.0)
+        band = (center - half, center + half)
+
+        fit = lorentzian_fit(psd, band)
+        ref, ref_cov = curve_fit_lorentzian(psd, band)
+        ref_err = np.sqrt(np.diag(ref_cov))
+        got = np.array([fit.center, fit.fwhm, fit.area, fit.floor])
+        np.testing.assert_array_less(np.abs(got - ref), 0.01 * ref_err)
+        np.testing.assert_allclose(fit.std_errors(), ref_err, rtol=0.01)
+        assert (fit.floor == 0.0) is floor_at_bound
+
+    def test_rank_deficient_jacobian(self):
+        """A flat band drives the area and the width to their bound 0, where
+        the center and width columns of the Jacobian vanish: the fit returns
+        the floor with the rank-deficient covariance, and raises no
+        LinAlgError."""
+        f = np.linspace(100.0, 200.0, 64)
+        vals = np.random.default_rng(1).uniform(1.0, 1.01, 64)
+        fit = lorentzian_fit(Psd(f, vals), (100.0, 200.0))
+        jac = spectral._lorentz_jacobian(f, fit.center, fit.fwhm, fit.area, fit.floor)
+        assert np.linalg.matrix_rank(jac) < 4
+        assert fit.area == 0.0 and fit.fwhm == 0.0
+        assert fit.floor == pytest.approx(np.mean(vals), rel=1e-6)
+        assert np.all(np.isfinite(fit.covariance))
+        assert fit.std_errors()[3] > 0.0
+
 
 class TestCoolingCurveFit:
     # the published fit: A = 112 rad K, B from the imprecision relation
@@ -246,6 +316,14 @@ class TestGaussianWaistFit:
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
             gaussian_waist_fit([0, 1, 2], [1, 2, 1])
+
+    @pytest.mark.parametrize("z, y", [
+        (np.linspace(-1e-3, 1e-3, 9), np.full(9, 0.3)),  # no peak to scale the fit by
+        (np.zeros(9), np.arange(9.0)),                  # no spread of positions
+    ])
+    def test_degenerate_samples_rejected(self, z, y):
+        with pytest.raises(ValueError, match="vary over a range"):
+            gaussian_waist_fit(z, y)
 
 
 class TestImprecisionFromFloor:
