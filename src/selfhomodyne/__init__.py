@@ -13,7 +13,6 @@ from .optics import (
     Beam,
     FringeState,
     OpticalSetup,
-    OutOfLinearRangeWarning,
     RayleighValidityWarning,
     Scatterer,
     backaction_psd,
@@ -28,8 +27,6 @@ from .optics import (
     mirror_sensitivity,
     particle_sensitivity,
     rayleigh_scattered_power,
-    total_power_from_collected,
-    volts_to_meters,
 )
 from .modes import (
     DETECTION_AXIS,
@@ -37,9 +34,7 @@ from .modes import (
     TrapConfig,
     mode_temperature,
     phonon_occupation,
-    project_psd,
     radial_modes,
-    spring_gain_from_frequencies,
 )
 from .langevin import (
     Bath,
@@ -52,7 +47,6 @@ from .langevin import (
     simulate,
     synthesize_detector,
     thermal_force_psd,
-    white_force_samples,
 )
 from .spectral import (
     CoolingCurveFit,
@@ -60,7 +54,6 @@ from .spectral import (
     LorentzianFit,
     Psd,
     cooling_curve_fit,
-    gaussian_waist_fit,
     imprecision_from_floor,
     lorentzian_fit,
     welch_psd,

@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from .langevin import (
 )
 from .modes import radial_modes, mode_temperature
 from .optics import (
+    _delta_chi,
     backaction_psd,
     collection_efficiency,
     detection_efficiency,
@@ -88,6 +90,17 @@ def _sweep(threads: int, point, args) -> list:
         return [point(*a) for a in args]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(lambda a: point(*a), args))
+
+
+@contextmanager
+def _stage(where: str, errors=(ValueError,)):
+    """Re-raise an ``errors`` exception of the enclosed stage as the same
+    type, its message prefixed with ``where``: which sweep point failed, and
+    in what."""
+    try:
+        yield
+    except errors as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
 
 
 def _calibration_slope(cfg: ScenarioConfig) -> float:
@@ -161,15 +174,18 @@ def _imprecision_point(cfg: ScenarioConfig, seed: int, index: int, power: float)
     s_pred = imprecision(power, eta, setup.wavelength)
     s_ideal = imprecision(power, 1.0, setup.wavelength)
     det = dataclasses.replace(cfg.detector, imprecision_self=s_pred, mirror_mode="locked")
-    traj = simulate(
-        cfg.trap, cfg.bath, FeedbackConfig(), det, setup,
-        duration=cfg.duration, dt=cfg.dt, seed=_point_seed(seed, index),
-        initial_state=(0.0, 0.0, 0.0, 0.0),
-        backaction_force_psd=backaction_psd(power, setup.wavelength),
-    )
+    point = f"imprecision-sweep point {index}: power = {power:.6g} W"
+    with _stage(f"{point}: simulation failed"):
+        traj = simulate(
+            cfg.trap, cfg.bath, FeedbackConfig(), det, setup,
+            duration=cfg.duration, dt=cfg.dt, seed=_point_seed(seed, index),
+            initial_state=(0.0, 0.0, 0.0, 0.0),
+            backaction_force_psd=backaction_psd(power, setup.wavelength),
+        )
     q_rec = traj.volts_self / slope
-    psd = welch_psd(q_rec, traj.sample_rate, segment_len=min(1 << 15, q_rec.size // 8))
-    s_ext = imprecision_from_floor(psd, _FLOOR_BAND)
+    with _stage(f"{point}: Welch floor estimate failed"):
+        psd = welch_psd(q_rec, traj.sample_rate, segment_len=min(1 << 15, q_rec.size // 8))
+        s_ext = imprecision_from_floor(psd, _FLOOR_BAND)
     return power, s_pred, s_ideal, s_ext
 
 
@@ -200,16 +216,14 @@ def _cool_point(cfg: ScenarioConfig, seed: int, index: int, gfb: float, channel:
     )
     offset = 0 if channel == "self-homodyne" else 1000
     point = f"cool-sweep {channel} point {index}: gamma_fb = {gfb:.6g} rad/s"
-    try:
+    with _stage(
+        f"{point}, alpha = {alpha:.6g} rad/s (spring rule alpha = spring_gain_coef * "
+        "sqrt(gamma_fb), 0 on the forward channel)"
+    ):
         traj = simulate(
             cfg.trap, cfg.bath, feedback, cfg.detector, cfg.setup,
             duration=cfg.duration, dt=cfg.dt, seed=_point_seed(seed, offset + index),
         )
-    except ValueError as exc:
-        raise ValueError(
-            f"{point}, alpha = {alpha:.6g} rad/s (spring rule alpha = spring_gain_coef * "
-            f"sqrt(gamma_fb), 0 on the forward channel): {exc}"
-        ) from exc
 
     sol = radial_modes(cfg.trap.secular_freq_x, cfg.trap.secular_freq_y, alpha)
     gamma0 = gas_damping_rate(cfg.bath)
@@ -221,11 +235,9 @@ def _cool_point(cfg: ScenarioConfig, seed: int, index: int, gfb: float, channel:
     f_hi_mode = sol.freq_high / (2.0 * math.pi)
     n0 = int(cfg.transient / cfg.dt)
     q_rec = traj.volts_self[n0:] / slope
-    try:
+    with _stage(f"{point}: fit of the upper mode failed", (FitError, ValueError)):
         psd = welch_psd(q_rec, traj.sample_rate, segment_len=min(1 << 18, q_rec.size // 4))
         fit = lorentzian_fit(psd, (f_hi_mode - half, f_hi_mode + half))
-    except (FitError, ValueError) as exc:
-        raise type(exc)(f"{point}: fit of the upper mode failed: {exc}") from exc
     t_mode = mode_temperature(
         cfg.trap.mass, 2.0 * math.pi * fit.center, fit.area, sol.theta_fb
     )
@@ -333,17 +345,11 @@ def cmd_efficiency_report(cfg: ScenarioConfig, seed: int, out_dir: Path, threads
     s_ba = backaction_psd(p_ray, setup.wavelength)
     s_gas = thermal_force_psd(cfg.bath, cfg.trap.mass)
     # delta_chi straight from the two sensitivities (well-defined up to NA=1)
-    chi_m = mirror_sensitivity(setup)
-    chi_p = particle_sensitivity(setup, mode="exact")
-    if chi_m + chi_p == 0.0:
-        raise ZeroDivisionError(
-            "delta_chi = 2 (chi_m - chi_p)/(chi_m + chi_p) is undefined: the mirror and "
-            "particle sensitivities are both 0 because optics.mirror_field_reflectivity is 0"
-        )
+    delta_chi = _delta_chi(mirror_sensitivity(setup), particle_sensitivity(setup, mode="exact"))
     payload = {
         "eta_collection": collection_efficiency(setup.half_aperture, setup.polarization_axis),
         "eta_detection": detection_efficiency(setup),
-        "delta_chi": 2.0 * (chi_m - chi_p) / (chi_m + chi_p),
+        "delta_chi": delta_chi,
         "p_rayleigh_w": p_ray,
         "s_backaction_n2_per_hz": s_ba,
         "s_gas_n2_per_hz": s_gas,

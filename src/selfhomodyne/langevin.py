@@ -68,7 +68,6 @@ __all__ = [
     "CalibrationResult",
     "gas_damping_rate",
     "thermal_force_psd",
-    "white_force_samples",
     "simulate",
     "synthesize_detector",
     "run_calibration",
@@ -229,12 +228,10 @@ def thermal_force_psd(bath: Bath, mass: float) -> float:
     return 4.0 * K_B * bath.temperature * gas_damping_rate(bath) * mass
 
 
-def white_force_samples(psd_level: float, dt: float, size: int, rng) -> np.ndarray:
-    """Discrete white force samples whose one-sided PSD is ``psd_level``:
-    each sample is N(0, psd/(2 dt))."""
-    if psd_level < 0.0 or dt <= 0.0:
-        raise ValueError("psd_level must be >= 0 and dt > 0")
-    return rng.standard_normal(size) * math.sqrt(psd_level / (2.0 * dt))
+def _white_scale(psd_level: float, dt: float) -> float:
+    """Standard deviation of the samples, one per dt, of white noise whose
+    one-sided PSD is ``psd_level``: sqrt(psd/(2 dt))."""
+    return math.sqrt(psd_level / (2.0 * dt))
 
 
 def _effective_visibility(setup: OpticalSetup) -> float:
@@ -345,11 +342,11 @@ class _StepMap:
         self.cy, self.sy = math.cos(self.wy * dt), math.sin(self.wy * dt)
 
         # white-force and imprecision sample scales
-        sigma_ba = math.sqrt(backaction_force_psd / (2.0 * dt))
+        sigma_ba = _white_scale(backaction_force_psd, dt)
         self.normal_scale = np.array([
             1.0, 1.0, 1.0, 1.0, sigma_ba, sigma_ba,
-            math.sqrt(detector.imprecision_self / (2.0 * dt)),
-            math.sqrt(detector.imprecision_forward / (2.0 * dt)),
+            _white_scale(detector.imprecision_self, dt),
+            _white_scale(detector.imprecision_forward, dt),
         ])
 
         # feedback loop: it measures (x + sgn*y)/sqrt(2) (q for the self
@@ -655,12 +652,14 @@ def synthesize_detector(
     the configured imprecision referred to position (drawn from ``rng``;
     none when it is None).  Ramp mode: the raw fringe intensity as the
     mirror advances, 1 - V_eff * cos(4 pi (f + d(t))/lambda + k_eff q).
+    The stand-alone entry to that detector model, for a displacement series
+    that was not simulated here.
     """
     q = np.asarray(q, dtype=float)
     if rng is None:
         noise = np.zeros_like(q)
     else:
-        noise = rng.standard_normal(q.size) * math.sqrt(detector.imprecision_self / (2.0 * dt))
+        noise = rng.standard_normal(q.size) * _white_scale(detector.imprecision_self, dt)
     volts_self, _ = _detector_outputs(q, 0.0, noise, 0.0, np.arange(q.size) * dt, setup, detector)
     return volts_self
 
@@ -764,12 +763,16 @@ def run_calibration(trajectory: Trajectory, wavelength: float) -> CalibrationRes
 
     tgrid = np.arange(n) * dt
 
-    def residual(freq):
+    def fit(freq):
+        """Least-squares C0, C1, C2 at ``freq`` and the residual sum of squares."""
         w = 2.0 * math.pi * freq
         design = np.column_stack([np.ones(n), np.cos(w * tgrid), np.sin(w * tgrid)])
         coef, *_ = np.linalg.lstsq(design, v, rcond=None)
         r = v - design @ coef
-        return float(r @ r)
+        return coef, float(r @ r)
+
+    def residual(freq):
+        return fit(freq)[1]
 
     df = 1.0 / duration
     f_fit, _ = _minimize_bounded(residual, max(f0 - 1.5 * df, 0.1 * df), f0 + 1.5 * df, df * 1e-12)
@@ -782,9 +785,7 @@ def run_calibration(trajectory: Trajectory, wavelength: float) -> CalibrationRes
             shift = 0.5 * h * (r_m - r_p) / denom
             if abs(shift) < 2.0 * h:
                 f_fit += shift
-    w = 2.0 * math.pi * f_fit
-    design = np.column_stack([np.ones(n), np.cos(w * tgrid), np.sin(w * tgrid)])
-    coef, *_ = np.linalg.lstsq(design, v, rcond=None)
+    coef, _ = fit(f_fit)
     amp = math.hypot(float(coef[1]), float(coef[2]))
     fringes = f_fit * duration
     if fringes < 1.0:

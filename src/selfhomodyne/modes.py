@@ -9,8 +9,7 @@ detection axis q = (x + y)/sqrt(2), adds a coupling term (1/2) m alpha^2
 
 whose eigenfrequencies and eigenvectors this module evaluates in closed
 form, together with the rotation angle between the high-frequency mode axis
-and the detection axis, the PSD projection onto that axis, mode
-temperatures, and phonon occupations.
+and the detection axis, mode temperatures, and phonon occupations.
 
 All functions are pure; dataclasses are frozen.
 """
@@ -29,8 +28,6 @@ __all__ = [
     "ModeSolution",
     "DETECTION_AXIS",
     "radial_modes",
-    "spring_gain_from_frequencies",
-    "project_psd",
     "mode_temperature",
     "phonon_occupation",
 ]
@@ -133,31 +130,6 @@ def radial_modes(omega_x: float, omega_y: float, alpha: float) -> ModeSolution:
     )
 
 
-def spring_gain_from_frequencies(
-    nu_low: float, nu_high: float, omega_x: float, omega_y: float
-) -> float:
-    """Invert the trace of the potential matrix:
-    alpha^2 = (nu_low^2 + nu_high^2 - wx^2 - wy^2) / 2."""
-    excess = nu_low**2 + nu_high**2 - omega_x**2 - omega_y**2
-    if excess < 0.0:
-        raise ValueError(
-            "inconsistent spectrum: measured eigenfrequencies fall below the "
-            "bare trap trace (nu_low^2 + nu_high^2 < wx^2 + wy^2)"
-        )
-    return math.sqrt(excess / 2.0)
-
-
-def project_psd(psd_low: np.ndarray, psd_high: np.ndarray, theta_fb: float) -> np.ndarray:
-    """Project the two mode PSDs onto the detection axis,
-    S_qq = S_low sin^2(theta) + S_high cos^2(theta), pointwise."""
-    low = np.asarray(psd_low, dtype=float)
-    high = np.asarray(psd_high, dtype=float)
-    if low.shape != high.shape:
-        raise ValueError("mode PSDs must share one frequency grid")
-    s, c = math.sin(theta_fb), math.cos(theta_fb)
-    return low * s * s + high * c * c
-
-
 def mode_temperature(mass: float, mode_freq: float, var_q: float, theta_fb: float) -> float:
     """Mode temperature from the detected variance of that mode's peak:
     T = m nu^2 <q^2> / (kB cos^2(theta_fb)).
@@ -173,7 +145,9 @@ def mode_temperature(mass: float, mode_freq: float, var_q: float, theta_fb: floa
 
 
 def phonon_occupation(temperature: float, omega: float) -> float:
-    """Bose occupation n = 1/(exp(hbar w / kB T) - 1)."""
+    """Bose occupation n = 1/(exp(hbar w / kB T) - 1): the phonon number of
+    a feedback-cooled mode at its temperature, as the paper quotes it for
+    the 1 mK cooling limit."""
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
     x = HBAR * omega / (K_B * temperature)

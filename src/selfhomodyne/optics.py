@@ -12,7 +12,8 @@ radiation-pressure back-action force PSD.
 Conventions
 -----------
 * All intensities are normalized so the total dipole-radiated power is 1;
-  detector-unit conversions live in :func:`volts_to_meters` only.
+  detector-unit conversions live in the CLI's calibration slope
+  (``cli._calibration_slope``) only.
 * The collection cap is centered on the +z axis (the detection axis), the
   illumination polarization is perpendicular to it (y by default).
 * One-sided PSDs everywhere.
@@ -37,7 +38,6 @@ __all__ = [
     "Scatterer",
     "Beam",
     "FringeState",
-    "OutOfLinearRangeWarning",
     "RayleighValidityWarning",
     "dipole_density",
     "fringe_state",
@@ -47,20 +47,13 @@ __all__ = [
     "calibration_deviation",
     "collection_efficiency",
     "rayleigh_scattered_power",
-    "total_power_from_collected",
     "detection_efficiency",
     "imprecision",
     "backaction_psd",
     "fringe_slope",
-    "volts_to_meters",
 ]
 
 _Y_AXIS = (0.0, 1.0, 0.0)
-
-
-class OutOfLinearRangeWarning(UserWarning):
-    """Displacement estimate exceeds a quarter wavelength: the linear
-    volts-to-meters conversion is no longer valid."""
 
 
 class RayleighValidityWarning(UserWarning):
@@ -218,6 +211,8 @@ def dipole_density(direction, polarization) -> float:
     dipole oscillating along ``polarization``: (3/8pi)(1 - |eps.n|^2).
 
     Integrates to 1 over the full sphere.  Both inputs must be unit vectors.
+    The reference integrand: the tests integrate it with scipy's ``dblquad``
+    to check the cap weights every optical quantity is summed with.
     """
     n = _as_unit_vector(direction, "direction")
     eps = _as_unit_vector(polarization, "polarization")
@@ -253,16 +248,20 @@ def fringe_state(setup: OpticalSetup, q: float) -> FringeState:
 def interference_intensity(setup: OpticalSetup, q: float, optical_path: float | None = None) -> float:
     """Varying part of the normalized detector intensity,
     I = -A cos(4pi R_s / lambda + phase); the full intensity is I + 1 + rho^2.
+
+    The signal whose slope in q at the mid-fringe lock point is
+    ``particle_sensitivity``; the tests check the two against each other by
+    a Taylor expansion about q = 0.
     """
     rs = setup.optical_path if optical_path is None else optical_path
     state = fringe_state(setup, q)
     return -state.amplitude * math.cos(4.0 * math.pi * rs / setup.wavelength + state.phase)
 
 
-def mirror_sensitivity(setup: OpticalSetup, q: float = 0.0) -> float:
+def mirror_sensitivity(setup: OpticalSetup) -> float:
     """Maximum detector sensitivity to mirror displacements, 4*pi*A/lambda,
-    with the fringe amplitude evaluated at the operating displacement q."""
-    return fringe_slope(fringe_state(setup, q).amplitude, setup.wavelength)
+    with the fringe amplitude of the particle at rest."""
+    return fringe_slope(fringe_state(setup, 0.0).amplitude, setup.wavelength)
 
 
 def particle_sensitivity(setup: OpticalSetup, mode: str = "exact") -> float:
@@ -283,16 +282,26 @@ def particle_sensitivity(setup: OpticalSetup, mode: str = "exact") -> float:
     raise ValueError(f"unknown mode {mode!r}; use 'exact' or 'expansion'")
 
 
+def _delta_chi(chi_m: float, chi_p: float) -> float:
+    """Relative deviation between the mirror-ramp calibration slope chi_m and
+    the true particle sensitivity chi_p, 2(chi_m - chi_p)/(chi_m + chi_p).
+    Both sensitivities are 0 only without a mirror, where it is undefined."""
+    if chi_m + chi_p == 0.0:
+        raise ZeroDivisionError(
+            "delta_chi = 2 (chi_m - chi_p)/(chi_m + chi_p) is undefined: the mirror and "
+            "particle sensitivities are both 0 because optics.mirror_field_reflectivity is 0"
+        )
+    return 2.0 * (chi_m - chi_p) / (chi_m + chi_p)
+
+
 def calibration_deviation(numerical_aperture: float) -> float:
-    """Relative deviation between the mirror-ramp calibration slope and the
-    true particle sensitivity, 2(chi_m - chi_p)/(chi_m + chi_p), with the
-    exact-mode chi_p."""
+    """``_delta_chi`` of the default setup at the given numerical aperture,
+    with the exact-mode chi_p: the paper's delta_chi(NA), which acceptance
+    criteria 1 and 10 check."""
     if not 0.0 < numerical_aperture < 1.0:
         raise ValueError("numerical aperture must lie in (0, 1)")
     setup = OpticalSetup.from_numerical_aperture(numerical_aperture)
-    chi_m = mirror_sensitivity(setup)
-    chi_p = particle_sensitivity(setup, mode="exact")
-    return 2.0 * (chi_m - chi_p) / (chi_m + chi_p)
+    return _delta_chi(mirror_sensitivity(setup), particle_sensitivity(setup, mode="exact"))
 
 
 def collection_efficiency(half_aperture: float, polarization=_Y_AXIS) -> float:
@@ -324,13 +333,6 @@ def rayleigh_scattered_power(beam: Beam, scatterer: Scatterer) -> float:
     sigma = (8.0 * math.pi / 3.0) * (alpha_red * k * k) ** 2
     intensity = 2.0 * beam.power / (math.pi * beam.waist**2)
     return intensity * sigma
-
-
-def total_power_from_collected(collected_power: float, col_efficiency: float) -> float:
-    """Total scattered power inferred from the collected fraction."""
-    if col_efficiency == 0.0:
-        raise ZeroDivisionError("collection efficiency is zero")
-    return collected_power / col_efficiency
 
 
 def detection_efficiency(setup: OpticalSetup) -> float:
@@ -375,23 +377,3 @@ def fringe_slope(fringe_amplitude: float, wavelength: float) -> float:
     """Maximum fringe slope S = 4*pi*A/lambda; with A in detector units this
     is the volts-per-meter calibration factor."""
     return 4.0 * math.pi * fringe_amplitude / wavelength
-
-
-def volts_to_meters(volts, slope_volts_per_meter: float, wavelength: float | None = None):
-    """Convert a detector series to displacement via the fringe slope.
-
-    Valid only in the linear regime; if the converted excursion approaches a
-    quarter wavelength an OutOfLinearRangeWarning is emitted.
-    """
-    if slope_volts_per_meter == 0.0:
-        raise ZeroDivisionError("calibration slope is zero")
-    q = np.asarray(volts, dtype=float) / slope_volts_per_meter
-    if wavelength is not None and q.size and float(np.max(np.abs(q))) > wavelength / 4.0:
-        warnings.warn(
-            "converted displacement exceeds lambda/4; outside the linear fringe range",
-            OutOfLinearRangeWarning,
-            stacklevel=2,
-        )
-    if np.isscalar(volts):
-        return float(q)
-    return q

@@ -1,14 +1,14 @@
 """Spectral estimation and fitting: Welch PSDs, Lorentzian resonance fits,
-cooling-curve fits, Gaussian beam-waist fits, and noise-floor extraction;
-and the one CSV writer of the package (``write_csv``).
+cooling-curve fits, and noise-floor extraction; and the one CSV writer of
+the package (``write_csv``).
 
 PSDs are one-sided densities: white noise of position PSD S produces a flat
 estimate at S, and the integral over frequency reproduces the variance of a
 zero-mean signal (Parseval, window-corrected).
 
-The two nonlinear fits share one numpy solver, ``_least_squares``:
-Levenberg-Marquardt with an analytic Jacobian and optional box bounds (each
-trial point is projected onto the box; a variable at a bound whose gradient
+The Lorentzian fit runs on a numpy solver, ``_least_squares``:
+Levenberg-Marquardt with an analytic Jacobian and box bounds (each trial
+point is projected onto the box; a variable at a bound whose gradient
 points out of it is held fixed), stopped by scipy's ``least_squares`` rules.
 ``_covariance`` turns its Jacobian into curve_fit's covariance.
 """
@@ -30,7 +30,6 @@ __all__ = [
     "welch_psd",
     "lorentzian_fit",
     "cooling_curve_fit",
-    "gaussian_waist_fit",
     "imprecision_from_floor",
     "write_csv",
 ]
@@ -188,30 +187,23 @@ class CoolingCurveFit:
         return out
 
 
-def welch_psd(
-    series,
-    sample_rate: float,
-    segment_len: int,
-    window: str = "hann",
-) -> Psd:
+def welch_psd(series, sample_rate: float, segment_len: int) -> Psd:
     """Averaged one-sided periodogram of a uniformly sampled series.
 
     Segments of ``segment_len`` samples overlap by half (the step is
-    segment_len - segment_len // 2).  Window is "hann" (periodic) or
-    "rectangular".  No detrending is applied, so a DC component shows up in
-    the zero bin.  The density scaling is 1/(fs sum(win^2)), doubled on every
-    bin but DC and, for an even segment, Nyquist: scipy's Welch estimator
-    with noverlap = segment_len // 2 and no detrending.
+    segment_len - segment_len // 2) and are weighted by a periodic Hann
+    window.  No detrending is applied, so a DC component shows up in the
+    zero bin and its neighbour.  The density scaling is 1/(fs sum(win^2)),
+    doubled on every bin but DC and, for an even segment, Nyquist: scipy's
+    Welch estimator with noverlap = segment_len // 2 and no detrending.
     """
     x = np.asarray(series, dtype=float)
     if x.size == 0:
         raise ValueError("empty series")
     if not 0 < segment_len <= x.size:
         raise ValueError("segment_len must lie in [1, len(series)]")
-    if window not in ("hann", "rectangular"):
-        raise ValueError("window must be 'hann' or 'rectangular'")
     n = segment_len
-    if window == "hann" and n > 1:
+    if n > 1:
         win = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(n) / n)
     else:
         win = np.ones(n)  # a one-sample Hann window is 1, as in scipy
@@ -225,7 +217,7 @@ def welch_psd(
     return Psd(np.fft.rfftfreq(n, 1.0 / sample_rate), values)
 
 
-def _least_squares(residuals, jacobian, x0, x_scale, bounds=None, max_nfev=2000):
+def _least_squares(residuals, jacobian, x0, x_scale, bounds, max_nfev=2000):
     """Minimize sum(residuals(x)**2) by Levenberg-Marquardt; returns the
     solution x and the residuals and their Jacobian there.
 
@@ -242,12 +234,12 @@ def _least_squares(residuals, jacobian, x0, x_scale, bounds=None, max_nfev=2000)
     the stiffest would freeze the others.  When lam is 0 (J is rank
     deficient) a rejection sets it to 1e-3 s_max^2.
 
-    With ``bounds = (lower, upper)`` every trial point is projected onto the
-    box, and a variable at a bound whose cost gradient points out of the box
-    is held fixed for that step.
+    Every trial point is projected onto the box ``bounds = (lower, upper)``,
+    and a variable at a bound whose cost gradient points out of the box is
+    held fixed for that step.
 
     The stopping rules are those of scipy's ``least_squares`` with its
-    default ftol = 1e-8 and the xtol = 1e-10 both fits used with scipy: a
+    default ftol = 1e-8 and the xtol = 1e-10 the fit used with scipy: a
     trial step, accepted or not, ends the fit when it lowers the cost by
     less than ftol of it with rho > 1/4, or when it moves x by less than
     xtol * (xtol + |x|), both norms taken in the unscaled x.  FitError after
@@ -255,7 +247,7 @@ def _least_squares(residuals, jacobian, x0, x_scale, bounds=None, max_nfev=2000)
     """
     scale = np.asarray(x_scale, dtype=float)
     k = scale.size
-    lower, upper = (np.full(k, -np.inf), np.full(k, np.inf)) if bounds is None else bounds
+    lower, upper = bounds
     x = np.clip(np.asarray(x0, dtype=float), lower, upper)
     r = residuals(x)
     cost = float(r @ r)
@@ -442,47 +434,6 @@ def cooling_curve_fit(
         b = external_b if external_b is not None else 0.0
         return CoolingCurveFit(coeff_a=float(coef[0]), coeff_b=float(b), mode=mode, covariance=cov)
     return CoolingCurveFit(coeff_a=float(coef[0]), coeff_b=float(coef[1]), mode=mode, covariance=cov)
-
-
-def gaussian_waist_fit(positions, intensities, max_iterations: int = 2000):
-    """Fit I(z) = I_pk exp(-2 z^2 / w0^2) + offset and return (w0, w0_err).
-
-    Needs at least 5 samples spanning more than one waist.  An unbounded
-    ``_least_squares`` solve with the analytic Jacobian, the variables
-    scaled by the guessed peak height, waist and peak height; the error is
-    the square root of the w0 entry of the covariance, computed as
-    ``lorentzian_fit`` computes it.
-    """
-    z = np.asarray(positions, dtype=float)
-    y = np.asarray(intensities, dtype=float)
-    if z.size != y.size or z.size < 5:
-        raise ValueError("need at least 5 (position, intensity) samples")
-
-    off0 = float(np.min(y))
-    pk0 = float(np.max(y) - off0)
-    if not (pk0 > 0.0 and np.ptp(z) > 0.0):
-        raise ValueError("intensities must vary over a range of positions")
-    # second-moment width guess
-    wgt = y - off0
-    w00 = max(math.sqrt(2.0 * float(np.sum(wgt * z * z)) / float(np.sum(wgt))), float(np.ptp(z)) * 1e-3)
-
-    def peak(p):
-        return np.exp(-2.0 * z * z / (p[1] * p[1]))
-
-    def residuals(p):
-        return p[0] * peak(p) + p[2] - y
-
-    def jacobian(p):
-        e = peak(p)
-        return np.column_stack([e, p[0] * e * 4.0 * z * z / p[1] ** 3, np.ones_like(z)])
-
-    try:
-        popt, r, jac = _least_squares(
-            residuals, jacobian, [pk0, w00, off0], [pk0, w00, pk0], max_nfev=max_iterations
-        )
-    except FitError as exc:
-        raise FitError(f"Gaussian waist fit {exc}") from exc
-    return abs(float(popt[1])), float(np.sqrt(_covariance(jac, r)[1, 1]))
 
 
 def imprecision_from_floor(psd: Psd, floor_band: tuple[float, float]) -> float:

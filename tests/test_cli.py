@@ -22,7 +22,13 @@ from selfhomodyne.cli import main
 from selfhomodyne.config import ConfigError, ScenarioConfig
 from selfhomodyne.langevin import Bath, DetectorModel, FeedbackConfig
 from selfhomodyne.modes import TrapConfig
-from selfhomodyne.optics import OpticalSetup, Scatterer, detection_efficiency, imprecision
+from selfhomodyne.optics import (
+    OpticalSetup,
+    Scatterer,
+    calibration_deviation,
+    detection_efficiency,
+    imprecision,
+)
 from selfhomodyne.spectral import FitError, lorentzian_fit
 
 
@@ -192,6 +198,8 @@ class TestEfficiencyReport:
         assert report["eta_collection"] == pytest.approx(0.012, abs=1e-3)
         assert report["eta_detection"] == pytest.approx(0.021, abs=4e-3)
         assert report["delta_chi"] == pytest.approx(0.008, abs=1e-3)
+        # the report and the library share one delta_chi formula
+        assert report["delta_chi"] == calibration_deviation(0.18)
         assert report["p_rayleigh_w"] == pytest.approx(0.09e-6, rel=0.5)
         assert report["s_gas_over_s_backaction"] > 10.0
 
@@ -478,6 +486,18 @@ class TestDeterminismAndErrors:
         assert err == (
             "FitError: cool-sweep self-homodyne point 1: gamma_fb = 502.655 rad/s: "
             "fit of the upper mode failed: did not converge in 4 evaluations"
+        )
+
+    def test_imprecision_sweep_failure_named(self, tmp_path):
+        # 5e-5 s of record is too short for a Welch segment
+        over = {"sim": {"duration_s": 5e-5, "transient_s": 0.0}}
+        code, out = run_cli(tmp_path, "imprecision-sweep", over)
+        assert code == 1
+        assert not list(out.glob("*.csv")) and not (out / "manifest.json").exists()
+        err = json.loads((out / "error_manifest.json").read_text())["error"]
+        assert err == (
+            "ValueError: imprecision-sweep point 0: power = 2e-08 W: Welch floor estimate "
+            "failed: segment_len must lie in [1, len(series)]"
         )
 
     def test_cool_sweep_zero_imprecision_rejected_before_simulating(self, tmp_path):

@@ -28,7 +28,6 @@ from selfhomodyne.langevin import (
     simulate,
     synthesize_detector,
     thermal_force_psd,
-    white_force_samples,
 )
 from selfhomodyne.modes import TrapConfig, radial_modes
 from selfhomodyne.optics import OpticalSetup, backaction_psd
@@ -81,22 +80,6 @@ class TestBathModel:
         s_ba = backaction_psd(84e-9, 780e-9)
         assert s_gas / s_ba > 10.0
         assert s_gas / s_ba == pytest.approx(94.0, rel=0.05)
-
-
-class TestWhiteForceSamples:
-    def test_variance_matches_psd_target(self):
-        rng = np.random.default_rng(123)
-        for level in (1.79e-41, 1.9e-43):
-            dt = DT16
-            samples = white_force_samples(level, dt, 1_000_000, rng)
-            assert float(np.var(samples)) == pytest.approx(level / (2 * dt), rel=0.02, abs=0)
-
-    def test_invalid_args(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            white_force_samples(-1.0, DT16, 10, rng)
-        with pytest.raises(ValueError):
-            white_force_samples(1.0, 0.0, 10, rng)
 
 
 class TestDeterminism:

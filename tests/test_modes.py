@@ -15,9 +15,7 @@ from selfhomodyne.modes import (
     TrapConfig,
     mode_temperature,
     phonon_occupation,
-    project_psd,
     radial_modes,
-    spring_gain_from_frequencies,
 )
 
 WX = 2 * math.pi * 2100.0
@@ -124,56 +122,6 @@ class TestRadialModes:
             radial_modes(WX, WY, -1.0)
         with pytest.raises(ValueError):
             radial_modes(0.0, WY, 0.0)
-
-
-class TestSpringGainInversion:
-    def test_bare_trap_gives_zero(self):
-        assert spring_gain_from_frequencies(WX, WY, WX, WY) == 0.0
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            wx = 2 * math.pi * rng.uniform(1e3, 5e3)
-            wy = 2 * math.pi * rng.uniform(1e3, 5e3)
-            alpha = 2 * math.pi * rng.uniform(10.0, 5e3)
-            sol = radial_modes(wx, wy, alpha)
-            rec = spring_gain_from_frequencies(sol.freq_low, sol.freq_high, wx, wy)
-            assert rec == pytest.approx(alpha, rel=1e-10)
-
-    def test_degenerate_analytic_case(self):
-        w = 2 * math.pi * 2500.0
-        alpha0 = 2 * math.pi * 700.0
-        nu_high = math.sqrt(w**2 + 2 * alpha0**2)
-        assert spring_gain_from_frequencies(w, nu_high, w, w) == pytest.approx(alpha0, rel=1e-12)
-
-    def test_inconsistent_spectrum_rejected(self):
-        with pytest.raises(ValueError, match="inconsistent spectrum"):
-            spring_gain_from_frequencies(0.5 * WX, 0.5 * WY, WX, WY)
-
-
-class TestProjectPsd:
-    def test_aligned_mode(self):
-        s_low = np.linspace(1.0, 2.0, 16)
-        s_high = np.linspace(3.0, 4.0, 16)
-        np.testing.assert_allclose(project_psd(s_low, s_high, 0.0), s_high)
-
-    def test_equal_weight_at_45_degrees(self):
-        s_low = np.full(8, 2.0)
-        s_high = np.full(8, 4.0)
-        np.testing.assert_allclose(project_psd(s_low, s_high, math.pi / 4), np.full(8, 3.0))
-
-    def test_variance_linearity(self):
-        rng = np.random.default_rng(9)
-        s_low = rng.uniform(0.0, 1.0, 256)
-        s_high = rng.uniform(0.0, 1.0, 256)
-        theta = 0.3
-        total = np.trapezoid(project_psd(s_low, s_high, theta))
-        expected = math.sin(theta) ** 2 * np.trapezoid(s_low) + math.cos(theta) ** 2 * np.trapezoid(s_high)
-        assert total == pytest.approx(expected, rel=1e-12)
-
-    def test_grid_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            project_psd(np.zeros(4), np.zeros(5), 0.1)
 
 
 class TestModeTemperature:

@@ -17,7 +17,6 @@ from scipy.constants import c as C_SI, hbar as HBAR_SI
 from selfhomodyne.optics import (
     Beam,
     OpticalSetup,
-    OutOfLinearRangeWarning,
     RayleighValidityWarning,
     Scatterer,
     backaction_psd,
@@ -32,8 +31,6 @@ from selfhomodyne.optics import (
     mirror_sensitivity,
     particle_sensitivity,
     rayleigh_scattered_power,
-    total_power_from_collected,
-    volts_to_meters,
 )
 
 
@@ -361,21 +358,6 @@ class TestRayleighPower:
             rayleigh_scattered_power(beam, Scatterer(radius=500e-9))
 
 
-class TestTotalPower:
-    def test_paper_anchored_inverse(self):
-        assert total_power_from_collected(1.008e-9, 0.012) == pytest.approx(84e-9, rel=1e-9, abs=0)
-
-    def test_identity_at_unit_efficiency(self):
-        assert total_power_from_collected(3.3e-9, 1.0) == 3.3e-9
-
-    def test_zero_collected(self):
-        assert total_power_from_collected(0.0, 0.012) == 0.0
-
-    def test_zero_efficiency_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            total_power_from_collected(1e-9, 0.0)
-
-
 class TestDetectionEfficiency:
     def test_paper_value(self):
         assert detection_efficiency(PAPER_SETUP) == pytest.approx(0.021, abs=4e-3)
@@ -453,27 +435,12 @@ class TestBackaction:
 
 
 # ---------------------------------------------------------------------------
-# fringe slope / conversion
+# fringe slope
 # ---------------------------------------------------------------------------
 
-class TestVoltsToMeters:
+class TestFringeSlope:
     def test_slope_definition(self):
         assert fringe_slope(1.0, 780e-9) == pytest.approx(4 * math.pi / 780e-9, rel=1e-12)
-
-    def test_zero_volts(self):
-        s = fringe_slope(1.0, 780e-9)
-        assert np.all(volts_to_meters(np.zeros(8), s) == 0.0)
-        assert volts_to_meters(0.0, s) == 0.0
-
-    def test_out_of_linear_range_warning(self):
-        lam = 780e-9
-        s = fringe_slope(1.0, lam)
-        with pytest.warns(OutOfLinearRangeWarning):
-            volts_to_meters(np.array([s * lam]), s, wavelength=lam)
-
-    def test_zero_slope_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            volts_to_meters(np.ones(4), 0.0)
 
 
 # ---------------------------------------------------------------------------
