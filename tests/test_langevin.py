@@ -82,6 +82,16 @@ class TestBathModel:
         assert s_gas / s_ba == pytest.approx(94.0, rel=0.05)
 
 
+class TestWhiteForceSamples:
+    def test_variance_matches_psd_target(self):
+        # the per-step scale of every white force and imprecision draw
+        rng = np.random.default_rng(123)
+        for level in (1.79e-41, 1.9e-43):
+            dt = DT16
+            samples = rng.standard_normal(1_000_000) * langevin._white_scale(level, dt)
+            assert float(np.var(samples)) == pytest.approx(level / (2 * dt), rel=0.02, abs=0)
+
+
 class TestDeterminism:
     def test_same_seed_bit_identical(self):
         bath = Bath(pressure=0.1, temperature=300.0)

@@ -7,6 +7,7 @@ reduce to polynomials in c = cos(theta_D), and the sphere normalization is
 checked with scipy's adaptive quadrature.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,9 @@ import pytest
 from scipy import integrate
 from scipy.constants import c as C_SI, hbar as HBAR_SI
 
+from selfhomodyne import cli
+from selfhomodyne.config import ScenarioConfig
+from selfhomodyne.langevin import synthesize_detector
 from selfhomodyne.optics import (
     Beam,
     OpticalSetup,
@@ -435,12 +439,28 @@ class TestBackaction:
 
 
 # ---------------------------------------------------------------------------
-# fringe slope
+# fringe slope / conversion
 # ---------------------------------------------------------------------------
 
-class TestFringeSlope:
+class TestVoltsToMeters:
+    """The detector output is referred to position by dividing it by the
+    calibration slope ``cli._calibration_slope`` returns."""
+
     def test_slope_definition(self):
         assert fringe_slope(1.0, 780e-9) == pytest.approx(4 * math.pi / 780e-9, rel=1e-12)
+
+    def test_zero_volts(self):
+        # mid-fringe lock: no displacement gives no signal and no position
+        cfg = ScenarioConfig.from_dict({})
+        for nonlinear in (False, True):
+            det = dataclasses.replace(cfg.detector, fringe_nonlinearity=nonlinear)
+            volts = synthesize_detector(np.zeros(8), cfg.setup, det, dt=2.0**-16)
+            assert np.all(volts / cli._calibration_slope(cfg) == 0.0)
+
+    def test_zero_slope_raises(self):
+        cfg = ScenarioConfig.from_dict({"detector": {"gain_volts": 0.0}})
+        with pytest.raises(ValueError, match="no fringe contrast"):
+            cli._calibration_slope(cfg)
 
 
 # ---------------------------------------------------------------------------
