@@ -43,7 +43,14 @@ from .optics import (
     particle_sensitivity,
     rayleigh_scattered_power,
 )
-from .spectral import FitError, cooling_curve_fit, imprecision_from_floor, lorentzian_fit, welch_psd
+from .spectral import (
+    ColumnRows,
+    FitError,
+    cooling_curve_fit,
+    imprecision_from_floor,
+    lorentzian_fit,
+    welch_psd,
+)
 from .spectral import write_csv as _write_csv  # the CSV call point perfbench traces
 
 _FLOOR_BAND = (8000.0, 30000.0)  # resonance-free band for floor extraction [Hz]
@@ -142,7 +149,8 @@ def cmd_fringe_scan(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int)
         visibility = 0.0  # no fringes (e.g. no mirror)
     else:
         visibility = run_calibration(traj, lam).visibility
-    rows = list(zip(disp.tolist(), traj.volts_self.tolist(), [visibility] * disp.size))
+    # the constant visibility cell is formatted once, as write_csv formats a float
+    rows = ColumnRows(disp, traj.volts_self, "%.17g" % visibility)
     _write_csv(out_dir / "fringe_scan.csv", ["mirror_displacement_m", "detector_volts", "visibility"], rows)
     return {"outputs": ["fringe_scan.csv"]}
 

@@ -34,8 +34,9 @@ A and B are probed from the loop with unit vectors, and each block of steps
 runs as an exact chunked scan (``_scan``) that agrees with the loop to
 rounding: the zero-start response of every chunk, a carry of the chunk
 starts, and x and y by superposition of the two.  Only a loop that sees the
-fringe runs the scalar loop.  A loop whose A (for the fringe: its
-linearization) has a spectral radius above 1 is rejected before integrating.
+fringe runs the scalar loop, over sub-blocks of at most ``_SUB_BLOCK`` steps.
+A loop whose A (for the fringe: its linearization) has a spectral radius
+above 1 is rejected before integrating.
 
 The inputs of each block are 8 normals per step from one generator.  While
 the calling thread scans a block and forms its detector outputs, one helper
@@ -58,7 +59,7 @@ import numpy as np
 from . import modes
 from .constants import K_B
 from .optics import OpticalSetup, _effective_wavenumber, fringe_slope
-from .spectral import FitError, write_csv
+from .spectral import ColumnRows, FitError, write_csv
 
 __all__ = [
     "Bath",
@@ -75,6 +76,12 @@ __all__ = [
 
 _INVSQ2 = 1.0 / math.sqrt(2.0)
 _BLOCK = 1 << 16
+# rows per call of the scalar loop: its per-step Python float lists are
+# bounded by this, not by the block
+_SUB_BLOCK = 1 << 12
+# scan chunks whose live inputs are copied into the workspace together: a
+# group's rows of the (n, 8) input block stay in cache for all its columns
+_COPY_CHUNKS = 32
 
 # a loop is unstable when the spectral radius of its one-step map exceeds 1
 # by more than this: an undamped oscillator's |lambda| = 1 comes out within
@@ -196,7 +203,7 @@ class Trajectory:
 
     def to_csv(self, path) -> None:
         cols = (self.time, self.x, self.y, self.q, self.volts_self, self.volts_fwd, self.mirror_d)
-        write_csv(path, ["t", "x", "y", "q", "volts_self", "volts_fwd", "mirror_d"], zip(*cols))
+        write_csv(path, ["t", "x", "y", "q", "volts_self", "volts_fwd", "mirror_d"], ColumnRows(*cols))
 
 
 @dataclass(frozen=True)
@@ -308,7 +315,10 @@ class _StepMap:
 
     ``run`` is the scalar loop.  The linear map s' = A s + B u is probed from
     it with unit vectors; for a loop that sees the fringe nonlinearity it is
-    the linearization at q = 0.
+    the linearization at q = 0.  A loop that sees the fringe runs ``run``
+    over sub-blocks of at most ``_SUB_BLOCK`` steps, the end state of one
+    the start of the next, so that its Python float lists do not grow with
+    the block.
 
     A step map serves one ``simulate`` call.  Its inputs live in two slots,
     block j in slot j % 2, so that one block can be drawn while the other is
@@ -393,19 +403,27 @@ class _StepMap:
         the loop sees the fringe nonlinearity, else the exact scan of the
         linear map.  Returns the x and y at the start of each step and the
         end state."""
-        if self.nonlin:
-            return self.run(state, inputs)
         n = inputs.shape[0]
+        if self.nonlin:
+            xs, ys = np.empty(n), np.empty(n)
+            for i0 in range(0, n, _SUB_BLOCK):
+                sub = slice(i0, i0 + _SUB_BLOCK)
+                xs[sub], ys[sub], state = self.run(state, inputs[sub])
+            return xs, ys, state
         if self._work is None or self._work[0] != n:
             self._work = (n, *self._workspace(n))
         _, w, a_pow, a_end, rows_pow = self._work
-        # w[l, d + j, c] = live input j at step l of chunk c: one strided copy
-        # per live column; the padding after step n stays zero
+        # w[l, d + j, c] = live input j at step l of chunk c, copied
+        # _COPY_CHUNKS chunks at a time; the padding after step n stays zero
         d, L = self.n_state, w.shape[0] - 1
         c_full = n // L
-        for j, k in enumerate(self.live):
-            w[:L, d + j, :c_full] = inputs[: c_full * L, k].reshape(c_full, L).T
-            if n > c_full * L:
+        for c0 in range(0, c_full, _COPY_CHUNKS):
+            c1 = min(c0 + _COPY_CHUNKS, c_full)
+            rows = inputs[c0 * L : c1 * L]
+            for j, k in enumerate(self.live):
+                w[:L, d + j, c0:c1] = rows[:, k].reshape(c1 - c0, L).T
+        if n > c_full * L:
+            for j, k in enumerate(self.live):
                 w[: n - c_full * L, d + j, c_full] = inputs[c_full * L :, k]
         return _scan(self.ab, a_pow, a_end, rows_pow, state, w, n)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, repeat
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -32,6 +32,7 @@ __all__ = [
     "cooling_curve_fit",
     "imprecision_from_floor",
     "write_csv",
+    "ColumnRows",
 ]
 
 _CSV_BATCH = 1 << 12  # rows formatted per write
@@ -75,7 +76,7 @@ class Psd:
         return float(np.sum(self.values) * self.resolution)
 
     def write_csv(self, path) -> None:
-        write_csv(path, ["f_hz", "psd_m2_per_hz"], zip(self.frequencies.tolist(), self.values.tolist()))
+        write_csv(path, ["f_hz", "psd_m2_per_hz"], ColumnRows(self.frequencies, self.values))
 
 
 def write_csv(path, header, rows) -> None:
@@ -104,6 +105,26 @@ def write_csv(path, header, rows) -> None:
         fh.write(",".join(header) + "\r\n")
         while batch := list(islice(rows, _CSV_BATCH)):
             fh.write("".join(map(line, batch)))
+
+
+class ColumnRows:
+    """The rows of equal-length columns, for ``write_csv``.  A column is a
+    1-d array, or a single cell (a 0-d value) repeated on every row.  The
+    rows are sized and are built ``_CSV_BATCH`` at a time as they are
+    iterated, so a long table never exists as one list of tuples."""
+
+    def __init__(self, *columns):
+        self.columns = columns
+        self.size = next(len(c) for c in columns if np.ndim(c))
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self):
+        for i0 in range(0, self.size, _CSV_BATCH):
+            i1 = min(i0 + _CSV_BATCH, self.size)
+            cells = [c[i0:i1].tolist() if np.ndim(c) else repeat(c, i1 - i0) for c in self.columns]
+            yield from zip(*cells)
 
 
 @dataclass(frozen=True)
@@ -207,9 +228,18 @@ def welch_psd(series, sample_rate: float, segment_len: int) -> Psd:
         win = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(n) / n)
     else:
         win = np.ones(n)  # a one-sample Hann window is 1, as in scipy
+    # one segment at a time, into reused buffers, so the working set is a
+    # few segments whatever the length of the series; the periodograms are
+    # summed in segment order, as np.mean(axis=0) sums the rows of a 2-d
+    # array of them
     segments = sliding_window_view(x, n)[:: n - n // 2]
-    power = np.abs(np.fft.rfft(segments * win, axis=-1))
-    values = np.mean(np.square(power, out=power), axis=0)
+    windowed = np.empty(n)
+    power = np.empty(n // 2 + 1)
+    values = np.zeros(n // 2 + 1)
+    for segment in segments:
+        np.abs(np.fft.rfft(np.multiply(segment, win, out=windowed)), out=power)
+        values += np.square(power, out=power)
+    values /= len(segments)
     # np.sum, not win @ win: a BLAS dot wakes OpenBLAS worker threads, which
     # keep spinning on the other cores after the call returns
     values /= sample_rate * np.sum(win * win)

@@ -449,6 +449,51 @@ class TestScanAgainstScalarLoop:
         assert fast.lock_lost == ref.lock_lost
 
 
+class TestScalarSubBlocks:
+    """A loop that sees the fringe runs the scalar loop over sub-blocks; the
+    result is that of one scalar loop over each whole block."""
+
+    # a full block, then 3 full sub-blocks and a partial one
+    N_STEPS = (1 << 16) + 3 * langevin._SUB_BLOCK + 777
+    LOOPS = {
+        # the benchmark psd loop: 1 K, viscous only, 4-sample delay
+        "bench-psd": (
+            Bath(pressure=2e-2, temperature=1.0),
+            FeedbackConfig(cooling_rate=2 * math.pi * 160.0, loop_delay=4 * DT17),
+        ),
+        "self-2-sample-delay": (
+            Bath(pressure=2e-2, temperature=1e-3),
+            FeedbackConfig(
+                cooling_rate=2 * math.pi * 320.0, spring_gain=2 * math.pi * 250.0,
+                loop_delay=2 * DT17,
+            ),
+        ),
+    }
+
+    @pytest.mark.parametrize("loop", LOOPS)
+    def test_matches_whole_block_scalar_loop(self, loop):
+        bath, fb = self.LOOPS[loop]
+        det = DetectorModel(fringe_nonlinearity=True)
+        kwargs = dict(duration=self.N_STEPS * DT17, dt=DT17, seed=17)
+        rows = []
+        run = langevin._StepMap.run
+
+        def count_rows(step, state, inputs, linear=False):
+            if not linear:  # not a probe of the linear map
+                rows.append(inputs.shape[0])
+            return run(step, state, inputs, linear)
+
+        with mock.patch.object(langevin._StepMap, "run", count_rows):
+            sub = simulate(TRAP, bath, fb, det, SETUP, **kwargs)
+        assert max(rows) <= langevin._SUB_BLOCK
+        assert sum(rows) == self.N_STEPS
+        with mock.patch.object(langevin._StepMap, "propagate", langevin._StepMap.run):
+            whole = simulate(TRAP, bath, fb, det, SETUP, **kwargs)
+        for name in ("x", "y", "volts_self", "volts_fwd"):
+            assert np.array_equal(getattr(sub, name), getattr(whole, name)), name
+        assert sub.lock_lost == whole.lock_lost
+
+
 class TestLockLoss:
     def test_room_temperature_motion_flags_lock_loss(self):
         # at 300 K the radial amplitude exceeds lambda/4

@@ -10,14 +10,17 @@ neither.
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import optimize, signal
 
 from selfhomodyne import spectral
 from selfhomodyne.constants import K_B
 from selfhomodyne.spectral import (
+    ColumnRows,
     CoolingCurveFit,
     FitError,
     Psd,
@@ -131,6 +134,55 @@ class TestWelchPsd:
         )
         np.testing.assert_allclose(psd.frequencies, f, rtol=1e-12)
         np.testing.assert_allclose(psd.values, ref, rtol=1e-12, atol=1e-12 * ref.max())
+
+
+def batched_welch(x, fs, n):
+    """welch_psd's values as computed with every segment at once: the
+    windowed segments, their spectra and |.|^2 as (segments, bins) arrays,
+    averaged with np.mean(axis=0)."""
+    win = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(n) / n) if n > 1 else np.ones(n)
+    power = np.abs(np.fft.rfft(sliding_window_view(x, n)[:: n - n // 2] * win, axis=-1))
+    values = np.mean(np.square(power, out=power), axis=0)
+    values /= fs * np.sum(win * win)
+    values[1 : (n + 1) // 2] *= 2.0
+    return values
+
+
+class TestWelchSegmentLoop:
+    """welch_psd transforms one segment at a time and sums the periodograms
+    in segment order."""
+
+    @pytest.mark.parametrize("n, segment_len", [
+        (458752, 114688),  # a cool-sweep point
+        (196608, 49152),   # the benchmark psd
+        (5000, 512),
+        (4097, 511),
+        (1001, 2),
+    ])
+    def test_equals_batched_mean(self, n, segment_len):
+        x = np.random.default_rng(n).standard_normal(n) + 0.3
+        psd = welch_psd(x, 131072.0, segment_len=segment_len)
+        assert np.array_equal(psd.values, batched_welch(x, 131072.0, segment_len))
+
+    @pytest.mark.parametrize("n", [200, 1001, 5000])
+    def test_one_sample_segments(self, n):
+        # one bin: np.mean sums the n segments pairwise, the loop in order;
+        # an in-order sum of n positive terms is within (n - 1) eps of exact
+        x = np.random.default_rng(n).standard_normal(n) + 0.3
+        psd = welch_psd(x, 131072.0, segment_len=1)
+        ref = batched_welch(x, 131072.0, 1)
+        np.testing.assert_allclose(psd.values, ref, rtol=n * np.finfo(float).eps, atol=0)
+
+    def test_peak_memory_is_a_few_segments(self):
+        segment_len = 1 << 14
+        x = np.random.default_rng(2).standard_normal(1 << 17)  # 15 segments
+        tracemalloc.start()
+        try:
+            welch_psd(x, 131072.0, segment_len=segment_len)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8 * segment_len
 
 
 class TestLorentzianFit:
@@ -358,3 +410,18 @@ class TestWriteCsv:
                 writer.writerow([f"{v:.17g}" if isinstance(v, float) else str(v) for v in row])
         assert path.read_bytes() == ref.read_bytes()
         assert path.read_bytes().count(b"\r\n") == len(rows) + 1
+
+    @pytest.mark.parametrize("batch", [4, spectral._CSV_BATCH])
+    def test_column_rows(self, tmp_path, monkeypatch, batch):
+        """Sized rows of array columns and a repeated cell: a float cell
+        formatted once as a string writes the bytes of the float."""
+        monkeypatch.setattr(spectral, "_CSV_BATCH", batch)
+        a = np.random.default_rng(3).standard_normal(10)
+        b = np.linspace(-1.0, 1.0, 10)
+        v = 1.0 / 3.0
+        rows = ColumnRows(a, b, "%.17g" % v)
+        assert len(rows) == 10
+        assert list(rows) == list(zip(a.tolist(), b.tolist(), ["%.17g" % v] * 10))
+        write_csv(tmp_path / "columns.csv", ["a", "b", "v"], rows)
+        write_csv(tmp_path / "tuples.csv", ["a", "b", "v"], zip(a.tolist(), b.tolist(), [v] * 10))
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "tuples.csv").read_bytes()
