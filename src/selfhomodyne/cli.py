@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ScenarioConfig, _seed
+from .config import ConfigError, ScenarioConfig, _seed
 from .constants import CONSTANTS, K_B
 from .langevin import (
     FeedbackConfig,
@@ -131,9 +131,8 @@ def _ramp_run(cfg: ScenarioConfig, seed: int):
     """Mirror-ramp simulation over three fringes of travel, modeling the
     calibration procedure on a pre-cooled particle (initial state at rest;
     thermal forces still act during the scan)."""
-    rate = cfg.detector.ramp_rate if cfg.detector.ramp_rate > 0.0 else 2e-6
-    det = dataclasses.replace(cfg.detector, mirror_mode="ramp", ramp_rate=rate)
-    duration = 3.0 * (cfg.setup.wavelength / 2.0) / rate
+    det = dataclasses.replace(cfg.detector, mirror_mode="ramp")
+    duration = 3.0 * (cfg.setup.wavelength / 2.0) / det.ramp_rate
     return simulate(
         cfg.trap, cfg.bath, FeedbackConfig(), det, cfg.setup,
         duration=duration, dt=cfg.dt, seed=seed, initial_state=(0.0, 0.0, 0.0, 0.0),
@@ -156,10 +155,21 @@ def cmd_fringe_scan(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int)
 
 
 def cmd_calibrate(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) -> dict:
-    """Run a fringe scan and fit the volts-per-meter conversion."""
+    """Run a fringe scan and fit the volts-per-meter conversion.  A fitted
+    slope more than 1% from the model's is an error: the scan starts the
+    particle at rest, and motion the bath drives during the scan blurs the
+    fringes and lowers the slope."""
     model_slope = _calibration_slope(cfg)
     traj = _ramp_run(cfg, seed)
     result = run_calibration(traj, cfg.setup.wavelength)
+    deviation = result.volts_per_meter / model_slope - 1.0
+    if not abs(deviation) <= 0.01:
+        raise ValueError(
+            f"calibrate: fitted slope {result.volts_per_meter:.6g} V/m is {100.0 * deviation:+.3g}% "
+            f"from the model slope {model_slope:.6g} V/m (bound 1%) at bath pressure "
+            f"{cfg.bath.pressure:.3g} mbar: the fringe scan assumes a pre-cooled particle, and "
+            "motion the bath drives during the scan blurs the fringes"
+        )
     _write_json(
         out_dir / "calibration.json",
         {
@@ -174,14 +184,14 @@ def cmd_calibrate(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) -
 
 
 def _imprecision_point(cfg: ScenarioConfig, seed: int, index: int, power: float):
-    """One imprecision-sweep point: the configured detector, locked, with
-    the shot-noise floor predicted at ``power``."""
+    """One imprecision-sweep point: the configured detector with the
+    shot-noise floor predicted at ``power``."""
     setup = cfg.setup
     slope = _calibration_slope(cfg)
     eta = detection_efficiency(setup)
     s_pred = imprecision(power, eta, setup.wavelength)
     s_ideal = imprecision(power, 1.0, setup.wavelength)
-    det = dataclasses.replace(cfg.detector, imprecision_self=s_pred, mirror_mode="locked")
+    det = dataclasses.replace(cfg.detector, imprecision_self=s_pred)
     point = f"imprecision-sweep point {index}: power = {power:.6g} W"
     with _stage(f"{point}: simulation failed"):
         traj = simulate(
@@ -353,7 +363,7 @@ def cmd_efficiency_report(cfg: ScenarioConfig, seed: int, out_dir: Path, threads
     s_ba = backaction_psd(p_ray, setup.wavelength)
     s_gas = thermal_force_psd(cfg.bath, cfg.trap.mass)
     # delta_chi straight from the two sensitivities (well-defined up to NA=1)
-    delta_chi = _delta_chi(mirror_sensitivity(setup), particle_sensitivity(setup, mode="exact"))
+    delta_chi = _delta_chi(mirror_sensitivity(setup), particle_sensitivity(setup))
     payload = {
         "eta_collection": collection_efficiency(setup.half_aperture, setup.polarization_axis),
         "eta_detection": detection_efficiency(setup),
@@ -371,19 +381,16 @@ def cmd_efficiency_report(cfg: ScenarioConfig, seed: int, out_dir: Path, threads
 def cmd_psd(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) -> dict:
     """Simulate the configured scenario and export the calibrated PSD; the
     manifest records whether the mirror lock was lost."""
-    if cfg.detector.mirror_mode != "locked":
-        raise ValueError(
-            "psd needs detector.mirror_mode 'locked': a ramping mirror records a "
-            "fringe scan, not a position"
-        )
     slope = _calibration_slope(cfg)
-    traj = simulate(
-        cfg.trap, cfg.bath, cfg.feedback, cfg.detector, cfg.setup,
-        duration=cfg.duration, dt=cfg.dt, seed=seed,
-    )
+    with _stage("psd: simulation failed"):
+        traj = simulate(
+            cfg.trap, cfg.bath, cfg.feedback, cfg.detector, cfg.setup,
+            duration=cfg.duration, dt=cfg.dt, seed=seed,
+        )
     n0 = int(cfg.transient / cfg.dt)
     q_rec = traj.volts_self[n0:] / slope
-    psd = welch_psd(q_rec, traj.sample_rate, segment_len=min(1 << 17, q_rec.size // 4))
+    with _stage("psd: Welch estimate failed"):
+        psd = welch_psd(q_rec, traj.sample_rate, segment_len=min(1 << 17, q_rec.size // 4))
     psd.write_csv(out_dir / "psd.csv")
     return {"outputs": ["psd.csv"], "lock_lost": traj.lock_lost}
 
@@ -422,6 +429,8 @@ def main(argv=None) -> int:
             else ScenarioConfig.from_dict({})
         )
         seed = cfg.seed if args.seed is None else _seed(args.seed)
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         report = _COMMANDS[args.command](cfg, seed, out_dir, args.threads)
         _write_manifest(out_dir, args.command, cfg, seed, report)
     except (FitError, ValueError, ArithmeticError, OSError) as exc:

@@ -60,9 +60,7 @@ def default_config_dict() -> dict:
             "imprecision_self_m2_per_hz": 3.0e-24,
             "imprecision_forward_m2_per_hz": 3.0e-24 * 10**3.8,
             "fringe_nonlinearity": False,
-            "mirror_mode": "locked",
-            "ramp_rate_m_per_s": 0.0,
-            "lock_setpoint_index": 0,
+            "ramp_rate_m_per_s": 2e-6,
             "gain_volts": 1.0,
         },
         "feedback": {
@@ -124,13 +122,6 @@ def _real(value) -> float:
     return float(value)
 
 
-def _integral(value) -> int:
-    """A JSON number with an integral value (1 or 1.0, not 1.7)."""
-    if not _real(value).is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
 def _reals(value) -> tuple[float, ...]:
     """A JSON array of finite numbers."""
     if not isinstance(value, list):
@@ -139,9 +130,11 @@ def _reals(value) -> tuple[float, ...]:
 
 
 def _seed(value) -> int:
-    """A non-negative integral seed: the one rule for ``sim.seed`` and the
-    command line's ``--seed``."""
-    if _integral(value) < 0:
+    """A non-negative seed with an integral value (1 or 1.0, not 1.7): the
+    one rule for ``sim.seed`` and the command line's ``--seed``."""
+    if not _real(value).is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    if value < 0:
         raise ConfigError(f"seed must be >= 0, got {value!r}")
     return int(value)
 
@@ -225,9 +218,7 @@ class ScenarioConfig:
                 imprecision_self=_real(det["imprecision_self_m2_per_hz"]),
                 imprecision_forward=_real(det["imprecision_forward_m2_per_hz"]),
                 fringe_nonlinearity=_flag(det["fringe_nonlinearity"]),
-                mirror_mode=str(det["mirror_mode"]),
                 ramp_rate=_real(det["ramp_rate_m_per_s"]),
-                lock_setpoint_index=_integral(det["lock_setpoint_index"]),
                 gain=_real(det["gain_volts"]),
             )
             fbk = tree["feedback"]
@@ -254,6 +245,9 @@ class ScenarioConfig:
             if len(rates) < 3:
                 # the cooling-curve fit of cool-sweep needs three points
                 raise ValueError("sweeps cooling_rates_rad_per_s needs at least 3 entries")
+            if len(rates) > 1000:
+                # forward-channel point i is seeded as sweep point 1000 + i
+                raise ValueError("sweeps cooling_rates_rad_per_s allows at most 1000 entries")
             coef = _real(swp["spring_gain_coef"])
             mode_gains = _reals(swp["mode_spring_gains_rad_per_s"])
             if any(g < 0 for g in rates + mode_gains + (coef,)):

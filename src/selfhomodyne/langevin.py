@@ -59,7 +59,7 @@ import numpy as np
 from . import modes
 from .constants import K_B
 from .optics import OpticalSetup, _effective_wavenumber, fringe_slope
-from .spectral import ColumnRows, FitError, write_csv
+from .spectral import FitError
 
 __all__ = [
     "Bath",
@@ -145,16 +145,15 @@ class DetectorModel:
     ``imprecision_self``/``imprecision_forward`` are position-referred noise
     floors [m^2/Hz] (0 = ideal detector; the forward default sits 38 dB above
     the self-homodyne floor).  In locked mode the mirror holds a mid-fringe
-    point with R_s = (lambda/8)(2n+1), n = ``lock_setpoint_index``; in ramp
-    mode it advances at ``ramp_rate``.
+    point with R_s = (lambda/8)(2n+1), n even; in ramp mode it advances at
+    ``ramp_rate`` [m/s].
     """
 
     imprecision_self: float = 3.0e-24
     imprecision_forward: float | None = None
     fringe_nonlinearity: bool = False
     mirror_mode: str = "locked"
-    ramp_rate: float = 0.0
-    lock_setpoint_index: int = 0
+    ramp_rate: float = 2e-6
     gain: float = 1.0
 
     def __post_init__(self):
@@ -162,6 +161,8 @@ class DetectorModel:
             raise ValueError("imprecision must be >= 0")
         if self.mirror_mode not in ("locked", "ramp"):
             raise ValueError("mirror_mode must be 'locked' or 'ramp'")
+        if self.ramp_rate <= 0.0:
+            raise ValueError(f"ramp_rate must be > 0, got {self.ramp_rate!r}")
         if self.imprecision_forward is None:
             object.__setattr__(
                 self, "imprecision_forward", self.imprecision_self * 10 ** (_FORWARD_DB / 10.0)
@@ -186,7 +187,6 @@ class Trajectory:
     volts_self: np.ndarray
     volts_fwd: np.ndarray
     mirror_d: np.ndarray
-    rng_seed: int
     lock_lost: bool = False
 
     @property
@@ -194,16 +194,8 @@ class Trajectory:
         return (self.x + self.y) * _INVSQ2
 
     @property
-    def time(self) -> np.ndarray:
-        return np.arange(self.x.size) * self.dt
-
-    @property
     def sample_rate(self) -> float:
         return 1.0 / self.dt
-
-    def to_csv(self, path) -> None:
-        cols = (self.time, self.x, self.y, self.q, self.volts_self, self.volts_fwd, self.mirror_d)
-        write_csv(path, ["t", "x", "y", "q", "volts_self", "volts_fwd", "mirror_d"], ColumnRows(*cols))
 
 
 @dataclass(frozen=True)
@@ -248,18 +240,17 @@ def _effective_visibility(setup: OpticalSetup) -> float:
     return setup.visibility * 2.0 * rho / (1.0 + rho * rho)
 
 
-def _locked_mirror_distance(setup: OpticalSetup, lock_index: int) -> tuple[float, int]:
+def _locked_mirror_distance(setup: OpticalSetup) -> float:
     """Mirror offset closest to the configured distance that puts the one-way
-    path on a mid-fringe point R_s = (lambda/8)(2m+1) with m matching the
-    parity of ``lock_index`` (the parity selects the slope sign)."""
+    path on a mid-fringe point R_s = (lambda/8)(2m+1) with m even, where the
+    signal rises with q."""
     lam = setup.wavelength
     m_float = ((setup.focal_length + setup.mirror_distance) * 8.0 / lam - 1.0) / 2.0
     m = int(round(m_float))
-    if (m - lock_index) % 2 != 0:
+    if m % 2 != 0:
         m += 1 if m_float > m else -1
     m = max(m, 0)
-    d = (lam / 8.0) * (2 * m + 1) - setup.focal_length
-    return d, m
+    return (lam / 8.0) * (2 * m + 1) - setup.focal_length
 
 
 def _mirror_position(setup: OpticalSetup, detector: DetectorModel, t):
@@ -267,8 +258,7 @@ def _mirror_position(setup: OpticalSetup, detector: DetectorModel, t):
     locked mode (a read-only broadcast, no per-sample storage), the ramp
     mirror_distance + ramp_rate * t in ramp mode."""
     if detector.mirror_mode == "locked":
-        d_lock, _ = _locked_mirror_distance(setup, detector.lock_setpoint_index)
-        return np.broadcast_to(d_lock, np.shape(t))
+        return np.broadcast_to(_locked_mirror_distance(setup), np.shape(t))
     return setup.mirror_distance + detector.ramp_rate * t
 
 
@@ -279,7 +269,7 @@ def _detector_outputs(q, p, nu_self, nu_fwd, t, setup: OpticalSetup, detector: D
     (volts_self, volts_fwd).
 
     Locked mode: the mirror sits on the mid-fringe point and the signal is
-    lock_sign * S * (q + nu_self), S = gain * V_eff * k_eff, with q replaced
+    S * (q + nu_self), S = gain * V_eff * k_eff, with q replaced
     by sin(k_eff q)/k_eff under ``fringe_nonlinearity``.  Ramp mode: the raw
     fringe gain * (1 - V_eff cos(4 pi (f + d(t))/lambda + k_eff q)) as the
     mirror advances, plus S * nu_self.  The forward channel reads
@@ -291,10 +281,8 @@ def _detector_outputs(q, p, nu_self, nu_fwd, t, setup: OpticalSetup, detector: D
     slope = gain * v_eff * k_eff
     volts_fwd = gain * (p + nu_fwd)
     if detector.mirror_mode == "locked":
-        _, m_lock = _locked_mirror_distance(setup, detector.lock_setpoint_index)
-        lock_sign = 1.0 if m_lock % 2 == 0 else -1.0
         meas = np.sin(k_eff * q) / k_eff if detector.fringe_nonlinearity else q
-        return lock_sign * slope * (meas + nu_self), volts_fwd
+        return slope * (meas + nu_self), volts_fwd
     d_now = _mirror_position(setup, detector, t)
     # float64 resolves the ~2.4e6 rad mirror term only to ~5e-10 rad: wrap it
     # before adding k_eff q, so the phase keeps the precision of q
@@ -334,7 +322,10 @@ class _StepMap:
     11 141 steps) holds 4.7 MB of inputs, not 8 MB.
     """
 
-    def __init__(self, trap, bath, feedback, detector, setup, dt, backaction_force_psd):
+    def __init__(
+        self, trap: modes.TrapConfig, bath: Bath, feedback: FeedbackConfig, detector: DetectorModel,
+        setup: OpticalSetup, dt: float, backaction_force_psd: float,
+    ):
         mass = trap.mass
         self.dt = dt
         self.dt_over_m = dt / mass
@@ -653,7 +644,6 @@ def simulate(
         volts_self=out_vs,
         volts_fwd=out_vf,
         mirror_d=mirror_d,
-        rng_seed=seed,
         lock_lost=lock_lost,
     )
 

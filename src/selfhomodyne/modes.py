@@ -67,7 +67,6 @@ class ModeSolution:
     vec_low: np.ndarray
     vec_high: np.ndarray
     theta_fb: float
-    spring_gain: float
 
 
 def _unit_sign_fixed(v: np.ndarray) -> np.ndarray:
@@ -111,7 +110,6 @@ def radial_modes(omega_x: float, omega_y: float, alpha: float) -> ModeSolution:
             vec_low=vec_low,
             vec_high=vec_high,
             theta_fb=math.acos(min(1.0, cosang)),
-            spring_gain=0.0,
         )
     c_low = (nu_low2 - wy2) / a2 - 1.0
     c_high = (nu_high2 - wy2) / a2 - 1.0
@@ -126,7 +124,6 @@ def radial_modes(omega_x: float, omega_y: float, alpha: float) -> ModeSolution:
         vec_low=vec_low,
         vec_high=vec_high,
         theta_fb=theta,
-        spring_gain=alpha,
     )
 
 

@@ -110,10 +110,6 @@ class OpticalSetup:
             raise ValueError("polarization_axis must be a unit 3-vector (tol 1e-12)")
         object.__setattr__(self, "polarization_axis", tuple(float(x) for x in eps))
 
-    @property
-    def numerical_aperture(self) -> float:
-        return math.sin(self.half_aperture)
-
     @classmethod
     def from_numerical_aperture(cls, na: float, **kwargs) -> "OpticalSetup":
         if not 0.0 < na <= 1.0:
@@ -264,22 +260,18 @@ def mirror_sensitivity(setup: OpticalSetup) -> float:
     return fringe_slope(fringe_state(setup, 0.0).amplitude, setup.wavelength)
 
 
-def particle_sensitivity(setup: OpticalSetup, mode: str = "exact") -> float:
+def particle_sensitivity(setup: OpticalSetup) -> float:
     """Maximum detector sensitivity to particle displacements at the
     mid-fringe lock point.
 
-    exact:     differentiate the locked intensity under the integral sign;
-               |dI/dq| = 2*rho*(4pi/lambda)*int cos(theta)*cos(...)*dp is
-               bounded by its q=0 value (the cosine factor is <= 1 with
-               equality at q=0), so the maximum is evaluated there.
-    expansion: small-aperture form (4pi*A/lambda)(1 - theta_D^2/4).
+    Differentiates the locked intensity under the integral sign:
+    |dI/dq| = 2*rho*(4pi/lambda)*int cos(theta)*cos(...)*dp is bounded by
+    its q=0 value (the cosine factor is <= 1 with equality at q=0), so the
+    maximum is evaluated there.  Its small-aperture form is
+    (4pi*A/lambda)(1 - theta_D^2/4).
     """
-    if mode == "exact":
-        u, w = _cap_weights(setup.half_aperture, setup.polarization_axis)
-        return 2.0 * setup.mirror_reflectivity * (4.0 * math.pi / setup.wavelength) * float(w @ u)
-    if mode == "expansion":
-        return fringe_state(setup, 0.0).amplitude * _effective_wavenumber(setup)
-    raise ValueError(f"unknown mode {mode!r}; use 'exact' or 'expansion'")
+    u, w = _cap_weights(setup.half_aperture, setup.polarization_axis)
+    return 2.0 * setup.mirror_reflectivity * (4.0 * math.pi / setup.wavelength) * float(w @ u)
 
 
 def _delta_chi(chi_m: float, chi_p: float) -> float:
@@ -295,13 +287,12 @@ def _delta_chi(chi_m: float, chi_p: float) -> float:
 
 
 def calibration_deviation(numerical_aperture: float) -> float:
-    """``_delta_chi`` of the default setup at the given numerical aperture,
-    with the exact-mode chi_p: the paper's delta_chi(NA), which acceptance
-    criteria 1 and 10 check."""
+    """``_delta_chi`` of the default setup at the given numerical aperture:
+    the paper's delta_chi(NA), which acceptance criteria 1 and 10 check."""
     if not 0.0 < numerical_aperture < 1.0:
         raise ValueError("numerical aperture must lie in (0, 1)")
     setup = OpticalSetup.from_numerical_aperture(numerical_aperture)
-    return _delta_chi(mirror_sensitivity(setup), particle_sensitivity(setup, mode="exact"))
+    return _delta_chi(mirror_sensitivity(setup), particle_sensitivity(setup))
 
 
 def collection_efficiency(half_aperture: float, polarization=_Y_AXIS) -> float:
@@ -346,22 +337,14 @@ def detection_efficiency(setup: OpticalSetup) -> float:
     return setup.visibility**2 * setup.path_efficiency * setup.detector_qe * angular
 
 
-def imprecision(
-    power: float, eta_det: float, wavelength: float, projection_factor: float = 1.0
-) -> float:
-    """One-sided position-imprecision PSD of the calibrated signal,
-    S_imp = g * 5 hbar c lambda / (8 pi eta_det P)  [m^2/Hz].
-
-    g = 1 along the detection axis; g = 1/cos^2(angle) when referring the
-    measurement to a motional axis at an angle (2 at 45 degrees).
-    """
+def imprecision(power: float, eta_det: float, wavelength: float) -> float:
+    """One-sided position-imprecision PSD of the calibrated signal along the
+    detection axis, S_imp = 5 hbar c lambda / (8 pi eta_det P)  [m^2/Hz]."""
     if power == 0.0 or eta_det == 0.0:
         raise ZeroDivisionError("power and detection efficiency must be nonzero")
     if power < 0.0 or eta_det < 0.0:
         raise ValueError("power and detection efficiency must be positive")
-    if projection_factor < 1.0:
-        raise ValueError("projection_factor must be >= 1")
-    return projection_factor * 5.0 * HBAR * C * wavelength / (8.0 * math.pi * eta_det * power)
+    return 5.0 * HBAR * C * wavelength / (8.0 * math.pi * eta_det * power)
 
 
 def backaction_psd(power: float, wavelength: float) -> float:

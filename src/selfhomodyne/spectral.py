@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _CSV_BATCH = 1 << 12  # rows formatted per write
+_MAX_NFEV = 2000  # residual evaluations allowed per Levenberg-Marquardt solve
 
 
 class FitError(RuntimeError):
@@ -70,10 +71,6 @@ class Psd:
         if not np.any(sel):
             raise ValueError(f"band ({f_lo}, {f_hi}) Hz contains no PSD bins")
         return Psd(self.frequencies[sel], self.values[sel])
-
-    def integral(self) -> float:
-        """Total power, integral of the density over the grid."""
-        return float(np.sum(self.values) * self.resolution)
 
     def write_csv(self, path) -> None:
         write_csv(path, ["f_hz", "psd_m2_per_hz"], ColumnRows(self.frequencies, self.values))
@@ -147,24 +144,6 @@ class LorentzianFit:
     def std_errors(self) -> np.ndarray:
         return np.sqrt(np.diag(self.covariance))
 
-    def as_dict(self) -> dict:
-        err = self.std_errors()
-        return {
-            "parameters": {
-                "center_hz": self.center,
-                "fwhm_hz": self.fwhm,
-                "area_m2": self.area,
-                "floor_m2_per_hz": self.floor,
-            },
-            "standard_errors": {
-                "center_hz": float(err[0]),
-                "fwhm_hz": float(err[1]),
-                "area_m2": float(err[2]),
-                "floor_m2_per_hz": float(err[3]),
-            },
-            "covariance": self.covariance.tolist(),
-        }
-
 
 @dataclass(frozen=True)
 class CoolingCurveFit:
@@ -177,7 +156,6 @@ class CoolingCurveFit:
     coeff_a: float
     coeff_b: float
     mode: str
-    covariance: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if self.coeff_a <= 0.0:
@@ -196,16 +174,6 @@ class CoolingCurveFit:
         if self.coeff_b <= 0.0:
             raise ValueError("gamma_min requires a positive B")
         return math.sqrt(self.coeff_a / self.coeff_b)
-
-    def as_dict(self) -> dict:
-        out = {
-            "parameters": {"a_rad_k_per_s": self.coeff_a, "b_k_s_per_rad": self.coeff_b},
-            "mode": self.mode,
-            "covariance": self.covariance.tolist(),
-        }
-        if self.coeff_b > 0.0:
-            out["derived"] = {"t_min_k": self.t_min, "gamma_min_rad_per_s": self.gamma_min}
-        return out
 
 
 def welch_psd(series, sample_rate: float, segment_len: int) -> Psd:
@@ -247,7 +215,7 @@ def welch_psd(series, sample_rate: float, segment_len: int) -> Psd:
     return Psd(np.fft.rfftfreq(n, 1.0 / sample_rate), values)
 
 
-def _least_squares(residuals, jacobian, x0, x_scale, bounds, max_nfev=2000):
+def _least_squares(residuals, jacobian, x0, x_scale, bounds):
     """Minimize sum(residuals(x)**2) by Levenberg-Marquardt; returns the
     solution x and the residuals and their Jacobian there.
 
@@ -273,7 +241,7 @@ def _least_squares(residuals, jacobian, x0, x_scale, bounds, max_nfev=2000):
     trial step, accepted or not, ends the fit when it lowers the cost by
     less than ftol of it with rho > 1/4, or when it moves x by less than
     xtol * (xtol + |x|), both norms taken in the unscaled x.  FitError after
-    ``max_nfev`` evaluations of ``residuals``.
+    ``_MAX_NFEV`` evaluations of ``residuals``.
     """
     scale = np.asarray(x_scale, dtype=float)
     k = scale.size
@@ -298,8 +266,8 @@ def _least_squares(residuals, jacobian, x0, x_scale, bounds, max_nfev=2000):
         if lam is None:
             lam = 1e-3 * s[-1] ** 2
         while True:
-            if nfev >= max_nfev:
-                raise FitError(f"did not converge in {max_nfev} evaluations (x = {x.tolist()})")
+            if nfev >= _MAX_NFEV:
+                raise FitError(f"did not converge in {_MAX_NFEV} evaluations (x = {x.tolist()})")
             den = s * s + lam
             step = np.zeros(k)
             step[free] = -(vt.T @ np.divide(sur, den, out=np.zeros_like(s), where=den > 0.0))
@@ -356,7 +324,7 @@ def _lorentz_jacobian(f, center, fwhm, area, floor):
     )
 
 
-def lorentzian_fit(psd: Psd, band: tuple[float, float], max_iterations: int = 2000) -> LorentzianFit:
+def lorentzian_fit(psd: Psd, band: tuple[float, float]) -> LorentzianFit:
     """Fit a Lorentzian plus constant floor to one resonance inside ``band``.
 
     Weighted least squares with sigma proportional to the local PSD level
@@ -373,7 +341,7 @@ def lorentzian_fit(psd: Psd, band: tuple[float, float], max_iterations: int = 20
     outward is held fixed.  It stops by scipy's rules with xtol = 1e-10 and
     ftol = 1e-8, as the bounded ``curve_fit`` this replaces did, and agrees
     with it to ~1e-3 standard errors.  A pass that needs more than
-    ``max_iterations`` residual evaluations raises FitError.  The covariance
+    ``_MAX_NFEV`` residual evaluations raises FitError.  The covariance
     is computed as ``curve_fit`` computes it: the pseudo-inverse of J^T J
     from the SVD of the weighted Jacobian J, singular values at or below
     eps * max(J.shape) * s_max dropped, times chi^2 / (n - 4).
@@ -406,7 +374,7 @@ def lorentzian_fit(psd: Psd, band: tuple[float, float], max_iterations: int = 20
             popt, r, jac = _least_squares(
                 lambda p, sigma=sigma: (_lorentz_model(f, *p) - y) / sigma,
                 lambda p, sigma=sigma: _lorentz_jacobian(f, *p) / sigma[:, None],
-                popt, p0, bounds, max_nfev=max_iterations,
+                popt, p0, bounds,
             )
             sigma = np.maximum(_lorentz_model(f, *popt), 1e-12)
     except FitError as exc:
@@ -456,14 +424,11 @@ def cooling_curve_fit(
         raise FitError("degenerate design matrix in cooling-curve fit")
     coef_scaled, *_ = np.linalg.lstsq(design / col_scale, temp, rcond=None)
     coef = coef_scaled / col_scale
-    resid = temp - design @ coef
-    dof = max(len(gamma) - design.shape[1], 1)
-    cov = np.linalg.inv(design.T @ design) * float(resid @ resid) / dof
 
     if mode == "A-only":
         b = external_b if external_b is not None else 0.0
-        return CoolingCurveFit(coeff_a=float(coef[0]), coeff_b=float(b), mode=mode, covariance=cov)
-    return CoolingCurveFit(coeff_a=float(coef[0]), coeff_b=float(coef[1]), mode=mode, covariance=cov)
+        return CoolingCurveFit(coeff_a=float(coef[0]), coeff_b=float(b), mode=mode)
+    return CoolingCurveFit(coeff_a=float(coef[0]), coeff_b=float(coef[1]), mode=mode)
 
 
 def imprecision_from_floor(psd: Psd, floor_band: tuple[float, float]) -> float:

@@ -177,7 +177,7 @@ def test_criterion_8_cooling_curve_analytics():
     t0 = time.time()
     mass, wy, s_imp = 2.0e-17, 2 * math.pi * 3200.0, 3.0e-24
     b = math.pi * mass * wy**2 * s_imp / (2 * K_B)
-    fit = CoolingCurveFit(coeff_a=112.0, coeff_b=b, mode="A-and-B", covariance=np.zeros((2, 2)))
+    fit = CoolingCurveFit(coeff_a=112.0, coeff_b=b, mode="A-and-B")
     elapsed = time.time() - t0
     check(
         8,

@@ -63,7 +63,7 @@ class TestConfig:
 
     def test_defaults_complete(self):
         cfg = ScenarioConfig.from_dict({})
-        assert cfg.setup.numerical_aperture == pytest.approx(0.18)
+        assert math.sin(cfg.setup.half_aperture) == pytest.approx(0.18)
         assert cfg.trap.secular_freq_y == pytest.approx(2 * math.pi * 3200)
         assert cfg.bath.pressure == 2e-8
 
@@ -86,7 +86,8 @@ class TestConfig:
         # settings that no computation read are gone
         for table, key in [("optics", "axis_projection_angle_rad"),
                            ("trap", "secular_freq_z_hz"), ("trap", "stability_q"),
-                           ("trap", "drive_freq_hz")]:
+                           ("trap", "drive_freq_hz"), ("detector", "mirror_mode"),
+                           ("detector", "lock_setpoint_index")]:
             with pytest.raises(ConfigError, match="unknown config key"):
                 ScenarioConfig.from_dict({table: {key: 0.5}})
 
@@ -107,7 +108,8 @@ class TestConfig:
             {"sim": {"seed": "7"}},
             {"sim": {"seed": True}},
             {"sim": {"seed": -1}},
-            {"detector": {"lock_setpoint_index": 0.5}},
+            {"detector": {"ramp_rate_m_per_s": 0.0}},
+            {"detector": {"ramp_rate_m_per_s": -1e-6}},
             {"sweeps": {"scattered_powers_w": [math.nan, "4e-8"]}},
             {"sweeps": {"scattered_powers_w": [0.0]}},
             {"sweeps": {"scattered_powers_w": 4e-8}},
@@ -132,6 +134,14 @@ class TestConfig:
                 ScenarioConfig.from_dict({"sweeps": {key: value}})
         # an integral float is still an integral seed
         assert ScenarioConfig.from_dict({"sim": {"seed": 7.0}}).seed == 7
+
+    def test_cooling_rates_at_most_1000(self):
+        # forward-channel point i is seeded as sweep point 1000 + i, so a
+        # 1001st self-homodyne point would share forward point 0's seed
+        rates = [float(i) for i in range(1000)]
+        assert len(ScenarioConfig.from_dict({"sweeps": {"cooling_rates_rad_per_s": rates}}).cooling_rates) == 1000
+        with pytest.raises(ConfigError, match="cooling_rates_rad_per_s allows at most 1000 entries"):
+            ScenarioConfig.from_dict({"sweeps": {"cooling_rates_rad_per_s": rates + [1000.0]}})
 
 
 def _floats(lo, hi):
@@ -161,9 +171,7 @@ _OVERRIDES = st.fixed_dictionaries({}, optional={
         "imprecision_self_m2_per_hz": _floats(0.0, 1e-20),
         "imprecision_forward_m2_per_hz": _floats(0.0, 1e-14),
         "fringe_nonlinearity": st.booleans(),
-        "mirror_mode": st.sampled_from(["locked", "ramp"]),
-        "ramp_rate_m_per_s": _floats(0.0, 1e-4),
-        "lock_setpoint_index": st.integers(0, 9),
+        "ramp_rate_m_per_s": _floats(1e-9, 1e-4),
         "gain_volts": _floats(1e-3, 1e3),
     }),
 })
@@ -288,6 +296,19 @@ class TestCalibrateCommand:
         )
         assert report["fringes_covered"] == pytest.approx(3.0, rel=1e-3)
 
+    def test_blurred_scan_fails(self, tmp_path):
+        # a 300 K bath at 0.5 mbar heats the particle during the scan, and its
+        # motion smears the fringes: the fitted slope falls far below the model
+        over = dict(FAST_SCAN, bath={"pressure_mbar": 0.5, "temperature_k": 300.0})
+        code, out = run_cli(tmp_path, "calibrate", over)
+        assert code == 1
+        assert not (out / "calibration.json").exists() and not (out / "manifest.json").exists()
+        err = json.loads((out / "error_manifest.json").read_text())["error"]
+        assert err.startswith("ValueError: calibrate: fitted slope ")
+        model = ScenarioConfig.from_dict(over)
+        assert f"from the model slope {cli._calibration_slope(model):.6g} V/m (bound 1%)" in err
+        assert "at bath pressure 0.5 mbar" in err and "pre-cooled particle" in err
+
 
 class TestModesCommand:
     def test_oracle_discrepancy_small(self, tmp_path):
@@ -348,8 +369,7 @@ class TestImprecisionSweep:
     def test_simulates_the_configured_detector(self, tmp_path):
         # the scenario's detector, locked, with the predicted floor
         over = {
-            "detector": {"fringe_nonlinearity": True, "lock_setpoint_index": 1,
-                         "mirror_mode": "ramp", "ramp_rate_m_per_s": 2e-6},
+            "detector": {"fringe_nonlinearity": True, "ramp_rate_m_per_s": 3e-6},
             "sim": {"dt_s": 2.0**-16, "duration_s": 0.25, "transient_s": 0.0, "seed": 3},
             "sweeps": {"scattered_powers_w": [8.4e-8]},
         }
@@ -358,7 +378,7 @@ class TestImprecisionSweep:
         assert code == 0
         cfg = ScenarioConfig.from_dict(over)
         s_pred = imprecision(8.4e-8, detection_efficiency(cfg.setup), cfg.setup.wavelength)
-        expected = dataclasses.replace(cfg.detector, imprecision_self=s_pred, mirror_mode="locked")
+        expected = dataclasses.replace(cfg.detector, imprecision_self=s_pred)
         (call,) = sim.call_args_list
         assert call.args[3] == expected
 
@@ -402,7 +422,27 @@ class TestDeterminismAndErrors:
         assert code == 1
         assert not (out / "manifest.json").exists()
         err = json.loads((out / "error_manifest.json").read_text())["error"]
-        assert "unstable" in err and "8-sample" in err
+        assert err.startswith("ValueError: psd: simulation failed: unstable feedback loop")
+        assert "8-sample" in err
+
+    def test_psd_failure_named(self, tmp_path):
+        # 2 samples of record after the transient are too few for a Welch segment
+        over = {"sim": {"duration_s": 3e-5, "transient_s": 2e-5}}
+        code, out = run_cli(tmp_path, "psd", over)
+        assert code == 1
+        assert not (out / "psd.csv").exists() and not (out / "manifest.json").exists()
+        err = json.loads((out / "error_manifest.json").read_text())["error"]
+        assert err == (
+            "ValueError: psd: Welch estimate failed: segment_len must lie in [1, len(series)]"
+        )
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, tmp_path, threads):
+        code, out = run_cli(tmp_path, "efficiency-report", extra=["--threads", threads])
+        assert code == 1
+        assert not (out / "efficiency_report.json").exists() and not (out / "manifest.json").exists()
+        err = json.loads((out / "error_manifest.json").read_text())["error"]
+        assert err == f"ConfigError: --threads must be >= 1, got {threads}"
 
     def test_invalid_config_nonzero_exit(self, tmp_path):
         code, out = run_cli(tmp_path, "efficiency-report", {"optics": {"visibility": 2.0}})
@@ -432,13 +472,14 @@ class TestDeterminismAndErrors:
             assert "no fringe contrast" in err
 
     def test_psd_rejects_ramp_mode(self, tmp_path):
-        # a ramping mirror records a fringe scan, not a position
+        # a ramping mirror records a fringe scan, not a position: only
+        # fringe-scan and calibrate ramp it, and no setting selects the mode
         over = dict(FAST_SCAN, detector={"mirror_mode": "ramp", "ramp_rate_m_per_s": 2e-6})
         code, out = run_cli(tmp_path, "psd", over)
         assert code == 1
         assert not (out / "psd.csv").exists() and not (out / "manifest.json").exists()
         err = json.loads((out / "error_manifest.json").read_text())["error"]
-        assert "mirror_mode 'locked'" in err
+        assert err == "ConfigError: unknown config key: detector.mirror_mode"
 
     def test_unstable_cool_sweep_point_named(self, tmp_path):
         # alpha = 250 sqrt(gamma_fb) with a 1-sample delay: point 1 is unstable

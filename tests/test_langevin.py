@@ -513,10 +513,9 @@ class TestDetectorSynthesis:
         [
             QUIET,
             DetectorModel(imprecision_self=0.0, imprecision_forward=0.0, fringe_nonlinearity=True),
-            DetectorModel(imprecision_self=0.0, imprecision_forward=0.0, lock_setpoint_index=1),
             DetectorModel(imprecision_self=0.0, mirror_mode="ramp", ramp_rate=2e-6),
         ],
-        ids=["locked-linear", "locked-nonlinear", "locked-odd-setpoint", "ramp"],
+        ids=["locked-linear", "locked-nonlinear", "ramp"],
     )
     def test_same_model_as_simulate(self, det):
         # 1 K: the motion spans k_eff*q ~ 1, where sin(k_eff q) and q differ
@@ -593,7 +592,7 @@ class TestCalibration:
         zeros = np.zeros(n)
         return Trajectory(
             dt=1 / fs, x=zeros, y=zeros, volts_self=volts,
-            volts_fwd=zeros, mirror_d=zeros, rng_seed=0,
+            volts_fwd=zeros, mirror_d=zeros,
         )
 
     def test_exact_noiseless_fringes(self):
@@ -701,20 +700,6 @@ class TestBoundedMinimizer:
 
 
 class TestTrajectoryExport:
-    def test_csv_format_and_roundtrip(self, tmp_path):
-        bath = Bath(pressure=0.5, temperature=1.0)
-        traj = simulate(TRAP, bath, NO_FB, QUIET, SETUP, duration=64 * DT16, dt=DT16, seed=2)
-        path = tmp_path / "traj.csv"
-        traj.to_csv(path)
-        raw = path.read_bytes()
-        assert b"\r\n" in raw  # RFC-4180 line endings
-        lines = raw.decode().strip().split("\r\n")
-        assert lines[0] == "t,x,y,q,volts_self,volts_fwd,mirror_d"
-        assert len(lines) == 65
-        row = lines[3].split(",")
-        assert float(row[0]) == pytest.approx(2 * DT16)
-        assert float(row[3]) == traj.q[2]  # 17 significant digits round-trip
-
     def test_locked_mirror_position_on_setpoint(self):
         traj = simulate(
             TRAP, Bath(pressure=0.5, temperature=1e-6), NO_FB, QUIET, SETUP,
@@ -724,7 +709,7 @@ class TestTrajectoryExport:
         rs = SETUP.focal_length + traj.mirror_d[0]
         m = (rs * 8 / lam - 1) / 2
         assert m == pytest.approx(round(m), abs=1e-6)
-        assert round(m) % 2 == DetectorModel().lock_setpoint_index % 2
+        assert round(m) % 2 == 0  # the mid-fringe point where the signal rises with q
         assert np.all(traj.mirror_d == traj.mirror_d[0])
         assert not traj.mirror_d.flags.writeable
 
@@ -750,6 +735,9 @@ class TestConfigTypes:
             DetectorModel(imprecision_self=-1.0)
         with pytest.raises(ValueError):
             DetectorModel(mirror_mode="wobble")
+        for rate in (0.0, -1e-6):
+            with pytest.raises(ValueError, match="ramp_rate must be > 0"):
+                DetectorModel(ramp_rate=rate)
 
     def test_forward_default_38_db(self):
         det = DetectorModel(imprecision_self=3e-24)

@@ -72,7 +72,7 @@ class TestWelchPsd:
         x = amp * np.sin(2 * math.pi * f0 * t)
         psd = welch_psd(x, fs, segment_len=1 << 13)
         peak = psd.band(f0 - 50, f0 + 50)
-        assert peak.integral() == pytest.approx(amp**2 / 2, rel=0.01, abs=0)
+        assert np.sum(peak.values) * peak.resolution == pytest.approx(amp**2 / 2, rel=0.01, abs=0)
 
     def test_white_noise_level(self):
         fs, level = 65536.0, 4.0e-24
@@ -102,7 +102,7 @@ class TestWelchPsd:
         x = np.convolve(rng.standard_normal(1 << 17), np.ones(8) / 8, mode="same")
         x -= x.mean()
         psd = welch_psd(x, fs, segment_len=1 << 12)
-        assert psd.integral() == pytest.approx(float(np.var(x)), rel=0.02)
+        assert np.sum(psd.values) * psd.resolution == pytest.approx(float(np.var(x)), rel=0.02)
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):
@@ -214,19 +214,13 @@ class TestLorentzianFit:
         with pytest.raises(ValueError):
             lorentzian_fit(psd, (50.0, 51.0))
 
-    def test_fit_failure_diagnostics(self):
+    def test_fit_failure_diagnostics(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_MAX_NFEV", 4)
         rng = np.random.default_rng(0)
         f = np.linspace(100.0, 200.0, 64)
         psd = Psd(f, rng.uniform(1.0, 2.0, 64))
-        with pytest.raises(FitError, match="did not converge"):
-            lorentzian_fit(psd, (100.0, 200.0), max_iterations=4)
-
-    def test_report_dict_fields(self):
-        f = np.linspace(2800.0, 3600.0, 800)
-        psd = Psd(f, lorentz_curve(f, 3200.0, 24.0, 4.5e-16, 3.0e-24))
-        d = lorentzian_fit(psd, (2800.0, 3600.0)).as_dict()
-        assert set(d) == {"parameters", "standard_errors", "covariance"}
-        assert len(d["covariance"]) == 4
+        with pytest.raises(FitError, match="did not converge in 4 evaluations"):
+            lorentzian_fit(psd, (100.0, 200.0))
 
     # (FWHM in bins, floor over peak height, seed, whether the fitted floor
     # sits at its bound 0): the FWHM spans the cool-sweep benchmark's 7-380
@@ -283,7 +277,7 @@ class TestCoolingCurveFit:
     B_PAPER = math.pi * 2.0e-17 * (2 * math.pi * 3200.0) ** 2 * 3.0e-24 / (2 * K_B)
 
     def test_paper_minimum_temperature_and_rate(self):
-        fit = CoolingCurveFit(self.A_PAPER, self.B_PAPER, "A-and-B", np.zeros((2, 2)))
+        fit = CoolingCurveFit(self.A_PAPER, self.B_PAPER, "A-and-B")
         assert fit.t_min == pytest.approx(1e-3, rel=0.15)
         assert fit.gamma_min == pytest.approx(2 * math.pi * 31e3, rel=0.15)
 
@@ -325,14 +319,6 @@ class TestCoolingCurveFit:
         pts = [(100.0, 1.0)] * 5  # identical abscissae
         with pytest.raises(FitError, match="degenerate"):
             cooling_curve_fit(pts, mode="A-and-B")
-
-    def test_report_dict_fields(self):
-        gammas = np.logspace(1, 5, 10)
-        temps = 80.0 / gammas + 2e-6 * gammas
-        fit = cooling_curve_fit(np.column_stack([gammas, temps]), mode="A-and-B")
-        d = fit.as_dict()
-        assert set(d) == {"parameters", "mode", "covariance", "derived"}
-        assert d["derived"]["t_min_k"] == pytest.approx(fit.t_min)
 
 
 class TestImprecisionFromFloor:
