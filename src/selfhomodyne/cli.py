@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ScenarioConfig, _seed
+from .config import _FORWARD_SEED_OFFSET, ConfigError, ScenarioConfig, _seed
 from .constants import CONSTANTS, K_B
 from .langevin import (
     FeedbackConfig,
@@ -232,7 +232,7 @@ def _cool_point(cfg: ScenarioConfig, seed: int, index: int, gfb: float, channel:
     feedback = dataclasses.replace(
         cfg.feedback, cooling_rate=gfb, spring_gain=alpha, source_channel=channel
     )
-    offset = 0 if channel == "self-homodyne" else 1000
+    offset = 0 if channel == "self-homodyne" else _FORWARD_SEED_OFFSET
     point = f"cool-sweep {channel} point {index}: gamma_fb = {gfb:.6g} rad/s"
     with _stage(
         f"{point}, alpha = {alpha:.6g} rad/s (spring rule alpha = spring_gain_coef * "
@@ -273,32 +273,30 @@ def _cool_point(cfg: ScenarioConfig, seed: int, index: int, gfb: float, channel:
     }
 
 
-def _cool_channel(cfg: ScenarioConfig, seed: int, channel: str, threads: int, b_ext: float):
-    points = [(cfg, seed, i, g, channel) for i, g in enumerate(cfg.cooling_rates)]
-    results = _sweep(threads, _cool_point, points)
-    fit_points = [(r["gamma_fb_rad_per_s"], r["t_mode_k"]) for r in results]
-    curve = cooling_curve_fit(fit_points, mode="A-only", external_b=b_ext)
-    return results, curve
-
-
 def cmd_cool_sweep(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) -> dict:
     """Feedback-gain sweep for both detector channels: per-point mode
     analysis, temperature and lock status (1 when |q| passed lambda/4), and
-    the sweep-level cooling-curve fit.  The manifest lists as
+    the sweep-level cooling-curve fit T = A/gamma + B gamma: A is fitted, B
+    comes from the imprecision floor.  The manifest lists as
     ``unresolved_fits`` every point whose fitted linewidth is below one PSD
     bin: its rate and temperature are not measured by the spectrum."""
-    b_ext = (
+    b_floor = (
         math.pi * cfg.trap.mass * cfg.trap.secular_freq_y**2
         * cfg.detector.imprecision_self / (2.0 * K_B)
     )
-    if b_ext <= 0.0:
+    if b_floor <= 0.0:
         raise ValueError(
             "cool-sweep needs detector.imprecision_self_m2_per_hz > 0: the cooling-curve "
             "fit takes B = pi m w_y^2 S_imp / (2 k_B) from it, and B = 0 has no T_min"
         )
     outputs, unresolved = [], []
     for channel, name in (("self-homodyne", "self"), ("forward", "forward")):
-        results, curve = _cool_channel(cfg, seed, channel, threads, b_ext)
+        points = [(cfg, seed, i, g, channel) for i, g in enumerate(cfg.cooling_rates)]
+        results = _sweep(threads, _cool_point, points)
+        with _stage(f"cool-sweep {channel}: cooling-curve fit failed"):
+            curve = cooling_curve_fit(
+                [(r["gamma_fb_rad_per_s"], r["t_mode_k"]) for r in results], b_floor
+            )
         unresolved += [
             {"channel": channel, "index": i, "fwhm_hz": r["fwhm_hz"], "bin_hz": r["bin_hz"]}
             for i, r in enumerate(results)

@@ -2,7 +2,8 @@
 names, parsed into the library's typed objects.
 
 Every value has a default (the published operating point of the tabletop
-setup), so a config file only needs the keys it overrides.  Seeds are always
+setup, written once, as the library's dataclass defaults), so a config file
+only needs the keys it overrides.  Seeds are always
 explicit; no ambient entropy enters a run.
 """
 
@@ -21,54 +22,63 @@ from .optics import Beam, OpticalSetup, Scatterer
 __all__ = ["ScenarioConfig", "default_config_dict", "ConfigError"]
 
 
+# cool-sweep seeds forward-channel point i as sweep point _FORWARD_SEED_OFFSET + i,
+# so a sweep holds at most this many cooling rates
+_FORWARD_SEED_OFFSET = 1000
+
+
 class ConfigError(ValueError):
     """Configuration failed validation."""
 
 
 def default_config_dict() -> dict:
-    """Full default configuration tree (tabletop operating point)."""
+    """Full default configuration tree: the library's dataclass defaults (the
+    tabletop operating point) in the units the keys name, and the beam, the
+    simulation and the sweeps, which no dataclass default holds."""
+    opt, sca, trap = OpticalSetup(), Scatterer(), TrapConfig()
+    bath, det, fbk = Bath(), DetectorModel(), FeedbackConfig()
     return {
         "scenario_id": "default",
         "optics": {
-            "wavelength_m": 780e-9,
-            "numerical_aperture": 0.18,
-            "mirror_field_reflectivity": 1.0,
-            "visibility": 0.7,
-            "path_efficiency": 0.9,
-            "detector_quantum_efficiency": 0.82,
-            "focal_length_m": 0.05,
-            "mirror_distance_m": 0.10,
-            "polarization_axis": [0.0, 1.0, 0.0],
+            "wavelength_m": opt.wavelength,
+            "numerical_aperture": math.sin(opt.half_aperture),
+            "mirror_field_reflectivity": opt.mirror_reflectivity,
+            "visibility": opt.visibility,
+            "path_efficiency": opt.path_efficiency,
+            "detector_quantum_efficiency": opt.detector_qe,
+            "focal_length_m": opt.focal_length,
+            "mirror_distance_m": opt.mirror_distance,
+            "polarization_axis": list(opt.polarization_axis),
         },
         "scatterer": {
-            "radius_m": 150e-9,
-            "refractive_index": 1.45,
-            "mass_kg": 2.0e-17,
+            "radius_m": sca.radius,
+            "refractive_index": sca.refractive_index,
+            "mass_kg": trap.mass,
         },
         "beam": {"power_w": 0.43, "waist_m": 0.29e-3},
         "trap": {
-            "secular_freq_x_hz": 2100.0,
-            "secular_freq_y_hz": 3200.0,
+            "secular_freq_x_hz": trap.secular_freq_x / (2.0 * math.pi),
+            "secular_freq_y_hz": trap.secular_freq_y / (2.0 * math.pi),
         },
         "bath": {
-            "pressure_mbar": 2e-8,
-            "temperature_k": 300.0,
-            "damping_anchor_pressure_mbar": 1e-2,
-            "damping_anchor_gamma_rad_per_s": 2.0 * math.pi * 4.3,
+            "pressure_mbar": bath.pressure,
+            "temperature_k": bath.temperature,
+            "damping_anchor_pressure_mbar": bath.damping_anchor[0],
+            "damping_anchor_gamma_rad_per_s": bath.damping_anchor[1],
         },
         "detector": {
-            "imprecision_self_m2_per_hz": 3.0e-24,
-            "imprecision_forward_m2_per_hz": 3.0e-24 * 10**3.8,
-            "fringe_nonlinearity": False,
-            "ramp_rate_m_per_s": 2e-6,
-            "gain_volts": 1.0,
+            "imprecision_self_m2_per_hz": det.imprecision_self,
+            "imprecision_forward_m2_per_hz": det.imprecision_forward,
+            "fringe_nonlinearity": det.fringe_nonlinearity,
+            "ramp_rate_m_per_s": det.ramp_rate,
+            "gain_volts": det.gain,
         },
         "feedback": {
-            "cooling_rate_rad_per_s": 0.0,
-            "spring_gain_rad_per_s": 0.0,
-            "loop_delay_s": 0.0,
-            "filter_band_hz": [300.0, 6400.0],
-            "source_channel": "self-homodyne",
+            "cooling_rate_rad_per_s": fbk.cooling_rate,
+            "spring_gain_rad_per_s": fbk.spring_gain,
+            "loop_delay_s": fbk.loop_delay,
+            "filter_band_hz": list(fbk.filter_band),
+            "source_channel": fbk.source_channel,
         },
         "sim": {
             "dt_s": 2.0**-17,
@@ -245,9 +255,10 @@ class ScenarioConfig:
             if len(rates) < 3:
                 # the cooling-curve fit of cool-sweep needs three points
                 raise ValueError("sweeps cooling_rates_rad_per_s needs at least 3 entries")
-            if len(rates) > 1000:
-                # forward-channel point i is seeded as sweep point 1000 + i
-                raise ValueError("sweeps cooling_rates_rad_per_s allows at most 1000 entries")
+            if len(rates) > _FORWARD_SEED_OFFSET:
+                raise ValueError(
+                    f"sweeps cooling_rates_rad_per_s allows at most {_FORWARD_SEED_OFFSET} entries"
+                )
             coef = _real(swp["spring_gain_coef"])
             mode_gains = _reals(swp["mode_spring_gains_rad_per_s"])
             if any(g < 0 for g in rates + mode_gains + (coef,)):

@@ -146,7 +146,8 @@ class DetectorModel:
     floors [m^2/Hz] (0 = ideal detector; the forward default sits 38 dB above
     the self-homodyne floor).  In locked mode the mirror holds a mid-fringe
     point with R_s = (lambda/8)(2n+1), n even; in ramp mode it advances at
-    ``ramp_rate`` [m/s].
+    ``ramp_rate`` [m/s].  ``gain`` [V] (>= 0) is the detector output per unit
+    of normalized intensity.
     """
 
     imprecision_self: float = 3.0e-24
@@ -163,6 +164,8 @@ class DetectorModel:
             raise ValueError("mirror_mode must be 'locked' or 'ramp'")
         if self.ramp_rate <= 0.0:
             raise ValueError(f"ramp_rate must be > 0, got {self.ramp_rate!r}")
+        if self.gain < 0.0:
+            raise ValueError(f"gain must be >= 0, got {self.gain!r}")
         if self.imprecision_forward is None:
             object.__setattr__(
                 self, "imprecision_forward", self.imprecision_self * 10 ** (_FORWARD_DB / 10.0)
@@ -246,10 +249,10 @@ def _locked_mirror_distance(setup: OpticalSetup) -> float:
     signal rises with q."""
     lam = setup.wavelength
     m_float = ((setup.focal_length + setup.mirror_distance) * 8.0 / lam - 1.0) / 2.0
+    # f + d >= 0 gives m_float >= -1/2, so m >= 0 before and after the parity fix
     m = int(round(m_float))
     if m % 2 != 0:
         m += 1 if m_float > m else -1
-    m = max(m, 0)
     return (lam / 8.0) * (2 * m + 1) - setup.focal_length
 
 

@@ -53,8 +53,6 @@ __all__ = [
     "fringe_slope",
 ]
 
-_Y_AXIS = (0.0, 1.0, 0.0)
-
 
 class RayleighValidityWarning(UserWarning):
     """Scatterer radius is not small compared to the wavelength; the dipole
@@ -92,7 +90,7 @@ class OpticalSetup:
     detector_qe: float = 0.82
     focal_length: float = 0.05
     mirror_distance: float = 0.10
-    polarization_axis: tuple = _Y_AXIS
+    polarization_axis: tuple = (0.0, 1.0, 0.0)
 
     def __post_init__(self):
         if not 0.0 < self.half_aperture <= math.pi / 2:
@@ -105,9 +103,7 @@ class OpticalSetup:
                 raise ValueError(f"{name} must lie in [0, 1], got {val}")
         if self.focal_length + self.mirror_distance < 0.0:
             raise ValueError("optical path focal_length + mirror_distance must be >= 0")
-        eps = np.asarray(self.polarization_axis, dtype=float)
-        if eps.shape != (3,) or abs(np.linalg.norm(eps) - 1.0) > 1e-12:
-            raise ValueError("polarization_axis must be a unit 3-vector (tol 1e-12)")
+        eps = _as_unit_vector(self.polarization_axis, "polarization_axis", tol=1e-12)
         object.__setattr__(self, "polarization_axis", tuple(float(x) for x in eps))
 
     @classmethod
@@ -295,9 +291,10 @@ def calibration_deviation(numerical_aperture: float) -> float:
     return _delta_chi(mirror_sensitivity(setup), particle_sensitivity(setup))
 
 
-def collection_efficiency(half_aperture: float, polarization=_Y_AXIS) -> float:
-    """Fraction of the dipole-radiated power collected by a lens cap of the
-    given half-aperture (cap axis = detection axis z)."""
+def collection_efficiency(half_aperture: float, polarization) -> float:
+    """Fraction of the power radiated by a dipole along the unit vector
+    ``polarization`` that a lens cap of the given half-aperture collects
+    (cap axis = detection axis z)."""
     if half_aperture == 0.0:
         return 0.0
     if not 0.0 < half_aperture <= math.pi:
@@ -329,7 +326,11 @@ def rayleigh_scattered_power(beam: Beam, scatterer: Scatterer) -> float:
 def detection_efficiency(setup: OpticalSetup) -> float:
     """Overall detection efficiency: visibility^2 times path and quantum
     losses times the aperture factor
-    (128 - 90 cos(t) - 35 cos(3t) - 3 cos(5t))/128."""
+    (128 - 90 cos(t) - 35 cos(3t) - 3 cos(5t))/128.
+
+    The aperture factor is 5 int_cap cos^2(theta) dp for a polarization
+    perpendicular to the cap axis z; it assumes that polarization, whatever
+    ``setup.polarization_axis`` says."""
     t = setup.half_aperture
     angular = (
         128.0 - 90.0 * math.cos(t) - 35.0 * math.cos(3.0 * t) - 3.0 * math.cos(5.0 * t)

@@ -147,32 +147,25 @@ class LorentzianFit:
 
 @dataclass(frozen=True)
 class CoolingCurveFit:
-    """Steady-state temperature vs cooling rate, T = A/gamma + B*gamma.
-
-    In "A-only" mode B is either zero or supplied externally; the derived
-    quantities are T_min = 2 sqrt(AB) and gamma_min = sqrt(A/B).
-    """
+    """Steady-state temperature vs cooling rate, T = A/gamma + B*gamma, with
+    both coefficients positive: the minimum T_min = 2 sqrt(AB) lies at
+    gamma_min = sqrt(A/B)."""
 
     coeff_a: float
     coeff_b: float
-    mode: str
 
     def __post_init__(self):
-        if self.coeff_a <= 0.0:
-            raise ValueError("A must be positive")
-        if self.mode == "A-and-B" and self.coeff_b <= 0.0:
-            raise ValueError("B must be positive in A-and-B mode")
+        if not (self.coeff_a > 0.0 and self.coeff_b > 0.0):
+            raise ValueError(
+                f"A and B must be positive, got A = {self.coeff_a!r}, B = {self.coeff_b!r}"
+            )
 
     @property
     def t_min(self) -> float:
-        if self.coeff_b <= 0.0:
-            raise ValueError("T_min requires a positive B")
         return 2.0 * math.sqrt(self.coeff_a * self.coeff_b)
 
     @property
     def gamma_min(self) -> float:
-        if self.coeff_b <= 0.0:
-            raise ValueError("gamma_min requires a positive B")
         return math.sqrt(self.coeff_a / self.coeff_b)
 
 
@@ -392,16 +385,12 @@ def lorentzian_fit(psd: Psd, band: tuple[float, float]) -> LorentzianFit:
     )
 
 
-def cooling_curve_fit(
-    points,
-    mode: str = "A-and-B",
-    external_b: float | None = None,
-) -> CoolingCurveFit:
-    """Least squares of T = A/gamma + B*gamma (or T = A/gamma).
+def cooling_curve_fit(points, b: float) -> CoolingCurveFit:
+    """Least squares of T = A/gamma for A, with B given.
 
-    ``points`` is a sequence of (gamma [rad/s], T [K]).  In "A-only" mode the
-    fit has the single parameter A (valid well below the temperature
-    minimum); ``external_b`` then supplies B for the derived T_min/gamma_min.
+    ``points`` is a sequence of (gamma [rad/s], T [K]) well below the
+    temperature minimum, where the B*gamma term is negligible; ``b``
+    [K s/rad] supplies B for T_min and gamma_min.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
@@ -409,26 +398,11 @@ def cooling_curve_fit(
     gamma, temp = pts[:, 0], pts[:, 1]
     if np.any(gamma <= 0.0):
         raise ValueError("cooling rates must be positive")
-
-    if mode == "A-only":
-        design = (1.0 / gamma)[:, None]
-    elif mode == "A-and-B":
-        design = np.column_stack([1.0 / gamma, gamma])
-    else:
-        raise ValueError("mode must be 'A-only' or 'A-and-B'")
-
-    # judge degeneracy on unit-norm columns (the raw 1/gamma and gamma
-    # columns are legitimately many orders of magnitude apart)
+    # solve on the 1/gamma column scaled to unit norm, then scale back
+    design = (1.0 / gamma)[:, None]
     col_scale = np.linalg.norm(design, axis=0)
-    if np.any(col_scale == 0.0) or np.linalg.cond(design / col_scale) > 1e8:
-        raise FitError("degenerate design matrix in cooling-curve fit")
-    coef_scaled, *_ = np.linalg.lstsq(design / col_scale, temp, rcond=None)
-    coef = coef_scaled / col_scale
-
-    if mode == "A-only":
-        b = external_b if external_b is not None else 0.0
-        return CoolingCurveFit(coeff_a=float(coef[0]), coeff_b=float(b), mode=mode)
-    return CoolingCurveFit(coeff_a=float(coef[0]), coeff_b=float(coef[1]), mode=mode)
+    coef, *_ = np.linalg.lstsq(design / col_scale, temp, rcond=None)
+    return CoolingCurveFit(coeff_a=float((coef / col_scale)[0]), coeff_b=b)
 
 
 def imprecision_from_floor(psd: Psd, floor_band: tuple[float, float]) -> float:

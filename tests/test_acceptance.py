@@ -62,7 +62,7 @@ def test_criterion_1_calibration_deviation():
 
 
 def test_criterion_2_collection_efficiency():
-    eta = collection_efficiency(math.asin(0.18))
+    eta = collection_efficiency(math.asin(0.18), (0.0, 1.0, 0.0))
     check(2, abs(eta - 0.012) <= 1e-3, f"eta_col(NA=0.18) = {eta:.4f} (target 0.012 +/- 0.001)")
 
 
@@ -177,7 +177,7 @@ def test_criterion_8_cooling_curve_analytics():
     t0 = time.time()
     mass, wy, s_imp = 2.0e-17, 2 * math.pi * 3200.0, 3.0e-24
     b = math.pi * mass * wy**2 * s_imp / (2 * K_B)
-    fit = CoolingCurveFit(coeff_a=112.0, coeff_b=b, mode="A-and-B")
+    fit = CoolingCurveFit(coeff_a=112.0, coeff_b=b)
     elapsed = time.time() - t0
     check(
         8,

@@ -68,8 +68,9 @@ class TestConfig:
         assert cfg.bath.pressure == 2e-8
 
     def test_defaults_are_library_defaults(self):
-        # the operating point is written twice, in default_config_dict() and
-        # in the dataclass defaults: the two must agree
+        # default_config_dict() builds its tables from the dataclass
+        # defaults, the one copy of the operating point: parsing them back
+        # through the key units gives the same objects
         cfg = ScenarioConfig.from_dict({})
         assert cfg.setup == OpticalSetup()
         assert cfg.scatterer == Scatterer()
@@ -110,6 +111,8 @@ class TestConfig:
             {"sim": {"seed": -1}},
             {"detector": {"ramp_rate_m_per_s": 0.0}},
             {"detector": {"ramp_rate_m_per_s": -1e-6}},
+            {"detector": {"gain_volts": -1.0}},
+            {"detector": {"gain_volts": -1e-300}},
             {"sweeps": {"scattered_powers_w": [math.nan, "4e-8"]}},
             {"sweeps": {"scattered_powers_w": [0.0]}},
             {"sweeps": {"scattered_powers_w": 4e-8}},
@@ -527,6 +530,25 @@ class TestDeterminismAndErrors:
         assert err == (
             "FitError: cool-sweep self-homodyne point 1: gamma_fb = 502.655 rad/s: "
             "fit of the upper mode failed: did not converge in 4 evaluations"
+        )
+
+    def test_cooling_curve_fit_failure_named(self, tmp_path):
+        # a measured cooling rate of 0 cannot enter T = A/gamma
+        fits = []
+
+        def zero_width_second_fit(psd, band):
+            fit = lorentzian_fit(psd, band)
+            fits.append(band)
+            return dataclasses.replace(fit, fwhm=0.0) if len(fits) == 2 else fit
+
+        with mock.patch.object(cli, "lorentzian_fit", zero_width_second_fit):
+            code, out = run_cli(tmp_path, "cool-sweep", COOL_THREADS)
+        assert code == 1 and len(fits) == 3
+        assert not list(out.glob("*.csv")) and not (out / "manifest.json").exists()
+        err = json.loads((out / "error_manifest.json").read_text())["error"]
+        assert err == (
+            "ValueError: cool-sweep self-homodyne: cooling-curve fit failed: "
+            "cooling rates must be positive"
         )
 
     def test_imprecision_sweep_failure_named(self, tmp_path):

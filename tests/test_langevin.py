@@ -713,6 +713,12 @@ class TestTrajectoryExport:
         assert np.all(traj.mirror_d == traj.mirror_d[0])
         assert not traj.mirror_d.flags.writeable
 
+    def test_zero_optical_path_locks_at_first_point(self):
+        # f + d = 0 puts m_float at its lowest, -1/2, and the lock on m = 0
+        setup = OpticalSetup(focal_length=0.05, mirror_distance=-0.05)
+        lock = langevin._locked_mirror_distance(setup)
+        assert lock == setup.wavelength / 8.0 - setup.focal_length
+
     def test_forward_channel_floor(self):
         s_fwd = 1e-20
         det = DetectorModel(imprecision_self=1e-24, imprecision_forward=s_fwd)
@@ -738,6 +744,10 @@ class TestConfigTypes:
         for rate in (0.0, -1e-6):
             with pytest.raises(ValueError, match="ramp_rate must be > 0"):
                 DetectorModel(ramp_rate=rate)
+        for gain in (-1.0, -1e-300):
+            with pytest.raises(ValueError, match="gain must be >= 0"):
+                DetectorModel(gain=gain)
+        assert DetectorModel(gain=0.0).gain == 0.0
 
     def test_forward_default_38_db(self):
         det = DetectorModel(imprecision_self=3e-24)

@@ -23,6 +23,7 @@ from selfhomodyne.optics import (
     OpticalSetup,
     RayleighValidityWarning,
     Scatterer,
+    _cap_weights,
     _effective_wavenumber,
     backaction_psd,
     calibration_deviation,
@@ -85,6 +86,7 @@ def detection_angular_analytic(theta_d):
 
 
 PAPER_SETUP = OpticalSetup()  # NA = 0.18, 780 nm, V = 0.7, eta_opt = 0.9, QE = 0.82
+Y_POL = (0.0, 1.0, 0.0)  # the paper's polarization, perpendicular to the cap axis
 
 
 # ---------------------------------------------------------------------------
@@ -286,21 +288,21 @@ class TestCalibrationDeviation:
 
 class TestCollectionEfficiency:
     def test_paper_value(self):
-        assert collection_efficiency(math.asin(0.18)) == pytest.approx(0.012, abs=1e-3)
+        assert collection_efficiency(math.asin(0.18), Y_POL) == pytest.approx(0.012, abs=1e-3)
 
     def test_matches_closed_form(self):
         for theta_d in (0.1, 0.5, 1.0, 2.0, 3.0):
-            assert collection_efficiency(theta_d) == pytest.approx(
+            assert collection_efficiency(theta_d, Y_POL) == pytest.approx(
                 collection_efficiency_analytic(theta_d), abs=1e-10
             )
 
     def test_endpoints(self):
-        assert collection_efficiency(0.0) == 0.0
-        assert collection_efficiency(math.pi) == pytest.approx(1.0, abs=1e-10)
+        assert collection_efficiency(0.0, Y_POL) == 0.0
+        assert collection_efficiency(math.pi, Y_POL) == pytest.approx(1.0, abs=1e-10)
 
     def test_monotone_in_aperture(self):
         grid = np.linspace(0.01, math.pi, 50)
-        vals = [collection_efficiency(float(t)) for t in grid]
+        vals = [collection_efficiency(float(t), Y_POL) for t in grid]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     @pytest.mark.parametrize("pol", [(0.0, 0.0, 1.0), (0.0, 0.6, 0.8)])
@@ -370,6 +372,20 @@ class TestDetectionEfficiency:
             )
             assert detection_efficiency(setup) == pytest.approx(
                 detection_angular_analytic(theta_d), rel=1e-12, abs=0
+            )
+
+    @pytest.mark.parametrize("pol", [Y_POL, (1.0, 0.0, 0.0), (0.6, 0.8, 0.0)])
+    def test_closed_form_is_the_cap_quadrature(self, pol):
+        # for a polarization perpendicular to the cap axis z the aperture
+        # factor is 5 int_cap cos^2(theta) dp, summed with the cap weights
+        for theta_d in (0.05, 0.18, 0.5, 1.0, 1.4, math.pi / 2):
+            setup = OpticalSetup(
+                half_aperture=theta_d, visibility=1.0, path_efficiency=1.0, detector_qe=1.0,
+                polarization_axis=pol,
+            )
+            u, w = _cap_weights(theta_d, pol)
+            assert detection_efficiency(setup) == pytest.approx(
+                5.0 * float(w @ (u * u)), rel=1e-13, abs=0
             )
 
     def test_endpoint_identities(self):

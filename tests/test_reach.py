@@ -1,7 +1,7 @@
 """Everything public in the package is used by a command, or is kept on
-purpose with a stated reason: each public function, each public member
-(field, method or property) of a public class, and each keyword option of a
-public function.
+purpose with a stated reason: each public function and each public member
+(field, method or property) of a public class.  Each keyword option of a
+public function that is not kept is set two ways by the commands.
 
 Read with the standard library's ``ast`` only.  Reach starts from the whole
 of ``cli`` and from the body of everything on KEEP, and follows names:
@@ -19,8 +19,11 @@ of ``cli`` and from the body of everything on KEEP, and follows names:
   assignment is a call of a class or of a function annotated to return one,
   and a field or property annotated with a class.  Otherwise every class's
   member of that name is reached.
-* A keyword option (a parameter with a default) of a public function counts
-  only when a reached call passes it a value other than its literal default.
+* A keyword option (a parameter with a default) of a public function must
+  take at least two distinct values across the reached calls of the
+  function.  An omitted option counts as its default, a literal by its
+  value, and any other expression by its ``ast.dump``; a call that unpacks
+  ``*args`` or ``**kwargs`` counts as a value of its own.
 
 The check can count something reached that is not, but never misses a use.
 """
@@ -222,21 +225,32 @@ def _options(func) -> dict:
     return out
 
 
-def _is_default(value, default) -> bool:
+def _value(expr):
+    """A literal's value, or the ``ast.dump`` of any other expression."""
     try:
-        return ast.literal_eval(value) == ast.literal_eval(default)
+        return ast.literal_eval(expr)
     except ValueError:
-        return ast.dump(value) == ast.dump(default)
+        return ast.dump(expr)
 
 
-def _passed(call, option, position, default) -> bool:
-    """Whether ``call`` passes ``option`` a value other than ``default``."""
+def _argument(call, option, position, default):
+    """The value ``call`` passes ``option``: its default when omitted."""
     if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
-        return True
-    values = [k.value for k in call.keywords if k.arg == option]
+        return ast.dump(call)
+    for k in call.keywords:
+        if k.arg == option:
+            return _value(k.value)
     if position is not None and position < len(call.args):
-        values.append(call.args[position])
-    return any(not _is_default(v, default) for v in values)
+        return _value(call.args[position])
+    return _value(default)
+
+
+def _distinct(values) -> list:
+    out = []
+    for v in values:
+        if v not in out:
+            out.append(v)
+    return out
 
 
 def _called_name(call):
@@ -267,19 +281,19 @@ def test_every_public_member_is_reached_or_kept():
     assert unreached == [], f"no command reads {unreached}; delete them or keep them with a reason"
 
 
-def test_every_keyword_option_is_passed():
+def test_every_keyword_option_takes_two_values():
     pkg = _package()
     _, _, calls = pkg.reach(pkg.starts(KEEP))
-    unpassed = sorted(
+    fixed = sorted(
         f"{qual}({option}=)"
         for qual, func in pkg.public_functions().items()
         if func.name not in KEEP
         for option, (position, default) in _options(func).items()
-        if not any(
-            _called_name(c) == func.name and _passed(c, option, position, default) for c in calls
-        )
+        if len(_distinct(
+            _argument(c, option, position, default) for c in calls if _called_name(c) == func.name
+        )) < 2
     )
-    assert unpassed == [], f"no command passes {unpassed} a value but the default; make them constants"
+    assert fixed == [], f"the commands set {fixed} one way only; make each a constant or a required parameter"
 
 
 def test_keep_list_names_only_unreached_public_functions():

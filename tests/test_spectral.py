@@ -277,48 +277,28 @@ class TestCoolingCurveFit:
     B_PAPER = math.pi * 2.0e-17 * (2 * math.pi * 3200.0) ** 2 * 3.0e-24 / (2 * K_B)
 
     def test_paper_minimum_temperature_and_rate(self):
-        fit = CoolingCurveFit(self.A_PAPER, self.B_PAPER, "A-and-B")
+        fit = CoolingCurveFit(self.A_PAPER, self.B_PAPER)
         assert fit.t_min == pytest.approx(1e-3, rel=0.15)
         assert fit.gamma_min == pytest.approx(2 * math.pi * 31e3, rel=0.15)
 
-    def test_exact_synthetic_recovery(self):
-        a_true, b_true = 80.0, 2e-6
-        gammas = np.logspace(1, 5, 12)
-        temps = a_true / gammas + b_true * gammas
-        fit = cooling_curve_fit(np.column_stack([gammas, temps]), mode="A-and-B")
-        assert fit.coeff_a == pytest.approx(a_true, rel=1e-6)
-        assert fit.coeff_b == pytest.approx(b_true, rel=1e-6)
-
-    def test_a_only_mode_with_external_b(self):
+    def test_fits_a_with_external_b(self):
         a_true = 112.0
         gammas = np.logspace(1, 3, 8)  # all far below gamma_min
         temps = a_true / gammas
-        fit = cooling_curve_fit(
-            np.column_stack([gammas, temps]), mode="A-only", external_b=self.B_PAPER
-        )
+        fit = cooling_curve_fit(np.column_stack([gammas, temps]), self.B_PAPER)
         assert fit.coeff_a == pytest.approx(a_true, rel=1e-9)
-        assert fit.mode == "A-only"
+        assert fit.coeff_b == self.B_PAPER
         assert fit.t_min == pytest.approx(1.11e-3, rel=0.01)
-
-    def test_interior_minimum_for_noisy_channel(self):
-        # forward-detection shape: positive B produces an interior minimum
-        a_true, b_true = 100.0, 6.5e-5
-        gammas = np.logspace(2, 4.5, 16)
-        temps = a_true / gammas + b_true * gammas
-        fit = cooling_curve_fit(np.column_stack([gammas, temps]), mode="A-and-B")
-        gmin = fit.gamma_min
-        assert gammas.min() < gmin < gammas.max()
-        curve = fit.coeff_a / gammas + fit.coeff_b * gammas
-        assert np.argmin(curve) not in (0, len(gammas) - 1)
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
-            cooling_curve_fit([(10.0, 1.0), (20.0, 0.5)])
+            cooling_curve_fit([(10.0, 1.0), (20.0, 0.5)], self.B_PAPER)
 
-    def test_degenerate_design_rejected(self):
-        pts = [(100.0, 1.0)] * 5  # identical abscissae
-        with pytest.raises(FitError, match="degenerate"):
-            cooling_curve_fit(pts, mode="A-and-B")
+    @pytest.mark.parametrize("a, b", [(0.0, 1e-6), (-1.0, 1e-6), (112.0, 0.0), (112.0, -1e-6),
+                                      (math.nan, 1e-6)])
+    def test_nonpositive_coefficients_rejected(self, a, b):
+        with pytest.raises(ValueError, match="A and B must be positive"):
+            CoolingCurveFit(a, b)
 
 
 class TestImprecisionFromFloor:
