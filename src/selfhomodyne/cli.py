@@ -127,12 +127,15 @@ def _calibration_slope(cfg: ScenarioConfig) -> float:
 # commands
 # ---------------------------------------------------------------------------
 
+_FRINGES_RAMPED = 3  # fringes of mirror travel in a calibration scan
+
+
 def _ramp_run(cfg: ScenarioConfig, seed: int):
-    """Mirror-ramp simulation over three fringes of travel, modeling the
-    calibration procedure on a pre-cooled particle (initial state at rest;
-    thermal forces still act during the scan)."""
+    """Mirror-ramp simulation over ``_FRINGES_RAMPED`` fringes of travel,
+    modeling the calibration procedure on a pre-cooled particle (initial
+    state at rest; thermal forces still act during the scan)."""
     det = dataclasses.replace(cfg.detector, mirror_mode="ramp")
-    duration = 3.0 * (cfg.setup.wavelength / 2.0) / det.ramp_rate
+    duration = _FRINGES_RAMPED * (cfg.setup.wavelength / 2.0) / det.ramp_rate
     return simulate(
         cfg.trap, cfg.bath, FeedbackConfig(), det, cfg.setup,
         duration=duration, dt=cfg.dt, seed=seed, initial_state=(0.0, 0.0, 0.0, 0.0),
@@ -140,18 +143,20 @@ def _ramp_run(cfg: ScenarioConfig, seed: int):
 
 
 def cmd_fringe_scan(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) -> dict:
-    """Ramp the mirror over several fringes and record the detector output."""
-    lam = cfg.setup.wavelength
+    """Ramp the mirror over several fringes and record the detector output.
+    The manifest records the fringes the fit found next to those ramped: they
+    differ where the fit follows the particle's motion, not the fringes."""
     traj = _ramp_run(cfg, seed)
     disp = traj.mirror_d - traj.mirror_d[0]
     if float(np.ptp(traj.volts_self)) < 1e-12 * max(abs(float(traj.volts_self[0])), 1.0):
-        visibility = 0.0  # no fringes (e.g. no mirror)
+        visibility, fringes = 0.0, None  # no fringes (e.g. no mirror)
     else:
-        visibility = run_calibration(traj, lam).visibility
+        result = run_calibration(traj, cfg.setup.wavelength)
+        visibility, fringes = result.visibility, result.fringes_covered
     # the constant visibility cell is formatted once, as write_csv formats a float
     rows = ColumnRows(disp, traj.volts_self, "%.17g" % visibility)
     _write_csv(out_dir / "fringe_scan.csv", ["mirror_displacement_m", "detector_volts", "visibility"], rows)
-    return {"outputs": ["fringe_scan.csv"]}
+    return {"outputs": ["fringe_scan.csv"], "fringes_ramped": _FRINGES_RAMPED, "fringes_covered": fringes}
 
 
 def cmd_calibrate(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) -> dict:

@@ -59,7 +59,6 @@ import numpy as np
 from . import modes
 from .constants import K_B
 from .optics import OpticalSetup, _effective_wavenumber, fringe_slope
-from .spectral import FitError
 
 __all__ = [
     "Bath",
@@ -675,78 +674,6 @@ def synthesize_detector(
     return volts_self
 
 
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-_SQRT_EPS = math.sqrt(2.2e-16)
-_MAX_EVALS = 500
-
-
-def _minimize_bounded(func, lo: float, hi: float, xatol: float) -> tuple[float, int]:
-    """Brent's bounded minimization of ``func`` on [lo, hi]: the iterates of
-    scipy's ``minimize_scalar(method="bounded")`` (golden-section steps,
-    parabolic steps where acceptable, tolerance sqrt(2.2e-16)*|x| + xatol/3),
-    so x and the evaluation count equal scipy's.  Returns (x, evaluations);
-    raises FitError when ``_MAX_EVALS`` evaluations do not converge."""
-    a, b = lo, hi
-    xf = w = v = a + _GOLDEN * (b - a)
-    fx = fw = fv = func(xf)
-    evals = 1
-    rat = e = 0.0
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabola through xf, w and v
-            r = (xf - w) * (fx - fv)
-            q = (xf - v) * (fx - fw)
-            p = (xf - v) * q - (xf - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = p / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = _GOLDEN * e
-        step = max(abs(rat), tol1)
-        x = xf + (step if rat >= 0.0 else -step)
-        fu = func(x)
-        evals += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            v, fv = w, fw
-            w, fw = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fw or w == xf:
-                v, fv = w, fw
-                w, fw = x, fu
-            elif fu <= fv or v == xf or v == w:
-                v, fv = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if evals >= _MAX_EVALS:
-            raise FitError(
-                f"bounded minimization on [{lo:.17g}, {hi:.17g}] did not converge in "
-                f"{_MAX_EVALS} evaluations (last x = {xf:.17g})"
-            )
-    return xf, evals
-
-
 def run_calibration(trajectory: Trajectory, wavelength: float) -> CalibrationResult:
     """Extract the volts-per-meter scale from a mirror-ramp trajectory.
 
@@ -775,21 +702,37 @@ def run_calibration(trajectory: Trajectory, wavelength: float) -> CalibrationRes
     tgrid = np.arange(n) * dt
 
     def fit(freq):
-        """Least-squares C0, C1, C2 at ``freq`` and the residual sum of squares."""
-        w = 2.0 * math.pi * freq
-        design = np.column_stack([np.ones(n), np.cos(w * tgrid), np.sin(w * tgrid)])
-        coef, *_ = np.linalg.lstsq(design, v, rcond=None)
-        r = v - design @ coef
+        """Least-squares C0, C1, C2 at ``freq`` from the 3x3 normal equations,
+        and the residual sum of squares r.r (v.v - C.b cancels to ~1e-12)."""
+        phase = 2.0 * math.pi * freq * tgrid
+        design = np.stack([np.ones(n), np.cos(phase), np.sin(phase)])
+        coef = np.linalg.solve(design @ design.T, design @ v)
+        r = v - coef @ design
         return coef, float(r @ r)
 
     def residual(freq):
         return fit(freq)[1]
 
+    # golden-section search of the bracket around the FFT peak down to a
+    # tenth of a bin (10 evaluations), then a parabolic polish: the residual
+    # is locally quadratic in f, so the three-point vertex lands on the
+    # minimum to float precision
     df = 1.0 / duration
-    f_fit, _ = _minimize_bounded(residual, max(f0 - 1.5 * df, 0.1 * df), f0 + 1.5 * df, df * 1e-12)
-    # parabolic polish: the residual is locally quadratic in f, so the
-    # three-point vertex lands on the minimum to float precision
-    for h in (1e-4 * df, 1e-7 * df):
+    g = 0.5 * (math.sqrt(5.0) - 1.0)
+    a, b = max(f0 - 1.5 * df, 0.1 * df), f0 + 1.5 * df
+    c, d = b - g * (b - a), a + g * (b - a)
+    r_c, r_d = residual(c), residual(d)
+    while b - a >= 0.1 * df:
+        if r_c <= r_d:
+            b, d, r_d = d, c, r_c
+            c = b - g * (b - a)
+            r_c = residual(c)
+        else:
+            a, c, r_c = c, d, r_d
+            d = a + g * (b - a)
+            r_d = residual(d)
+    f_fit = c if r_c <= r_d else d
+    for h in (0.1 * df, 1e-2 * df, 1e-4 * df, 1e-7 * df):
         r_m, r_0, r_p = residual(f_fit - h), residual(f_fit), residual(f_fit + h)
         denom = r_m - 2.0 * r_0 + r_p
         if denom > 0.0:

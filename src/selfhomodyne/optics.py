@@ -64,7 +64,7 @@ def _as_unit_vector(v, name: str, tol: float = 1e-8) -> np.ndarray:
     if arr.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {arr.shape}")
     norm = float(np.linalg.norm(arr))
-    if abs(norm - 1.0) > tol:
+    if not abs(norm - 1.0) <= tol:  # a NaN component fails this test too
         raise ValueError(f"{name} must be a unit vector (|{name}| = {norm:.6g})")
     return arr
 

@@ -287,6 +287,25 @@ class TestFringeScan:
         volts = np.array([r[1] for r in rows])
         assert float(np.ptp(volts)) == 0.0
         assert rows[0][2] == 0.0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["fringes_covered"] is None
+
+    @pytest.mark.parametrize("bath, clean", [
+        (None, True),  # the default 2e-8 mbar: the particle barely moves
+        ({"pressure_mbar": 2e-2}, False),  # the fit follows the particle's motion
+    ], ids=["default", "2e-2mbar"])
+    def test_manifest_reports_fringes_covered(self, tmp_path, bath, clean):
+        code, out = run_cli(tmp_path, "fringe-scan", None if bath is None else {"bath": bath})
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        _, rows = read_csv(out / "fringe_scan.csv")
+        assert manifest["fringes_ramped"] == 3
+        if clean:
+            assert manifest["fringes_covered"] == pytest.approx(3.0, abs=1e-3)
+            assert rows[0][2] == pytest.approx(0.7, abs=0.01)
+        else:
+            assert manifest["fringes_covered"] > 100.0
+            assert rows[0][2] < 0.1
 
 
 class TestCalibrateCommand:

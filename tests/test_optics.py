@@ -490,6 +490,15 @@ class TestTypes:
         with pytest.raises(ValueError):
             OpticalSetup(focal_length=-1.0, mirror_distance=0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_unit_vector_rejected(self, bad):
+        # a NaN norm compares False with any tolerance, so it is tested as
+        # "not within", not as "beyond"
+        with pytest.raises(ValueError, match="polarization_axis must be a unit vector"):
+            OpticalSetup(polarization_axis=(bad, 1, 0))
+        with pytest.raises(ValueError, match="polarization must be a unit vector"):
+            collection_efficiency(0.5, (bad, 1, 0))
+
     def test_invalid_scatterer_rejected(self):
         with pytest.raises(ValueError):
             Scatterer(radius=0.0)
