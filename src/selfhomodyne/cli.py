@@ -26,6 +26,7 @@ from .constants import CONSTANTS, K_B
 from .langevin import (
     FeedbackConfig,
     _effective_visibility,
+    _mirror_position,
     gas_damping_rate,
     run_calibration,
     simulate,
@@ -147,7 +148,8 @@ def cmd_fringe_scan(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int)
     The manifest records the fringes the fit found next to those ramped: they
     differ where the fit follows the particle's motion, not the fringes."""
     traj = _ramp_run(cfg, seed)
-    disp = traj.mirror_d - traj.mirror_d[0]
+    d = _mirror_position(cfg.setup, cfg.detector.ramp_rate, np.arange(traj.volts_self.size) * traj.dt)
+    disp = d - d[0]
     if float(np.ptp(traj.volts_self)) < 1e-12 * max(abs(float(traj.volts_self[0])), 1.0):
         visibility, fringes = 0.0, None  # no fringes (e.g. no mirror)
     else:
@@ -173,7 +175,8 @@ def cmd_calibrate(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) -
             f"calibrate: fitted slope {result.volts_per_meter:.6g} V/m is {100.0 * deviation:+.3g}% "
             f"from the model slope {model_slope:.6g} V/m (bound 1%) at bath pressure "
             f"{cfg.bath.pressure:.3g} mbar: the fringe scan assumes a pre-cooled particle, and "
-            "motion the bath drives during the scan blurs the fringes"
+            "motion the bath drives during the scan blurs the fringes; the fit found "
+            f"{result.fringes_covered:.6g} fringes where {_FRINGES_RAMPED} were ramped"
         )
     _write_json(
         out_dir / "calibration.json",
@@ -368,7 +371,7 @@ def cmd_efficiency_report(cfg: ScenarioConfig, seed: int, out_dir: Path, threads
     # delta_chi straight from the two sensitivities (well-defined up to NA=1)
     delta_chi = _delta_chi(mirror_sensitivity(setup), particle_sensitivity(setup))
     payload = {
-        "eta_collection": collection_efficiency(setup.half_aperture, setup.polarization_axis),
+        "eta_collection": collection_efficiency(setup.half_aperture),
         "eta_detection": detection_efficiency(setup),
         "delta_chi": delta_chi,
         "p_rayleigh_w": p_ray,

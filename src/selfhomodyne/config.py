@@ -48,7 +48,6 @@ def default_config_dict() -> dict:
             "detector_quantum_efficiency": opt.detector_qe,
             "focal_length_m": opt.focal_length,
             "mirror_distance_m": opt.mirror_distance,
-            "polarization_axis": list(opt.polarization_axis),
         },
         "scatterer": {
             "radius_m": sca.radius,
@@ -186,17 +185,21 @@ class ScenarioConfig:
     def from_dict(cls, overrides: dict | None = None) -> "ScenarioConfig":
         tree = _merge(default_config_dict(), overrides or {})
         try:
+            if not isinstance(tree["scenario_id"], str):
+                raise TypeError(f"scenario_id must be a string, got {tree['scenario_id']!r}")
             opt = tree["optics"]
+            na = _real(opt["numerical_aperture"])
+            if not 0.0 < na <= 1.0:
+                raise ValueError(f"optics numerical_aperture must lie in (0, 1], got {na!r}")
             setup = OpticalSetup(
                 wavelength=_real(opt["wavelength_m"]),
-                half_aperture=math.asin(_real(opt["numerical_aperture"])),
+                half_aperture=math.asin(na),
                 mirror_reflectivity=_real(opt["mirror_field_reflectivity"]),
                 visibility=_real(opt["visibility"]),
                 path_efficiency=_real(opt["path_efficiency"]),
                 detector_qe=_real(opt["detector_quantum_efficiency"]),
                 focal_length=_real(opt["focal_length_m"]),
                 mirror_distance=_real(opt["mirror_distance_m"]),
-                polarization_axis=tuple(_real(v) for v in opt["polarization_axis"]),
             )
             sca = tree["scatterer"]
             scatterer = Scatterer(
@@ -232,11 +235,14 @@ class ScenarioConfig:
                 gain=_real(det["gain_volts"]),
             )
             fbk = tree["feedback"]
+            band = _reals(fbk["filter_band_hz"])
+            if len(band) != 2:
+                raise ValueError(f"feedback filter_band_hz needs 2 entries, got {len(band)}")
             feedback = FeedbackConfig(
                 cooling_rate=_real(fbk["cooling_rate_rad_per_s"]),
                 spring_gain=_real(fbk["spring_gain_rad_per_s"]),
                 loop_delay=_real(fbk["loop_delay_s"]),
-                filter_band=tuple(_real(v) for v in fbk["filter_band_hz"]),
+                filter_band=band,
                 source_channel=str(fbk["source_channel"]),
             )
             sim = tree["sim"]

@@ -19,7 +19,8 @@ self-homodyne and forward channels for both ``simulate`` and
 ``synthesize_detector``; in locked mode both follow
 ``DetectorModel.fringe_nonlinearity``.  The integrator applies it to each
 block of stored samples; the per-step loop computes only the motion and the
-feedback measurement.
+feedback measurement.  No mirror offset is stored: a locked mirror sits on
+its mid-fringe point, a ramped one at ``_mirror_position``.
 
 Integrator: per step, external forces (feedback, back-action) enter as an
 impulse, then a half-step of exact damping+thermal Ornstein-Uhlenbeck, an
@@ -179,8 +180,7 @@ class Trajectory:
     sample k sits at t = k*dt.
 
     The detection-axis displacement ``q`` = (x + y)/sqrt(2) is derived from
-    x and y, not stored.  ``mirror_d`` is the mirror offset; in locked mode
-    it is a read-only broadcast of the lock point.
+    x and y, not stored.
     """
 
     dt: float
@@ -188,7 +188,6 @@ class Trajectory:
     y: np.ndarray
     volts_self: np.ndarray
     volts_fwd: np.ndarray
-    mirror_d: np.ndarray
     lock_lost: bool = False
 
     @property
@@ -242,26 +241,9 @@ def _effective_visibility(setup: OpticalSetup) -> float:
     return setup.visibility * 2.0 * rho / (1.0 + rho * rho)
 
 
-def _locked_mirror_distance(setup: OpticalSetup) -> float:
-    """Mirror offset closest to the configured distance that puts the one-way
-    path on a mid-fringe point R_s = (lambda/8)(2m+1) with m even, where the
-    signal rises with q."""
-    lam = setup.wavelength
-    m_float = ((setup.focal_length + setup.mirror_distance) * 8.0 / lam - 1.0) / 2.0
-    # f + d >= 0 gives m_float >= -1/2, so m >= 0 before and after the parity fix
-    m = int(round(m_float))
-    if m % 2 != 0:
-        m += 1 if m_float > m else -1
-    return (lam / 8.0) * (2 * m + 1) - setup.focal_length
-
-
-def _mirror_position(setup: OpticalSetup, detector: DetectorModel, t):
-    """Mirror offset d(t) [m] at the sample times t [s]: the lock point in
-    locked mode (a read-only broadcast, no per-sample storage), the ramp
-    mirror_distance + ramp_rate * t in ramp mode."""
-    if detector.mirror_mode == "locked":
-        return np.broadcast_to(_locked_mirror_distance(setup), np.shape(t))
-    return setup.mirror_distance + detector.ramp_rate * t
+def _mirror_position(setup: OpticalSetup, ramp_rate: float, t):
+    """Mirror offset d(t) [m] of the ramp at the sample times t [s]."""
+    return setup.mirror_distance + ramp_rate * t
 
 
 def _detector_outputs(q, p, nu_self, nu_fwd, t, setup: OpticalSetup, detector: DetectorModel):
@@ -285,7 +267,7 @@ def _detector_outputs(q, p, nu_self, nu_fwd, t, setup: OpticalSetup, detector: D
     if detector.mirror_mode == "locked":
         meas = np.sin(k_eff * q) / k_eff if detector.fringe_nonlinearity else q
         return slope * (meas + nu_self), volts_fwd
-    d_now = _mirror_position(setup, detector, t)
+    d_now = _mirror_position(setup, detector.ramp_rate, t)
     # float64 resolves the ~2.4e6 rad mirror term only to ~5e-10 rad: wrap it
     # before adding k_eff q, so the phase keeps the precision of q
     mirror_phase = 4.0 * math.pi * (setup.focal_length + d_now) / setup.wavelength
@@ -602,8 +584,6 @@ def simulate(
         vy = rng.standard_normal() * step.sigma_v
     state = [x, vx, y, vy] + [0.0] * (step.n_state - 4)
 
-    # first, so that a locked run's time grid is freed before the outputs exist
-    mirror_d = _mirror_position(setup, detector, np.arange(n_steps) * dt)
     out_x = np.empty(n_steps)
     out_y = np.empty(n_steps)
     out_vs = np.empty(n_steps)
@@ -645,7 +625,6 @@ def simulate(
         y=out_y,
         volts_self=out_vs,
         volts_fwd=out_vf,
-        mirror_d=mirror_d,
         lock_lost=lock_lost,
     )
 

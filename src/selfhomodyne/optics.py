@@ -14,8 +14,8 @@ Conventions
 * All intensities are normalized so the total dipole-radiated power is 1;
   detector-unit conversions live in the CLI's calibration slope
   (``cli._calibration_slope``) only.
-* The collection cap is centered on the +z axis (the detection axis), the
-  illumination polarization is perpendicular to it (y by default).
+* The collection cap is centered on the +z axis (the detection axis); the
+  dipole is polarized along y, perpendicular to it, as ``imprecision`` assumes.
 * One-sided PSDs everywhere.
 
 All functions are pure; the dataclasses are frozen and safe to share across
@@ -59,16 +59,6 @@ class RayleighValidityWarning(UserWarning):
     (Rayleigh) approximation is questionable."""
 
 
-def _as_unit_vector(v, name: str, tol: float = 1e-8) -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
-    if arr.shape != (3,):
-        raise ValueError(f"{name} must be a 3-vector, got shape {arr.shape}")
-    norm = float(np.linalg.norm(arr))
-    if not abs(norm - 1.0) <= tol:  # a NaN component fails this test too
-        raise ValueError(f"{name} must be a unit vector (|{name}| = {norm:.6g})")
-    return arr
-
-
 @dataclass(frozen=True)
 class OpticalSetup:
     """Geometry and loss budget of the self-homodyne detection path.
@@ -90,7 +80,6 @@ class OpticalSetup:
     detector_qe: float = 0.82
     focal_length: float = 0.05
     mirror_distance: float = 0.10
-    polarization_axis: tuple = (0.0, 1.0, 0.0)
 
     def __post_init__(self):
         if not 0.0 < self.half_aperture <= math.pi / 2:
@@ -103,14 +92,12 @@ class OpticalSetup:
                 raise ValueError(f"{name} must lie in [0, 1], got {val}")
         if self.focal_length + self.mirror_distance < 0.0:
             raise ValueError("optical path focal_length + mirror_distance must be >= 0")
-        eps = _as_unit_vector(self.polarization_axis, "polarization_axis", tol=1e-12)
-        object.__setattr__(self, "polarization_axis", tuple(float(x) for x in eps))
 
     @classmethod
-    def from_numerical_aperture(cls, na: float, **kwargs) -> "OpticalSetup":
+    def from_numerical_aperture(cls, na: float) -> "OpticalSetup":
         if not 0.0 < na <= 1.0:
             raise ValueError("numerical aperture must lie in (0, 1]")
-        return cls(half_aperture=math.asin(na), **kwargs)
+        return cls(half_aperture=math.asin(na))
 
     @property
     def optical_path(self) -> float:
@@ -170,20 +157,18 @@ class FringeState:
 _GL_NODES, _GL_WEIGHTS = leggauss(64)
 
 
-def _cap_weights(theta_d: float, eps) -> tuple[np.ndarray, np.ndarray]:
+def _cap_weights(theta_d: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes u = cos(theta) on the cap [cos(theta_d), 1] and weights w with
     sum(w * f(u)) = int_cap f(cos(theta)) * (dipole density) dOmega.
 
-    The azimuthal integral is closed form,
-        int (eps.n)^2 dphi = pi s^2 (eps_x^2 + eps_y^2) + 2 pi eps_z^2 u^2,
-    with s^2 = 1 - u^2, which leaves a smooth 1-D integral over u.  One
-    fixed 64-node Gauss-Legendre rule resolves it to rounding for every f
-    used here: polynomials of low degree and cos/sin(k u) with |k| < 4 pi.
+    The azimuthal integral is closed form, int n_y^2 dphi = pi (1 - u^2),
+    which leaves a smooth 1-D integral over u.  One fixed 64-node
+    Gauss-Legendre rule resolves it to rounding for every f used here:
+    polynomials of low degree and cos/sin(k u) with |k| < 4 pi.
     """
     lo = math.cos(theta_d)
     u = 0.5 * (1.0 - lo) * _GL_NODES + 0.5 * (1.0 + lo)
-    ex, ey, ez = eps
-    dot2 = math.pi * (1.0 - u * u) * (ex * ex + ey * ey) + 2.0 * math.pi * ez * ez * u * u
+    dot2 = math.pi * (1.0 - u * u)
     density = (3.0 / (8.0 * math.pi)) * (2.0 * math.pi - dot2)
     return u, 0.5 * (1.0 - lo) * _GL_WEIGHTS * density
 
@@ -198,18 +183,20 @@ def _effective_wavenumber(setup: OpticalSetup) -> float:
 # Operations
 # ---------------------------------------------------------------------------
 
-def dipole_density(direction, polarization) -> float:
-    """Dipole-radiated power per unit solid angle along ``direction`` for a
-    dipole oscillating along ``polarization``: (3/8pi)(1 - |eps.n|^2).
+def dipole_density(direction) -> float:
+    """Dipole-radiated power per unit solid angle along the unit vector
+    ``direction`` for the dipole oscillating along y: (3/8pi)(1 - n_y^2).
 
-    Integrates to 1 over the full sphere.  Both inputs must be unit vectors.
-    The reference integrand: the tests integrate it with scipy's ``dblquad``
-    to check the cap weights every optical quantity is summed with.
+    Integrates to 1 over the full sphere.  The reference integrand: the
+    tests integrate it with scipy's ``dblquad`` to check the cap weights
+    every optical quantity is summed with.
     """
-    n = _as_unit_vector(direction, "direction")
-    eps = _as_unit_vector(polarization, "polarization")
-    dot = float(np.dot(eps, n))
-    return (3.0 / (8.0 * math.pi)) * (1.0 - dot * dot)
+    n = np.asarray(direction, dtype=float)
+    norm = float(np.linalg.norm(n))
+    if n.shape != (3,) or not abs(norm - 1.0) <= 1e-8:  # a NaN component fails too
+        raise ValueError(f"direction must be a unit 3-vector, got {direction!r}")
+    n_y = float(n[1])
+    return (3.0 / (8.0 * math.pi)) * (1.0 - n_y * n_y)
 
 
 def fringe_state(setup: OpticalSetup, q: float) -> FringeState:
@@ -224,7 +211,7 @@ def fringe_state(setup: OpticalSetup, q: float) -> FringeState:
     """
     if abs(q) >= setup.wavelength:
         raise ValueError("displacement must satisfy |q| < wavelength")
-    u, w = _cap_weights(setup.half_aperture, setup.polarization_axis)
+    u, w = _cap_weights(setup.half_aperture)
     k2 = 4.0 * math.pi / setup.wavelength
     a = float(w @ np.cos(k2 * q * u))
     b = float(w @ np.sin(k2 * q * u))
@@ -266,7 +253,7 @@ def particle_sensitivity(setup: OpticalSetup) -> float:
     maximum is evaluated there.  Its small-aperture form is
     (4pi*A/lambda)(1 - theta_D^2/4).
     """
-    u, w = _cap_weights(setup.half_aperture, setup.polarization_axis)
+    u, w = _cap_weights(setup.half_aperture)
     return 2.0 * setup.mirror_reflectivity * (4.0 * math.pi / setup.wavelength) * float(w @ u)
 
 
@@ -291,15 +278,14 @@ def calibration_deviation(numerical_aperture: float) -> float:
     return _delta_chi(mirror_sensitivity(setup), particle_sensitivity(setup))
 
 
-def collection_efficiency(half_aperture: float, polarization) -> float:
-    """Fraction of the power radiated by a dipole along the unit vector
-    ``polarization`` that a lens cap of the given half-aperture collects
-    (cap axis = detection axis z)."""
+def collection_efficiency(half_aperture: float) -> float:
+    """Fraction of the power radiated by the dipole that a lens cap of the
+    given half-aperture collects (cap axis = detection axis z)."""
     if half_aperture == 0.0:
         return 0.0
     if not 0.0 < half_aperture <= math.pi:
         raise ValueError("half_aperture must lie in [0, pi]")
-    _, w = _cap_weights(half_aperture, _as_unit_vector(polarization, "polarization"))
+    _, w = _cap_weights(half_aperture)
     return float(w.sum())
 
 
@@ -328,9 +314,7 @@ def detection_efficiency(setup: OpticalSetup) -> float:
     losses times the aperture factor
     (128 - 90 cos(t) - 35 cos(3t) - 3 cos(5t))/128.
 
-    The aperture factor is 5 int_cap cos^2(theta) dp for a polarization
-    perpendicular to the cap axis z; it assumes that polarization, whatever
-    ``setup.polarization_axis`` says."""
+    The aperture factor is 5 int_cap cos^2(theta) dp."""
     t = setup.half_aperture
     angular = (
         128.0 - 90.0 * math.cos(t) - 35.0 * math.cos(3.0 * t) - 3.0 * math.cos(5.0 * t)

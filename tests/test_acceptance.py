@@ -62,7 +62,7 @@ def test_criterion_1_calibration_deviation():
 
 
 def test_criterion_2_collection_efficiency():
-    eta = collection_efficiency(math.asin(0.18), (0.0, 1.0, 0.0))
+    eta = collection_efficiency(math.asin(0.18))
     check(2, abs(eta - 0.012) <= 1e-3, f"eta_col(NA=0.18) = {eta:.4f} (target 0.012 +/- 0.001)")
 
 

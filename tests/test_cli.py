@@ -20,7 +20,7 @@ import selfhomodyne
 from selfhomodyne import cli
 from selfhomodyne.cli import main
 from selfhomodyne.config import ConfigError, ScenarioConfig
-from selfhomodyne.langevin import Bath, DetectorModel, FeedbackConfig
+from selfhomodyne.langevin import Bath, DetectorModel, FeedbackConfig, run_calibration
 from selfhomodyne.modes import TrapConfig
 from selfhomodyne.optics import (
     OpticalSetup,
@@ -88,7 +88,7 @@ class TestConfig:
         for table, key in [("optics", "axis_projection_angle_rad"),
                            ("trap", "secular_freq_z_hz"), ("trap", "stability_q"),
                            ("trap", "drive_freq_hz"), ("detector", "mirror_mode"),
-                           ("detector", "lock_setpoint_index")]:
+                           ("detector", "lock_setpoint_index"), ("optics", "polarization_axis")]:
             with pytest.raises(ConfigError, match="unknown config key"):
                 ScenarioConfig.from_dict({table: {key: 0.5}})
 
@@ -135,6 +135,20 @@ class TestConfig:
         for key, value in short:
             with pytest.raises(ConfigError, match=key):
                 ScenarioConfig.from_dict({"sweeps": {key: value}})
+        # values that would fail deeper in, or not at all: the error names the leaf
+        named = [
+            ({"optics": {"numerical_aperture": 1.5}}, "optics numerical_aperture must lie in"),
+            ({"optics": {"numerical_aperture": 0.0}}, "optics numerical_aperture must lie in"),
+            ({"optics": {"numerical_aperture": -0.18}}, "optics numerical_aperture must lie in"),
+            ({"feedback": {"filter_band_hz": [300.0, 6400.0, 9000.0]}}, "feedback filter_band_hz needs 2"),
+            ({"feedback": {"filter_band_hz": [300.0]}}, "feedback filter_band_hz needs 2"),
+            ({"scenario_id": 5}, "scenario_id must be a string"),
+            ({"scenario_id": None}, "scenario_id must be a string"),
+        ]
+        for overrides, message in named:
+            with pytest.raises(ConfigError, match=message):
+                ScenarioConfig.from_dict(overrides)
+        assert math.sin(ScenarioConfig.from_dict({"optics": {"numerical_aperture": 1.0}}).setup.half_aperture) == 1.0
         # an integral float is still an integral seed
         assert ScenarioConfig.from_dict({"sim": {"seed": 7.0}}).seed == 7
 
@@ -330,6 +344,10 @@ class TestCalibrateCommand:
         model = ScenarioConfig.from_dict(over)
         assert f"from the model slope {cli._calibration_slope(model):.6g} V/m (bound 1%)" in err
         assert "at bath pressure 0.5 mbar" in err and "pre-cooled particle" in err
+        # the fit follows the particle's motion: it finds thousands of fringes
+        fit = run_calibration(cli._ramp_run(model, model.seed), model.setup.wavelength)
+        assert fit.fringes_covered > 100 * cli._FRINGES_RAMPED
+        assert f"the fit found {fit.fringes_covered:.6g} fringes where 3 were ramped" in err
 
 
 class TestModesCommand:

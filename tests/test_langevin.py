@@ -99,7 +99,7 @@ class TestDeterminism:
         det = DetectorModel(imprecision_self=1e-22)
         a = simulate(TRAP, bath, fb, det, SETUP, duration=0.2, dt=DT17, seed=99)
         b = simulate(TRAP, bath, fb, det, SETUP, duration=0.2, dt=DT17, seed=99)
-        for name in ("x", "y", "q", "volts_self", "volts_fwd", "mirror_d"):
+        for name in ("x", "y", "q", "volts_self", "volts_fwd"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_different_seed_differs(self):
@@ -592,7 +592,7 @@ class TestCalibration:
         zeros = np.zeros(n)
         return Trajectory(
             dt=1 / fs, x=zeros, y=zeros, volts_self=volts,
-            volts_fwd=zeros, mirror_d=zeros,
+            volts_fwd=zeros,
         )
 
     def test_exact_noiseless_fringes(self):
@@ -696,25 +696,6 @@ class TestCalibrationAgainstBrent:
 
 
 class TestTrajectoryExport:
-    def test_locked_mirror_position_on_setpoint(self):
-        traj = simulate(
-            TRAP, Bath(pressure=0.5, temperature=1e-6), NO_FB, QUIET, SETUP,
-            duration=0.01, dt=DT16, seed=1,
-        )
-        lam = SETUP.wavelength
-        rs = SETUP.focal_length + traj.mirror_d[0]
-        m = (rs * 8 / lam - 1) / 2
-        assert m == pytest.approx(round(m), abs=1e-6)
-        assert round(m) % 2 == 0  # the mid-fringe point where the signal rises with q
-        assert np.all(traj.mirror_d == traj.mirror_d[0])
-        assert not traj.mirror_d.flags.writeable
-
-    def test_zero_optical_path_locks_at_first_point(self):
-        # f + d = 0 puts m_float at its lowest, -1/2, and the lock on m = 0
-        setup = OpticalSetup(focal_length=0.05, mirror_distance=-0.05)
-        lock = langevin._locked_mirror_distance(setup)
-        assert lock == setup.wavelength / 8.0 - setup.focal_length
-
     def test_forward_channel_floor(self):
         s_fwd = 1e-20
         det = DetectorModel(imprecision_self=1e-24, imprecision_forward=s_fwd)
