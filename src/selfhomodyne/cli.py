@@ -115,11 +115,11 @@ def _calibration_slope(cfg: ScenarioConfig) -> float:
     """Volts-per-meter from the fringe-slope rule S = 4 pi A_volts / lambda,
     with the model's fringe amplitude in detector units.  A setup without
     fringe contrast has no slope, and its detector output no position."""
-    amp_volts = cfg.detector.gain * _effective_visibility(cfg.setup)
+    amp_volts = _effective_visibility(cfg.setup)
     if amp_volts == 0.0:
         raise ValueError(
-            "no fringe contrast to calibrate positions with: optics visibility, "
-            "mirror_field_reflectivity or detector gain_volts is 0"
+            "no fringe contrast to calibrate positions with: optics visibility "
+            "or mirror_field_reflectivity is 0"
         )
     return fringe_slope(amp_volts, cfg.setup.wavelength)
 

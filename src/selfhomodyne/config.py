@@ -70,7 +70,6 @@ def default_config_dict() -> dict:
             "imprecision_forward_m2_per_hz": det.imprecision_forward,
             "fringe_nonlinearity": det.fringe_nonlinearity,
             "ramp_rate_m_per_s": det.ramp_rate,
-            "gain_volts": det.gain,
         },
         "feedback": {
             "cooling_rate_rad_per_s": fbk.cooling_rate,
@@ -184,80 +183,81 @@ class ScenarioConfig:
     @classmethod
     def from_dict(cls, overrides: dict | None = None) -> "ScenarioConfig":
         tree = _merge(default_config_dict(), overrides or {})
+
+        def leaf(parse, path: str):
+            """The leaf at the dotted ``path``, parsed; a rejection names it."""
+            section, key = path.split(".")
+            try:
+                return parse(tree[section][key])
+            except (TypeError, ValueError) as exc:
+                raise type(exc)(f"{path}: {exc}") from exc
+
         try:
             if not isinstance(tree["scenario_id"], str):
                 raise TypeError(f"scenario_id must be a string, got {tree['scenario_id']!r}")
-            opt = tree["optics"]
-            na = _real(opt["numerical_aperture"])
+            na = leaf(_real, "optics.numerical_aperture")
             if not 0.0 < na <= 1.0:
                 raise ValueError(f"optics numerical_aperture must lie in (0, 1], got {na!r}")
+            wavelength = leaf(_real, "optics.wavelength_m")
             setup = OpticalSetup(
-                wavelength=_real(opt["wavelength_m"]),
+                wavelength=wavelength,
                 half_aperture=math.asin(na),
-                mirror_reflectivity=_real(opt["mirror_field_reflectivity"]),
-                visibility=_real(opt["visibility"]),
-                path_efficiency=_real(opt["path_efficiency"]),
-                detector_qe=_real(opt["detector_quantum_efficiency"]),
-                focal_length=_real(opt["focal_length_m"]),
-                mirror_distance=_real(opt["mirror_distance_m"]),
+                mirror_reflectivity=leaf(_real, "optics.mirror_field_reflectivity"),
+                visibility=leaf(_real, "optics.visibility"),
+                path_efficiency=leaf(_real, "optics.path_efficiency"),
+                detector_qe=leaf(_real, "optics.detector_quantum_efficiency"),
+                focal_length=leaf(_real, "optics.focal_length_m"),
+                mirror_distance=leaf(_real, "optics.mirror_distance_m"),
             )
-            sca = tree["scatterer"]
             scatterer = Scatterer(
-                radius=_real(sca["radius_m"]),
-                refractive_index=_real(sca["refractive_index"]),
+                radius=leaf(_real, "scatterer.radius_m"),
+                refractive_index=leaf(_real, "scatterer.refractive_index"),
             )
             beam = Beam(
-                power=_real(tree["beam"]["power_w"]),
-                waist=_real(tree["beam"]["waist_m"]),
-                wavelength=_real(opt["wavelength_m"]),
+                power=leaf(_real, "beam.power_w"),
+                waist=leaf(_real, "beam.waist_m"),
+                wavelength=wavelength,
             )
-            trp = tree["trap"]
             trap = TrapConfig(
-                secular_freq_x=2.0 * math.pi * _real(trp["secular_freq_x_hz"]),
-                secular_freq_y=2.0 * math.pi * _real(trp["secular_freq_y_hz"]),
-                mass=_real(sca["mass_kg"]),
+                secular_freq_x=2.0 * math.pi * leaf(_real, "trap.secular_freq_x_hz"),
+                secular_freq_y=2.0 * math.pi * leaf(_real, "trap.secular_freq_y_hz"),
+                mass=leaf(_real, "scatterer.mass_kg"),
             )
-            bth = tree["bath"]
             bath = Bath(
-                pressure=_real(bth["pressure_mbar"]),
-                temperature=_real(bth["temperature_k"]),
+                pressure=leaf(_real, "bath.pressure_mbar"),
+                temperature=leaf(_real, "bath.temperature_k"),
                 damping_anchor=(
-                    _real(bth["damping_anchor_pressure_mbar"]),
-                    _real(bth["damping_anchor_gamma_rad_per_s"]),
+                    leaf(_real, "bath.damping_anchor_pressure_mbar"),
+                    leaf(_real, "bath.damping_anchor_gamma_rad_per_s"),
                 ),
             )
-            det = tree["detector"]
             detector = DetectorModel(
-                imprecision_self=_real(det["imprecision_self_m2_per_hz"]),
-                imprecision_forward=_real(det["imprecision_forward_m2_per_hz"]),
-                fringe_nonlinearity=_flag(det["fringe_nonlinearity"]),
-                ramp_rate=_real(det["ramp_rate_m_per_s"]),
-                gain=_real(det["gain_volts"]),
+                imprecision_self=leaf(_real, "detector.imprecision_self_m2_per_hz"),
+                imprecision_forward=leaf(_real, "detector.imprecision_forward_m2_per_hz"),
+                fringe_nonlinearity=leaf(_flag, "detector.fringe_nonlinearity"),
+                ramp_rate=leaf(_real, "detector.ramp_rate_m_per_s"),
             )
-            fbk = tree["feedback"]
-            band = _reals(fbk["filter_band_hz"])
+            band = leaf(_reals, "feedback.filter_band_hz")
             if len(band) != 2:
                 raise ValueError(f"feedback filter_band_hz needs 2 entries, got {len(band)}")
             feedback = FeedbackConfig(
-                cooling_rate=_real(fbk["cooling_rate_rad_per_s"]),
-                spring_gain=_real(fbk["spring_gain_rad_per_s"]),
-                loop_delay=_real(fbk["loop_delay_s"]),
+                cooling_rate=leaf(_real, "feedback.cooling_rate_rad_per_s"),
+                spring_gain=leaf(_real, "feedback.spring_gain_rad_per_s"),
+                loop_delay=leaf(_real, "feedback.loop_delay_s"),
                 filter_band=band,
-                source_channel=str(fbk["source_channel"]),
+                source_channel=str(tree["feedback"]["source_channel"]),
             )
-            sim = tree["sim"]
-            dt, duration = _real(sim["dt_s"]), _real(sim["duration_s"])
-            transient = _real(sim["transient_s"])
+            dt, duration = leaf(_real, "sim.dt_s"), leaf(_real, "sim.duration_s")
+            transient = leaf(_real, "sim.transient_s")
             if dt <= 0 or duration <= 0:
                 raise ValueError("sim dt_s and duration_s must be positive")
             if transient < 0 or transient >= duration:
                 raise ValueError("sim transient_s must lie in [0, duration_s)")
-            seed = _seed(sim["seed"])
-            swp = tree["sweeps"]
-            powers = _reals(swp["scattered_powers_w"])
+            seed = leaf(_seed, "sim.seed")
+            powers = leaf(_reals, "sweeps.scattered_powers_w")
             if not powers or any(p <= 0 for p in powers):
                 raise ValueError("sweeps scattered_powers_w needs at least 1 entry, all > 0")
-            rates = _reals(swp["cooling_rates_rad_per_s"])
+            rates = leaf(_reals, "sweeps.cooling_rates_rad_per_s")
             if len(rates) < 3:
                 # the cooling-curve fit of cool-sweep needs three points
                 raise ValueError("sweeps cooling_rates_rad_per_s needs at least 3 entries")
@@ -265,8 +265,8 @@ class ScenarioConfig:
                 raise ValueError(
                     f"sweeps cooling_rates_rad_per_s allows at most {_FORWARD_SEED_OFFSET} entries"
                 )
-            coef = _real(swp["spring_gain_coef"])
-            mode_gains = _reals(swp["mode_spring_gains_rad_per_s"])
+            coef = leaf(_real, "sweeps.spring_gain_coef")
+            mode_gains = leaf(_reals, "sweeps.mode_spring_gains_rad_per_s")
             if any(g < 0 for g in rates + mode_gains + (coef,)):
                 raise ValueError("sweeps gains and spring_gain_coef must be >= 0")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:

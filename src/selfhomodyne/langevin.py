@@ -35,16 +35,17 @@ A and B are probed from the loop with unit vectors, and each block of steps
 runs as an exact chunked scan (``_scan``) that agrees with the loop to
 rounding: the zero-start response of every chunk, a carry of the chunk
 starts, and x and y by superposition of the two.  Only a loop that sees the
-fringe runs the scalar loop, over sub-blocks of at most ``_SUB_BLOCK`` steps.
-A loop whose A (for the fringe: its linearization) has a spectral radius
-above 1 is rejected before integrating.
+fringe runs the scalar loop, over blocks of ``_SUB_BLOCK`` steps instead of
+``_BLOCK``.  A loop whose A (for the fringe: its linearization) has a
+spectral radius above 1 is rejected before integrating.
 
 The inputs of each block are 8 normals per step from one generator.  While
 the calling thread scans a block and forms its detector outputs, one helper
 thread draws the next block into the other of two input slots (the draw
 releases the GIL), so a run uses up to two cores; a run of one block starts
-no thread.  The generator draws the blocks in order, one at a time, so the
-stream is the serial one.
+no thread, and the scalar loop, whose blocks are too short to overlap, draws
+each block in place.  The generator draws the blocks in order, one at a
+time, so the stream is the serial one.
 
 Runs are deterministic: (config, seed) -> bit-identical Trajectory.
 """
@@ -76,8 +77,8 @@ __all__ = [
 
 _INVSQ2 = 1.0 / math.sqrt(2.0)
 _BLOCK = 1 << 16
-# rows per call of the scalar loop: its per-step Python float lists are
-# bounded by this, not by the block
+# the block of a loop that runs the scalar loop: its per-step Python float
+# lists and its one input slot are bounded by this, not by _BLOCK
 _SUB_BLOCK = 1 << 12
 # scan chunks whose live inputs are copied into the workspace together: a
 # group's rows of the (n, 8) input block stay in cache for all its columns
@@ -146,8 +147,9 @@ class DetectorModel:
     floors [m^2/Hz] (0 = ideal detector; the forward default sits 38 dB above
     the self-homodyne floor).  In locked mode the mirror holds a mid-fringe
     point with R_s = (lambda/8)(2n+1), n even; in ramp mode it advances at
-    ``ramp_rate`` [m/s].  ``gain`` [V] (>= 0) is the detector output per unit
-    of normalized intensity.
+    ``ramp_rate`` [m/s].  Both channels are in units of the normalized
+    intensity: every reported number is a position, the channel divided by
+    the fringe slope, in which any detector gain would cancel.
     """
 
     imprecision_self: float = 3.0e-24
@@ -155,7 +157,6 @@ class DetectorModel:
     fringe_nonlinearity: bool = False
     mirror_mode: str = "locked"
     ramp_rate: float = 2e-6
-    gain: float = 1.0
 
     def __post_init__(self):
         if self.imprecision_self < 0.0:
@@ -164,8 +165,6 @@ class DetectorModel:
             raise ValueError("mirror_mode must be 'locked' or 'ramp'")
         if self.ramp_rate <= 0.0:
             raise ValueError(f"ramp_rate must be > 0, got {self.ramp_rate!r}")
-        if self.gain < 0.0:
-            raise ValueError(f"gain must be >= 0, got {self.gain!r}")
         if self.imprecision_forward is None:
             object.__setattr__(
                 self, "imprecision_forward", self.imprecision_self * 10 ** (_FORWARD_DB / 10.0)
@@ -253,17 +252,15 @@ def _detector_outputs(q, p, nu_self, nu_fwd, t, setup: OpticalSetup, detector: D
     (volts_self, volts_fwd).
 
     Locked mode: the mirror sits on the mid-fringe point and the signal is
-    S * (q + nu_self), S = gain * V_eff * k_eff, with q replaced
-    by sin(k_eff q)/k_eff under ``fringe_nonlinearity``.  Ramp mode: the raw
-    fringe gain * (1 - V_eff cos(4 pi (f + d(t))/lambda + k_eff q)) as the
-    mirror advances, plus S * nu_self.  The forward channel reads
-    gain * (p + nu_fwd) in both modes.
+    S * (q + nu_self), S = V_eff * k_eff, with q replaced by sin(k_eff q)/k_eff
+    under ``fringe_nonlinearity``.  Ramp mode: the raw fringe
+    1 - V_eff cos(4 pi (f + d(t))/lambda + k_eff q) as the mirror advances,
+    plus S * nu_self.  The forward channel reads p + nu_fwd in both modes.
     """
     v_eff = _effective_visibility(setup)
     k_eff = _effective_wavenumber(setup)
-    gain = detector.gain
-    slope = gain * v_eff * k_eff
-    volts_fwd = gain * (p + nu_fwd)
+    slope = v_eff * k_eff
+    volts_fwd = p + nu_fwd
     if detector.mirror_mode == "locked":
         meas = np.sin(k_eff * q) / k_eff if detector.fringe_nonlinearity else q
         return slope * (meas + nu_self), volts_fwd
@@ -272,7 +269,7 @@ def _detector_outputs(q, p, nu_self, nu_fwd, t, setup: OpticalSetup, detector: D
     # before adding k_eff q, so the phase keeps the precision of q
     mirror_phase = 4.0 * math.pi * (setup.focal_length + d_now) / setup.wavelength
     phase = np.mod(mirror_phase, 2.0 * math.pi) + k_eff * q
-    return gain * (1.0 - v_eff * np.cos(phase)) + slope * nu_self, volts_fwd
+    return (1.0 - v_eff * np.cos(phase)) + slope * nu_self, volts_fwd
 
 
 class _StepMap:
@@ -287,10 +284,7 @@ class _StepMap:
 
     ``run`` is the scalar loop.  The linear map s' = A s + B u is probed from
     it with unit vectors; for a loop that sees the fringe nonlinearity it is
-    the linearization at q = 0.  A loop that sees the fringe runs ``run``
-    over sub-blocks of at most ``_SUB_BLOCK`` steps, the end state of one
-    the start of the next, so that its Python float lists do not grow with
-    the block.
+    the linearization at q = 0.
 
     A step map serves one ``simulate`` call.  Its inputs live in two slots,
     block j in slot j % 2, so that one block can be drawn while the other is
@@ -300,10 +294,11 @@ class _StepMap:
     anew.  The slots are allocated in the calling thread, not in the thread
     that draws: a slot allocated there comes from a second glibc arena, and
     with one slot allocated there the bench cool-sweep peaked at 127.0 MB
-    instead of 122.6 MB.  They
-    are two arrays, each sized to its block, not one (2, n, 8) array: a run
-    of one full block and a short one (the 0.59 s fringe scan: 65 536 +
-    11 141 steps) holds 4.7 MB of inputs, not 8 MB.
+    instead of 122.6 MB.  They are two arrays, each sized to its block, not
+    one (2, n, 8) array: a run of one full block and a short one (the 0.59 s
+    fringe scan: 65 536 + 11 141 steps) holds 4.7 MB of inputs, not 8 MB.  A
+    loop that sees the fringe runs blocks of ``_SUB_BLOCK`` steps and draws
+    each into slot 0, so its inputs take 256 KB.
     """
 
     def __init__(
@@ -361,8 +356,8 @@ class _StepMap:
         self._slots = self._work = None
 
     def allocate_slots(self, sizes) -> None:
-        """The two input slots for blocks of ``sizes`` steps: slot i is sized
-        to block i, the largest block that uses it."""
+        """The input slots, at most two, for blocks of ``sizes`` steps: slot
+        i is sized to block i, the largest block that uses it."""
         self._slots = [np.empty((n, 8)) for n in sizes[:2]]
 
     def draw_inputs(self, rng, slot: int, n: int) -> np.ndarray:
@@ -378,13 +373,9 @@ class _StepMap:
         the loop sees the fringe nonlinearity, else the exact scan of the
         linear map.  Returns the x and y at the start of each step and the
         end state."""
-        n = inputs.shape[0]
         if self.nonlin:
-            xs, ys = np.empty(n), np.empty(n)
-            for i0 in range(0, n, _SUB_BLOCK):
-                sub = slice(i0, i0 + _SUB_BLOCK)
-                xs[sub], ys[sub], state = self.run(state, inputs[sub])
-            return xs, ys, state
+            return self.run(state, inputs)
+        n = inputs.shape[0]
         if self._work is None or self._work[0] != n:
             self._work = (n, *self._workspace(n))
         _, w, a_pow, a_end, rows_pow = self._work
@@ -598,15 +589,19 @@ def simulate(
     # draw releases the GIL); one generator draws every block in order, and
     # draw b + 1 starts only once draw b is done, so the stream is the serial
     # one.  The pool starts its thread at the first submit, so a run of one
-    # block, with nothing to overlap, starts none.
-    sizes = [min(_BLOCK, n_steps - i0) for i0 in range(0, n_steps, _BLOCK)]
-    step.allocate_slots(sizes)
+    # block, with nothing to overlap, starts none.  The scalar loop draws its
+    # blocks in place: a 4096-step block runs for about one GIL switch
+    # interval (5 ms), and handing its draws to the helper made the bench psd
+    # `simulate` call ~20% slower (median 0.56 s against 0.45 s, 2 vCPU).
+    block, ahead = (_SUB_BLOCK, False) if step.nonlin else (_BLOCK, True)
+    sizes = [min(block, n_steps - i0) for i0 in range(0, n_steps, block)]
+    step.allocate_slots(sizes if ahead else sizes[:1])
     with ThreadPoolExecutor(max_workers=1) as pool:
         for b, nblk in enumerate(sizes):
-            inputs = step.draw_inputs(rng, 0, nblk) if b == 0 else pending.result()
-            if b + 1 < len(sizes):
+            inputs = pending.result() if b and ahead else step.draw_inputs(rng, 0, nblk)
+            if ahead and b + 1 < len(sizes):
                 pending = pool.submit(step.draw_inputs, rng, (b + 1) % 2, sizes[b + 1])
-            i0 = b * _BLOCK
+            i0 = b * block
             blk = slice(i0, i0 + nblk)
             out_x[blk], out_y[blk], state = step.propagate(state, inputs)
             q = (out_x[blk] + out_y[blk]) * _INVSQ2

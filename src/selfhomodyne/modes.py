@@ -69,15 +69,6 @@ class ModeSolution:
     theta_fb: float
 
 
-def _unit_sign_fixed(v: np.ndarray) -> np.ndarray:
-    """Normalize and fix the sign so the second component is positive (first
-    component when the second vanishes)."""
-    v = v / np.linalg.norm(v)
-    if v[1] < 0.0 or (v[1] == 0.0 and v[0] < 0.0):
-        v = -v
-    return v
-
-
 def radial_modes(omega_x: float, omega_y: float, alpha: float) -> ModeSolution:
     """Diagonalize the radial potential including the feedback spring.
 
@@ -103,27 +94,22 @@ def radial_modes(omega_x: float, omega_y: float, alpha: float) -> ModeSolution:
             vec_low, vec_high = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         else:
             vec_low, vec_high = np.array([0.0, 1.0]), np.array([1.0, 0.0])
-        cosang = abs(float(np.dot(vec_high, DETECTION_AXIS)))
-        return ModeSolution(
-            freq_low=nu_low,
-            freq_high=nu_high,
-            vec_low=vec_low,
-            vec_high=vec_high,
-            theta_fb=math.acos(min(1.0, cosang)),
-        )
-    c_low = (nu_low2 - wy2) / a2 - 1.0
-    c_high = (nu_high2 - wy2) / a2 - 1.0
-    vec_low = _unit_sign_fixed(np.array([c_low, 1.0]))
-    vec_high = _unit_sign_fixed(np.array([c_high, 1.0]))
+    else:
+        # eigenvectors (c, 1), normalized: the second component is positive
+        # for every alpha
+        nu_low, nu_high = math.sqrt(nu_low2), math.sqrt(nu_high2)
+        vec_low = np.array([(nu_low2 - wy2) / a2 - 1.0, 1.0])
+        vec_high = np.array([(nu_high2 - wy2) / a2 - 1.0, 1.0])
+        vec_low /= np.linalg.norm(vec_low)
+        vec_high /= np.linalg.norm(vec_high)
 
     cosang = abs(float(np.dot(vec_high, DETECTION_AXIS)))
-    theta = math.acos(min(1.0, cosang))
     return ModeSolution(
-        freq_low=math.sqrt(nu_low2),
-        freq_high=math.sqrt(nu_high2),
+        freq_low=nu_low,
+        freq_high=nu_high,
         vec_low=vec_low,
         vec_high=vec_high,
-        theta_fb=theta,
+        theta_fb=math.acos(min(1.0, cosang)),
     )
 
 

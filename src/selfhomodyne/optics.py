@@ -281,9 +281,7 @@ def calibration_deviation(numerical_aperture: float) -> float:
 def collection_efficiency(half_aperture: float) -> float:
     """Fraction of the power radiated by the dipole that a lens cap of the
     given half-aperture collects (cap axis = detection axis z)."""
-    if half_aperture == 0.0:
-        return 0.0
-    if not 0.0 < half_aperture <= math.pi:
+    if not 0.0 <= half_aperture <= math.pi:
         raise ValueError("half_aperture must lie in [0, pi]")
     _, w = _cap_weights(half_aperture)
     return float(w.sum())

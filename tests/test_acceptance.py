@@ -313,11 +313,11 @@ def test_criterion_11_channel_floor_ratio():
     traj = simulate(trap, bath, fb, det, setup, duration=8.0, dt=dt, seed=2024)
     n0 = int(1.0 / dt)
     rho = setup.mirror_reflectivity
-    slope = det.gain * setup.visibility * 2 * rho / (1 + rho * rho) * (
+    slope = setup.visibility * 2 * rho / (1 + rho * rho) * (
         4 * math.pi / setup.wavelength
     )
     q_self = traj.volts_self[n0:] / slope
-    q_fwd = traj.volts_fwd[n0:] / det.gain
+    q_fwd = traj.volts_fwd[n0:]
     band = (15000.0, 40000.0)
     floor_self = imprecision_from_floor(welch_psd(q_self, 1 / dt, 1 << 17), band)
     floor_fwd = imprecision_from_floor(welch_psd(q_fwd, 1 / dt, 1 << 17), band)

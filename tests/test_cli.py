@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -88,7 +89,8 @@ class TestConfig:
         for table, key in [("optics", "axis_projection_angle_rad"),
                            ("trap", "secular_freq_z_hz"), ("trap", "stability_q"),
                            ("trap", "drive_freq_hz"), ("detector", "mirror_mode"),
-                           ("detector", "lock_setpoint_index"), ("optics", "polarization_axis")]:
+                           ("detector", "lock_setpoint_index"), ("optics", "polarization_axis"),
+                           ("detector", "gain_volts")]:
             with pytest.raises(ConfigError, match="unknown config key"):
                 ScenarioConfig.from_dict({table: {key: 0.5}})
 
@@ -96,32 +98,11 @@ class TestConfig:
         bad = [
             {"optics": {"visibility": 1.5}},
             {"sim": {"transient_s": 99.0}},
-            {"bath": {"pressure_mbar": math.nan}},
-            {"bath": {"pressure_mbar": math.inf}},
-            {"optics": {"wavelength_m": -math.inf}},
-            {"sim": {"dt_s": math.nan}},
-            {"trap": {"secular_freq_x_hz": math.inf}},
-            {"trap": {"secular_freq_y_hz": math.nan}},
-            {"bath": {"pressure_mbar": "2e-8"}},
-            {"detector": {"fringe_nonlinearity": "false"}},
-            {"detector": {"fringe_nonlinearity": 0}},
-            {"sim": {"seed": 1.7}},
-            {"sim": {"seed": "7"}},
-            {"sim": {"seed": True}},
-            {"sim": {"seed": -1}},
             {"detector": {"ramp_rate_m_per_s": 0.0}},
             {"detector": {"ramp_rate_m_per_s": -1e-6}},
-            {"detector": {"gain_volts": -1.0}},
-            {"detector": {"gain_volts": -1e-300}},
-            {"sweeps": {"scattered_powers_w": [math.nan, "4e-8"]}},
             {"sweeps": {"scattered_powers_w": [0.0]}},
-            {"sweeps": {"scattered_powers_w": 4e-8}},
             {"sweeps": {"cooling_rates_rad_per_s": [-1.0]}},
-            {"sweeps": {"cooling_rates_rad_per_s": [math.inf]}},
             {"sweeps": {"spring_gain_coef": -250.0}},
-            {"sweeps": {"spring_gain_coef": "250"}},
-            {"sweeps": {"mode_spring_gains_rad_per_s": "abc"}},
-            {"sweeps": {"mode_spring_gains_rad_per_s": [True]}},
             {"sweeps": {"mode_spring_gains_rad_per_s": [-1.0]}},
             # the mass reaches the physics, and its check, through TrapConfig
             {"scatterer": {"mass_kg": -1e-18}},
@@ -129,6 +110,31 @@ class TestConfig:
         for overrides in bad:
             with pytest.raises(ConfigError):
                 ScenarioConfig.from_dict(overrides)
+        # wrong types, non-finite numbers and bad seeds: the error names the leaf
+        typed = [
+            ("bath", "pressure_mbar", math.nan),
+            ("bath", "pressure_mbar", math.inf),
+            ("optics", "wavelength_m", -math.inf),
+            ("sim", "dt_s", math.nan),
+            ("trap", "secular_freq_x_hz", math.inf),
+            ("trap", "secular_freq_y_hz", math.nan),
+            ("bath", "pressure_mbar", "2e-8"),
+            ("detector", "fringe_nonlinearity", "false"),
+            ("detector", "fringe_nonlinearity", 0),
+            ("sim", "seed", 1.7),
+            ("sim", "seed", "7"),
+            ("sim", "seed", True),
+            ("sim", "seed", -1),
+            ("sweeps", "scattered_powers_w", [math.nan, "4e-8"]),
+            ("sweeps", "scattered_powers_w", 4e-8),
+            ("sweeps", "cooling_rates_rad_per_s", [math.inf]),
+            ("sweeps", "spring_gain_coef", "250"),
+            ("sweeps", "mode_spring_gains_rad_per_s", "abc"),
+            ("sweeps", "mode_spring_gains_rad_per_s", [True]),
+        ]
+        for table, key, value in typed:
+            with pytest.raises(ConfigError, match=re.escape(f"{table}.{key}: ")):
+                ScenarioConfig.from_dict({table: {key: value}})
         # sweeps too short to run: the error names the key
         short = [("scattered_powers_w", []), ("cooling_rates_rad_per_s", []),
                  ("cooling_rates_rad_per_s", [0.0, 100.0])]
@@ -144,6 +150,10 @@ class TestConfig:
             ({"feedback": {"filter_band_hz": [300.0]}}, "feedback filter_band_hz needs 2"),
             ({"scenario_id": 5}, "scenario_id must be a string"),
             ({"scenario_id": None}, "scenario_id must be a string"),
+            ({"bath": 2e-8}, "config key bath must be a table"),
+            ({"sim": [1.0]}, "config key sim must be a table"),
+            ({"sim": {"dt_s": 0.0}}, "sim dt_s and duration_s must be positive"),
+            ({"sim": {"dt_s": -1e-6}}, "sim dt_s and duration_s must be positive"),
         ]
         for overrides, message in named:
             with pytest.raises(ConfigError, match=message):
@@ -189,7 +199,6 @@ _OVERRIDES = st.fixed_dictionaries({}, optional={
         "imprecision_forward_m2_per_hz": _floats(0.0, 1e-14),
         "fringe_nonlinearity": st.booleans(),
         "ramp_rate_m_per_s": _floats(1e-9, 1e-4),
-        "gain_volts": _floats(1e-3, 1e3),
     }),
 })
 
@@ -613,12 +622,16 @@ class TestDeterminismAndErrors:
         assert "detector.imprecision_self_m2_per_hz" in err and "B = pi m w_y^2 S_imp" in err
 
     def test_malformed_json_nonzero_exit(self, tmp_path):
-        cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text("{not json")
-        out = tmp_path / "out"
-        code = main(["--config", str(cfg_path), "--out", str(out), "efficiency-report"])
-        assert code == 1
-        assert (out / "error_manifest.json").exists()
+        cases = [("{not json", "config file is not valid JSON"),
+                 ("[1, 2]", "config file must contain a JSON object")]
+        for i, (text, message) in enumerate(cases):
+            cfg_path = tmp_path / f"bad{i}.json"
+            cfg_path.write_text(text)
+            out = tmp_path / f"out{i}"
+            code = main(["--config", str(cfg_path), "--out", str(out), "efficiency-report"])
+            assert code == 1
+            err = json.loads((out / "error_manifest.json").read_text())["error"]
+            assert err.startswith("ConfigError: ") and message in err
 
     def test_threads_do_not_change_output(self, tmp_path):
         _, out_a = run_cli(tmp_path / "a", "imprecision-sweep", IMP_SWEEP)

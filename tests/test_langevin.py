@@ -64,6 +64,11 @@ class TestBathModel:
     def test_negative_pressure_rejected(self):
         with pytest.raises(ValueError):
             Bath(pressure=-1e-3)
+        with pytest.raises(ValueError, match="temperature must be >= 0"):
+            Bath(temperature=-1.0)
+        for anchor in [(0.0, 1.0), (1e-2, 0.0), (-1e-2, 1.0), (1e-2, -1.0)]:
+            with pytest.raises(ValueError, match="damping anchor must be positive"):
+                Bath(damping_anchor=anchor)
 
     def test_thermal_force_psd_zero_temperature(self):
         assert thermal_force_psd(Bath(pressure=1e-2, temperature=0.0), 2e-17) == 0.0
@@ -147,7 +152,19 @@ class TestBlockPipeline:
         assert np.array_equal(inputs, serial)
         # a slot redrawn before its block's outputs were formed would break this
         p = (traj.x - traj.y) * langevin._INVSQ2
-        assert np.array_equal(traj.volts_fwd, det.gain * (p + inputs[:, 7]))
+        assert np.array_equal(traj.volts_fwd, p + inputs[:, 7])
+
+    def test_split_draws_are_one_draw(self):
+        # blocks drawn one after another from one generator give the values
+        # of one draw over the whole run: the stream does not depend on the
+        # block size
+        n = 3 * langevin._SUB_BLOCK + 777
+        whole = np.random.default_rng(21).standard_normal(out=np.empty((n, 8)))
+        rng = np.random.default_rng(21)
+        split = np.empty((n, 8))
+        for i0 in range(0, n, langevin._SUB_BLOCK):
+            rng.standard_normal(out=split[i0 : i0 + langevin._SUB_BLOCK])
+        assert np.array_equal(split, whole)
 
     @pytest.mark.parametrize("n_steps, helpers", [(N_STEPS, 1), (1 << 16, 0)])
     def test_helper_thread_joined(self, n_steps, helpers):
@@ -276,6 +293,20 @@ class TestFeedbackSpring:
         n0 = int(1.0 / DT17)
         t_y = TRAP.mass * TRAP.secular_freq_y**2 * float(np.var(traj.y[n0:])) / K_B
         assert t_y < 60.0  # far below 300 K
+
+    def test_invalid_run_rejected(self):
+        bath = Bath(pressure=0.5, temperature=1.0)
+        bad = [
+            (dict(duration=0.0, dt=DT16), "duration and dt must be positive"),
+            (dict(duration=-0.01, dt=DT16), "duration and dt must be positive"),
+            (dict(duration=0.01, dt=0.0), "duration and dt must be positive"),
+            (dict(duration=0.01, dt=-DT16), "duration and dt must be positive"),
+            (dict(duration=0.01, dt=DT16, backaction_force_psd=-1e-43), "backaction_force_psd must be >= 0"),
+            (dict(duration=1.4 * DT16, dt=DT16), "duration too short"),
+        ]
+        for kwargs, message in bad:
+            with pytest.raises(ValueError, match=message):
+                simulate(TRAP, bath, NO_FB, QUIET, SETUP, seed=1, **kwargs)
 
     def test_feedback_requires_locked_mirror(self):
         det = DetectorModel(mirror_mode="ramp", ramp_rate=1e-6)
@@ -450,10 +481,11 @@ class TestScanAgainstScalarLoop:
 
 
 class TestScalarSubBlocks:
-    """A loop that sees the fringe runs the scalar loop over sub-blocks; the
-    result is that of one scalar loop over each whole block."""
+    """A loop that sees the fringe runs the scalar loop over blocks of
+    ``_SUB_BLOCK`` steps; the result is that of one scalar loop over the
+    whole run."""
 
-    # a full block, then 3 full sub-blocks and a partial one
+    # 16 + 3 full 4096-step blocks and a partial one: longer than one 65 536-step block
     N_STEPS = (1 << 16) + 3 * langevin._SUB_BLOCK + 777
     LOOPS = {
         # the benchmark psd loop: 1 K, viscous only, 4-sample delay
@@ -475,20 +507,30 @@ class TestScalarSubBlocks:
         bath, fb = self.LOOPS[loop]
         det = DetectorModel(fringe_nonlinearity=True)
         kwargs = dict(duration=self.N_STEPS * DT17, dt=DT17, seed=17)
-        rows = []
         run = langevin._StepMap.run
 
-        def count_rows(step, state, inputs, linear=False):
-            if not linear:  # not a probe of the linear map
-                rows.append(inputs.shape[0])
-            return run(step, state, inputs, linear)
+        before = threading.active_count()
 
-        with mock.patch.object(langevin._StepMap, "run", count_rows):
-            sub = simulate(TRAP, bath, fb, det, SETUP, **kwargs)
-        assert max(rows) <= langevin._SUB_BLOCK
+        def simulate_counting_rows():
+            rows = []
+
+            def count_rows(step, state, inputs, linear=False):
+                if not linear:  # not a probe of the linear map
+                    rows.append(inputs.shape[0])
+                    # the blocks are drawn in place, on no helper thread
+                    assert threading.active_count() == before
+                return run(step, state, inputs, linear)
+
+            with mock.patch.object(langevin._StepMap, "run", count_rows):
+                return simulate(TRAP, bath, fb, det, SETUP, **kwargs), rows
+
+        sub, rows = simulate_counting_rows()
+        assert max(rows) <= 4096
         assert sum(rows) == self.N_STEPS
-        with mock.patch.object(langevin._StepMap, "propagate", langevin._StepMap.run):
-            whole = simulate(TRAP, bath, fb, det, SETUP, **kwargs)
+        # the reference: the same run as one block, one scalar loop
+        with mock.patch.object(langevin, "_SUB_BLOCK", self.N_STEPS):
+            whole, rows = simulate_counting_rows()
+        assert rows == [self.N_STEPS]
         for name in ("x", "y", "volts_self", "volts_fwd"):
             assert np.array_equal(getattr(sub, name), getattr(whole, name)), name
         assert sub.lock_lost == whole.lock_lost
@@ -528,7 +570,7 @@ class TestDetectorSynthesis:
         rng = np.random.default_rng(5)
         out = synthesize_detector(np.zeros(1 << 15), SETUP, det, dt=DT16, rng=rng)
         sigma = math.sqrt(1e-22 / (2 * DT16))
-        slope = det.gain * SETUP.visibility * (4 * math.pi / SETUP.wavelength) * (
+        slope = SETUP.visibility * (4 * math.pi / SETUP.wavelength) * (
             1 - SETUP.half_aperture**2 / 4
         )
         assert abs(float(np.mean(out))) < 5 * slope * sigma / math.sqrt(out.size)
@@ -577,7 +619,7 @@ class TestDetectorSynthesis:
             [np.cos(2 * math.pi * f_d * t), np.sin(2 * math.pi * f_d * t)]
         )
         coef, *_ = np.linalg.lstsq(design, out, rcond=None)
-        amp_volts = det.gain * 2 * setup.mirror_reflectivity / (
+        amp_volts = 2 * setup.mirror_reflectivity / (
             1 + setup.mirror_reflectivity**2
         ) * setup.visibility
         slope = 4 * math.pi * amp_volts / lam
@@ -631,6 +673,10 @@ class TestCalibration:
     def test_insufficient_travel_rejected(self):
         traj = self.make_synthetic_ramp(1.0, 0.4, 2.0, 4096.0)  # 0.8 fringe
         with pytest.raises(ValueError, match="insufficient"):
+            run_calibration(traj, 780e-9)
+        # 15 samples: too few to fit at all
+        traj = self.make_synthetic_ramp(1.0, 2.0, 1.0, 15.0)
+        with pytest.raises(ValueError, match="trajectory too short"):
             run_calibration(traj, 780e-9)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -712,19 +758,19 @@ class TestConfigTypes:
             FeedbackConfig(filter_band=(5000.0, 100.0))
         with pytest.raises(ValueError):
             FeedbackConfig(source_channel="sideways")
+        with pytest.raises(ValueError, match="loop delay must be >= 0"):
+            FeedbackConfig(loop_delay=-1e-6)
 
     def test_detector_validation(self):
         with pytest.raises(ValueError):
             DetectorModel(imprecision_self=-1.0)
+        with pytest.raises(ValueError, match="imprecision must be >= 0"):
+            DetectorModel(imprecision_forward=-1e-20)
         with pytest.raises(ValueError):
             DetectorModel(mirror_mode="wobble")
         for rate in (0.0, -1e-6):
             with pytest.raises(ValueError, match="ramp_rate must be > 0"):
                 DetectorModel(ramp_rate=rate)
-        for gain in (-1.0, -1e-300):
-            with pytest.raises(ValueError, match="gain must be >= 0"):
-                DetectorModel(gain=gain)
-        assert DetectorModel(gain=0.0).gain == 0.0
 
     def test_forward_default_38_db(self):
         det = DetectorModel(imprecision_self=3e-24)

@@ -320,6 +320,9 @@ class TestCalibrationDeviation:
             calibration_deviation(1.0)
         with pytest.raises(ValueError):
             calibration_deviation(0.0)
+        for na in (0.0, -0.18, 1.0 + 1e-12, math.nan):
+            with pytest.raises(ValueError, match=r"numerical aperture must lie in \(0, 1\]"):
+                OpticalSetup.from_numerical_aperture(na)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +342,9 @@ class TestCollectionEfficiency:
     def test_endpoints(self):
         assert collection_efficiency(0.0) == 0.0
         assert collection_efficiency(math.pi) == pytest.approx(1.0, abs=1e-10)
+        for theta_d in (-1e-12, math.pi + 1e-12, math.nan):
+            with pytest.raises(ValueError, match=r"half_aperture must lie in \[0, pi\]"):
+                collection_efficiency(theta_d)
 
     def test_monotone_in_aperture(self):
         grid = np.linspace(0.01, math.pi, 50)
@@ -465,11 +471,16 @@ class TestImprecision:
             imprecision(0.0, 0.021, 780e-9)
         with pytest.raises(ZeroDivisionError):
             imprecision(84e-9, 0.0, 780e-9)
+        for power, eta in ((-84e-9, 0.021), (84e-9, -0.021)):
+            with pytest.raises(ValueError, match="must be positive"):
+                imprecision(power, eta, 780e-9)
 
 
 class TestBackaction:
     def test_zero_power(self):
         assert backaction_psd(0.0, 780e-9) == 0.0
+        with pytest.raises(ValueError, match="power must be >= 0"):
+            backaction_psd(-1e-9, 780e-9)
 
     def test_value_at_84_nw(self):
         ref = 0.8 * HBAR_SI * (2 * math.pi / 780e-9) * 84e-9 / C_SI
@@ -503,7 +514,7 @@ class TestVoltsToMeters:
             assert np.all(volts / cli._calibration_slope(cfg) == 0.0)
 
     def test_zero_slope_raises(self):
-        cfg = ScenarioConfig.from_dict({"detector": {"gain_volts": 0.0}})
+        cfg = ScenarioConfig.from_dict({"optics": {"visibility": 0.0}})
         with pytest.raises(ValueError, match="no fringe contrast"):
             cli._calibration_slope(cfg)
 
@@ -524,6 +535,9 @@ class TestTypes:
             OpticalSetup(visibility=1.2)
         with pytest.raises(ValueError):
             OpticalSetup(focal_length=-1.0, mirror_distance=0.1)
+        for wavelength in (0.0, -780e-9):
+            with pytest.raises(ValueError, match="wavelength must be positive"):
+                OpticalSetup(wavelength=wavelength)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_unit_vector_rejected(self, bad):

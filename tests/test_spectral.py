@@ -213,6 +213,34 @@ class TestLorentzianFit:
         psd = Psd(f, np.ones_like(f))
         with pytest.raises(ValueError):
             lorentzian_fit(psd, (50.0, 51.0))
+        with pytest.raises(ValueError, match="PSD band contains no power"):
+            lorentzian_fit(Psd(f, np.zeros_like(f)), (10.0, 90.0))
+
+    def test_solver_rejects_non_finite_model(self):
+        box = (np.array([-10.0]), np.array([10.0]))
+        with pytest.raises(FitError, match="not finite at the initial guess"):
+            spectral._least_squares(
+                lambda x: np.array([np.nan, 1.0]), lambda x: np.ones((2, 1)), [1.0], [1.0], box
+            )
+        with pytest.raises(FitError, match="Jacobian is not finite at x = \\[1.0\\]"):
+            spectral._least_squares(
+                lambda x: x - 2.0, lambda x: np.array([[np.inf]]), [1.0], [1.0], box
+            )
+
+    def test_solver_stops_when_every_variable_is_pinned(self):
+        # the minimum of (x + 1)^2 lies below the box [0, 10]: from x = 0 the
+        # cost gradient points out of the box, so no variable is free to move
+        calls = []
+
+        def residuals(x):
+            calls.append(x.copy())
+            return x + 1.0
+
+        x, r, jac = spectral._least_squares(
+            residuals, lambda x: np.ones((1, 1)), [0.0], [1.0], (np.array([0.0]), np.array([10.0]))
+        )
+        assert x.tolist() == [0.0] and r.tolist() == [1.0] and jac.tolist() == [[1.0]]
+        assert len(calls) == 1
 
     def test_fit_failure_diagnostics(self, monkeypatch):
         monkeypatch.setattr(spectral, "_MAX_NFEV", 4)
@@ -341,6 +369,8 @@ class TestPsdType:
             Psd(np.array([0.0, 2.0, 1.0]), np.zeros(3))
         with pytest.raises(ValueError):
             Psd(np.zeros(4), np.zeros(5))
+        with pytest.raises(ValueError, match="PSD values must be >= 0"):
+            Psd(np.arange(3.0), np.array([1.0, -1e-30, 1.0]))
 
     def test_csv_export_roundtrip(self, tmp_path):
         psd = Psd(np.array([0.0, 1.0, 2.0]), np.array([1e-24, 2e-24, 3e-24]))
