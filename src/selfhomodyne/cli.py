@@ -14,7 +14,6 @@ import dataclasses
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -96,6 +95,10 @@ def _sweep(threads: int, point, args) -> list:
     so the peak memory of a run would vary from run to run."""
     if threads <= 1:
         return [point(*a) for a in args]
+    # imported here, not with the module: it loads logging, and only a
+    # sweep on more than one thread needs it
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(lambda a: point(*a), args))
 
@@ -122,6 +125,18 @@ def _calibration_slope(cfg: ScenarioConfig) -> float:
             "or mirror_field_reflectivity is 0"
         )
     return fringe_slope(amp_volts, cfg.setup.wavelength)
+
+
+def _positions(traj, slope: float, n0: int = 0):
+    """The self-homodyne channel of ``simulate``'s result ``traj`` from
+    sample ``n0`` on, divided by ``slope`` in place: the recorded positions
+    [m].  Returns them with the sample rate and the lock status.  A caller
+    that passes ``simulate(...)`` straight in holds no trajectory: x, y and
+    the forward channel are freed on return, and no second copy of the
+    series is made."""
+    q_rec = traj.volts_self[n0:]
+    q_rec /= slope
+    return q_rec, traj.sample_rate, traj.lock_lost
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +217,14 @@ def _imprecision_point(cfg: ScenarioConfig, seed: int, index: int, power: float)
     det = dataclasses.replace(cfg.detector, imprecision_self=s_pred)
     point = f"imprecision-sweep point {index}: power = {power:.6g} W"
     with _stage(f"{point}: simulation failed"):
-        traj = simulate(
+        q_rec, fs, _ = _positions(simulate(
             cfg.trap, cfg.bath, FeedbackConfig(), det, setup,
             duration=cfg.duration, dt=cfg.dt, seed=_point_seed(seed, index),
             initial_state=(0.0, 0.0, 0.0, 0.0),
             backaction_force_psd=backaction_psd(power, setup.wavelength),
-        )
-    q_rec = traj.volts_self / slope
+        ), slope)
     with _stage(f"{point}: Welch floor estimate failed"):
-        psd = welch_psd(q_rec, traj.sample_rate, segment_len=min(1 << 15, q_rec.size // 8))
+        psd = welch_psd(q_rec, fs, segment_len=min(1 << 15, q_rec.size // 8))
         s_ext = imprecision_from_floor(psd, _FLOOR_BAND)
     return power, s_pred, s_ideal, s_ext
 
@@ -246,10 +260,10 @@ def _cool_point(cfg: ScenarioConfig, seed: int, index: int, gfb: float, channel:
         f"{point}, alpha = {alpha:.6g} rad/s (spring rule alpha = spring_gain_coef * "
         "sqrt(gamma_fb), 0 on the forward channel)"
     ):
-        traj = simulate(
+        q_rec, fs, lock_lost = _positions(simulate(
             cfg.trap, cfg.bath, feedback, cfg.detector, cfg.setup,
             duration=cfg.duration, dt=cfg.dt, seed=_point_seed(seed, offset + index),
-        )
+        ), slope, int(cfg.transient / cfg.dt))
 
     sol = radial_modes(cfg.trap.secular_freq_x, cfg.trap.secular_freq_y, alpha)
     gamma0 = gas_damping_rate(cfg.bath)
@@ -259,10 +273,8 @@ def _cool_point(cfg: ScenarioConfig, seed: int, index: int, gfb: float, channel:
     gap_hz = (sol.freq_high - sol.freq_low) / (2.0 * math.pi)
     half = min(max(6.0 * gamma_exp / (2.0 * math.pi), 150.0), 0.4 * gap_hz)
     f_hi_mode = sol.freq_high / (2.0 * math.pi)
-    n0 = int(cfg.transient / cfg.dt)
-    q_rec = traj.volts_self[n0:] / slope
     with _stage(f"{point}: fit of the upper mode failed", (FitError, ValueError)):
-        psd = welch_psd(q_rec, traj.sample_rate, segment_len=min(1 << 18, q_rec.size // 4))
+        psd = welch_psd(q_rec, fs, segment_len=min(1 << 18, q_rec.size // 4))
         fit = lorentzian_fit(psd, (f_hi_mode - half, f_hi_mode + half))
     t_mode = mode_temperature(
         cfg.trap.mass, 2.0 * math.pi * fit.center, fit.area, sol.theta_fb
@@ -275,7 +287,7 @@ def _cool_point(cfg: ScenarioConfig, seed: int, index: int, gfb: float, channel:
         "nu_high_hz": fit.center,
         "theta_fb_rad": sol.theta_fb,
         "t_mode_k": t_mode,
-        "lock_lost": traj.lock_lost,
+        "lock_lost": lock_lost,
         "fwhm_hz": fit.fwhm,
         "bin_hz": psd.resolution,
     }
@@ -389,16 +401,14 @@ def cmd_psd(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) -> dict
     manifest records whether the mirror lock was lost."""
     slope = _calibration_slope(cfg)
     with _stage("psd: simulation failed"):
-        traj = simulate(
+        q_rec, fs, lock_lost = _positions(simulate(
             cfg.trap, cfg.bath, cfg.feedback, cfg.detector, cfg.setup,
             duration=cfg.duration, dt=cfg.dt, seed=seed,
-        )
-    n0 = int(cfg.transient / cfg.dt)
-    q_rec = traj.volts_self[n0:] / slope
+        ), slope, int(cfg.transient / cfg.dt))
     with _stage("psd: Welch estimate failed"):
-        psd = welch_psd(q_rec, traj.sample_rate, segment_len=min(1 << 17, q_rec.size // 4))
+        psd = welch_psd(q_rec, fs, segment_len=min(1 << 17, q_rec.size // 4))
     psd.write_csv(out_dir / "psd.csv")
-    return {"outputs": ["psd.csv"], "lock_lost": traj.lock_lost}
+    return {"outputs": ["psd.csv"], "lock_lost": lock_lost}
 
 
 _COMMANDS = {

@@ -130,6 +130,22 @@ def _real(value) -> float:
     return float(value)
 
 
+def _ranged(ok, rule: str):
+    """A parser of the finite numbers for which ``ok`` holds; ``rule``
+    states that range in the rejection."""
+    def parse(value) -> float:
+        value = _real(value)
+        if not ok(value):
+            raise ValueError(f"must be {rule}, got {value!r}")
+        return value
+    return parse
+
+
+_positive = _ranged(lambda v: v > 0.0, "> 0")
+_non_negative = _ranged(lambda v: v >= 0.0, ">= 0")
+_fraction = _ranged(lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+
+
 def _reals(value) -> tuple[float, ...]:
     """A JSON array of finite numbers."""
     if not isinstance(value, list):
@@ -198,52 +214,52 @@ class ScenarioConfig:
             na = leaf(_real, "optics.numerical_aperture")
             if not 0.0 < na <= 1.0:
                 raise ValueError(f"optics numerical_aperture must lie in (0, 1], got {na!r}")
-            wavelength = leaf(_real, "optics.wavelength_m")
+            wavelength = leaf(_positive, "optics.wavelength_m")
             setup = OpticalSetup(
                 wavelength=wavelength,
                 half_aperture=math.asin(na),
-                mirror_reflectivity=leaf(_real, "optics.mirror_field_reflectivity"),
-                visibility=leaf(_real, "optics.visibility"),
-                path_efficiency=leaf(_real, "optics.path_efficiency"),
-                detector_qe=leaf(_real, "optics.detector_quantum_efficiency"),
+                mirror_reflectivity=leaf(_fraction, "optics.mirror_field_reflectivity"),
+                visibility=leaf(_fraction, "optics.visibility"),
+                path_efficiency=leaf(_fraction, "optics.path_efficiency"),
+                detector_qe=leaf(_fraction, "optics.detector_quantum_efficiency"),
                 focal_length=leaf(_real, "optics.focal_length_m"),
                 mirror_distance=leaf(_real, "optics.mirror_distance_m"),
             )
             scatterer = Scatterer(
-                radius=leaf(_real, "scatterer.radius_m"),
+                radius=leaf(_positive, "scatterer.radius_m"),
                 refractive_index=leaf(_real, "scatterer.refractive_index"),
             )
             beam = Beam(
-                power=leaf(_real, "beam.power_w"),
-                waist=leaf(_real, "beam.waist_m"),
+                power=leaf(_non_negative, "beam.power_w"),
+                waist=leaf(_positive, "beam.waist_m"),
                 wavelength=wavelength,
             )
             trap = TrapConfig(
-                secular_freq_x=2.0 * math.pi * leaf(_real, "trap.secular_freq_x_hz"),
-                secular_freq_y=2.0 * math.pi * leaf(_real, "trap.secular_freq_y_hz"),
-                mass=leaf(_real, "scatterer.mass_kg"),
+                secular_freq_x=2.0 * math.pi * leaf(_positive, "trap.secular_freq_x_hz"),
+                secular_freq_y=2.0 * math.pi * leaf(_positive, "trap.secular_freq_y_hz"),
+                mass=leaf(_positive, "scatterer.mass_kg"),
             )
             bath = Bath(
-                pressure=leaf(_real, "bath.pressure_mbar"),
-                temperature=leaf(_real, "bath.temperature_k"),
+                pressure=leaf(_non_negative, "bath.pressure_mbar"),
+                temperature=leaf(_non_negative, "bath.temperature_k"),
                 damping_anchor=(
-                    leaf(_real, "bath.damping_anchor_pressure_mbar"),
-                    leaf(_real, "bath.damping_anchor_gamma_rad_per_s"),
+                    leaf(_positive, "bath.damping_anchor_pressure_mbar"),
+                    leaf(_positive, "bath.damping_anchor_gamma_rad_per_s"),
                 ),
             )
             detector = DetectorModel(
-                imprecision_self=leaf(_real, "detector.imprecision_self_m2_per_hz"),
-                imprecision_forward=leaf(_real, "detector.imprecision_forward_m2_per_hz"),
+                imprecision_self=leaf(_non_negative, "detector.imprecision_self_m2_per_hz"),
+                imprecision_forward=leaf(_non_negative, "detector.imprecision_forward_m2_per_hz"),
                 fringe_nonlinearity=leaf(_flag, "detector.fringe_nonlinearity"),
-                ramp_rate=leaf(_real, "detector.ramp_rate_m_per_s"),
+                ramp_rate=leaf(_positive, "detector.ramp_rate_m_per_s"),
             )
             band = leaf(_reals, "feedback.filter_band_hz")
             if len(band) != 2:
                 raise ValueError(f"feedback filter_band_hz needs 2 entries, got {len(band)}")
             feedback = FeedbackConfig(
-                cooling_rate=leaf(_real, "feedback.cooling_rate_rad_per_s"),
-                spring_gain=leaf(_real, "feedback.spring_gain_rad_per_s"),
-                loop_delay=leaf(_real, "feedback.loop_delay_s"),
+                cooling_rate=leaf(_non_negative, "feedback.cooling_rate_rad_per_s"),
+                spring_gain=leaf(_non_negative, "feedback.spring_gain_rad_per_s"),
+                loop_delay=leaf(_non_negative, "feedback.loop_delay_s"),
                 filter_band=band,
                 source_channel=str(tree["feedback"]["source_channel"]),
             )

@@ -76,7 +76,9 @@ __all__ = [
 ]
 
 _INVSQ2 = 1.0 / math.sqrt(2.0)
-_BLOCK = 1 << 16
+# steps per block of the scan: what a run holds besides its outputs, two
+# 1 MB input slots and a ~1.6 MB workspace, is set by this, not by its length
+_BLOCK = 1 << 14
 # the block of a loop that runs the scalar loop: its per-step Python float
 # lists and its one input slot are bounded by this, not by _BLOCK
 _SUB_BLOCK = 1 << 12
@@ -295,10 +297,11 @@ class _StepMap:
     that draws: a slot allocated there comes from a second glibc arena, and
     with one slot allocated there the bench cool-sweep peaked at 127.0 MB
     instead of 122.6 MB.  They are two arrays, each sized to its block, not
-    one (2, n, 8) array: a run of one full block and a short one (the 0.59 s
-    fringe scan: 65 536 + 11 141 steps) holds 4.7 MB of inputs, not 8 MB.  A
-    loop that sees the fringe runs blocks of ``_SUB_BLOCK`` steps and draws
-    each into slot 0, so its inputs take 256 KB.
+    one (2, n, 8) array: a run of one full block and a short one (16 384 + k
+    steps) holds (16 384 + k) * 64 B of inputs, not 2 MB.  A full slot takes
+    1 MB and the scan workspace of a full block of the self closed loop
+    1.6 MB.  A loop that sees the fringe runs blocks of ``_SUB_BLOCK`` steps
+    and draws each into slot 0, so its inputs take 256 KB.
     """
 
     def __init__(
@@ -484,12 +487,12 @@ def _scan(ab, a_pow, a_end, rows_pow, state, w, n):
     last chunk.  Returns the x and y at the start of each step and the end
     state.
 
-    Measured per 65 536-step block of the self closed loop (d = 7, 5 live
-    inputs, 2-vCPU host): (1) takes ~1.1 ms with ``matmul`` where the same
-    products through ``einsum`` took ~3.5 ms, and (3) ~0.8 ms where a
-    sequential rerun of every chunk took ~3.5 ms.  These small products run
-    on one OpenBLAS thread: user CPU stays at wall time, the same as with
-    one thread forced."""
+    Measured per 16 384-step block of the self closed loop (d = 7, 5 live
+    inputs, L = C = 128, 2-vCPU host): (1) takes ~0.4 ms with ``matmul``
+    where the same products through ``einsum`` took ~1.1 ms, (2) ~0.44 ms,
+    and (3) ~0.07 ms where a sequential rerun of every chunk took ~0.8 ms.
+    These small products run on one OpenBLAS thread: user CPU stays at wall
+    time, the same as with one thread forced."""
     d = ab.shape[0]
     L = w.shape[0] - 1
 

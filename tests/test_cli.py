@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -110,8 +111,14 @@ class TestConfig:
         for overrides in bad:
             with pytest.raises(ConfigError):
                 ScenarioConfig.from_dict(overrides)
-        # wrong types, non-finite numbers and bad seeds: the error names the leaf
+        # wrong types, non-finite numbers, bad seeds and values out of range:
+        # the error names the leaf
         typed = [
+            ("detector", "imprecision_self_m2_per_hz", -1),
+            ("detector", "imprecision_forward_m2_per_hz", -1),
+            ("bath", "damping_anchor_pressure_mbar", 0),
+            ("trap", "secular_freq_x_hz", -1),
+            ("optics", "visibility", 1.5),
             ("bath", "pressure_mbar", math.nan),
             ("bath", "pressure_mbar", math.inf),
             ("optics", "wavelength_m", -math.inf),
@@ -717,6 +724,82 @@ COOL_UNRESOLVED = {
     "sim": {"duration_s": 1.0, "transient_s": 0.2, "seed": 3},
     "sweeps": {"cooling_rates_rad_per_s": [0.0, 2 * math.pi * 20.0, 2 * math.pi * 40.0]},
 }
+
+
+# perfbench's cool_sweep configuration
+BENCH_COOL = {
+    "bath": {"pressure_mbar": 2e-2},
+    "detector": {"imprecision_forward_m2_per_hz": 2.2e-16},
+    "sim": {"duration_s": 4.0, "transient_s": 0.5, "seed": 424242},
+    "sweeps": {
+        "cooling_rates_rad_per_s": [0.0] + [2 * math.pi * f for f in (20.0, 40.0, 80.0, 160.0, 320.0, 640.0)],
+        "spring_gain_coef": 250.0,
+    },
+}
+
+
+def test_cool_point_analyses_the_series_alone():
+    """A bench cool-sweep point frees the trajectory before its analysis:
+    while Welch runs, the self-homodyne channel and Welch's own buffers are
+    all the point holds, and the point peaks no higher than the larger of
+    that and its simulate call.  tracemalloc counts numpy's allocations."""
+    cfg = ScenarioConfig.from_dict(BENCH_COOL)
+    n = round(cfg.duration / cfg.dt)
+    n0 = int(cfg.transient / cfg.dt)
+    segment_len = min(1 << 18, (n - n0) // 4)
+    phases = {}
+    peaks = []
+
+    def phase(name, fn):
+        """``fn``, recording the memory live at its call and its peak."""
+        def wrapper(*args, **kwargs):
+            live, peak = tracemalloc.get_traced_memory()
+            peaks.append(peak)
+            tracemalloc.reset_peak()
+            result = fn(*args, **kwargs)
+            phases[name] = (live, tracemalloc.get_traced_memory()[1])
+            return result
+        return wrapper
+
+    tracemalloc.start()
+    try:
+        # Welch's buffers: its peak above a series of the same length
+        series = np.zeros(n - n0)
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        cli.welch_psd(series, 1.0 / cfg.dt, segment_len=segment_len)
+        welch_buffers = tracemalloc.get_traced_memory()[1] - live
+        del series
+
+        base = tracemalloc.get_traced_memory()[0]
+        with mock.patch.object(cli, "simulate", phase("simulate", cli.simulate)), \
+                mock.patch.object(cli, "welch_psd", phase("welch", cli.welch_psd)):
+            cli._cool_point(cfg, 424242, 6, cfg.cooling_rates[6], "self-homodyne")
+        peak = max(peaks + [tracemalloc.get_traced_memory()[1]]) - base
+    finally:
+        tracemalloc.stop()
+    slack = 1 << 16
+    welch_live, welch_peak = phases["welch"]
+    # the whole channel (the transient too, as the series is a view of it)
+    assert welch_live - base <= 8 * n + slack
+    assert welch_peak - base <= 8 * n + welch_buffers + slack
+    assert peak <= max(phases["simulate"][1] - base, welch_peak - base) + slack
+
+
+def test_import_loads_no_thread_pool():
+    """``import selfhomodyne.cli`` loads neither concurrent.futures nor the
+    logging it imports: only a sweep on more than one thread needs them."""
+    code = (
+        "import sys, selfhomodyne.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))"
+    )
+    src = str(Path(selfhomodyne.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
 
 
 def test_unresolved_fits_listed(tmp_path):

@@ -9,6 +9,7 @@ fringes.
 import dataclasses
 import math
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -117,7 +118,8 @@ class TestDeterminism:
 class TestBlockPipeline:
     """Block b + 1 is drawn on a helper thread while block b is scanned."""
 
-    N_STEPS = 3 * (1 << 16) + 777
+    # three full blocks and a partial one
+    N_STEPS = 3 * langevin._BLOCK + 777
     GAIN = 2 * math.pi * 640.0
     FB = FeedbackConfig(cooling_rate=GAIN, spring_gain=250.0 * math.sqrt(GAIN))
     S_BA = backaction_psd(1e-7, SETUP.wavelength)
@@ -138,7 +140,7 @@ class TestBlockPipeline:
 
         with mock.patch.object(langevin._StepMap, "propagate", record):
             traj = self.run(seed=21)
-        assert [b.shape[0] for b in seen] == [1 << 16] * 3 + [777]
+        assert [b.shape[0] for b in seen] == [langevin._BLOCK] * 3 + [777]
 
         det = DetectorModel()
         sigma_ba = math.sqrt(self.S_BA / (2 * DT17))
@@ -166,7 +168,10 @@ class TestBlockPipeline:
             rng.standard_normal(out=split[i0 : i0 + langevin._SUB_BLOCK])
         assert np.array_equal(split, whole)
 
-    @pytest.mark.parametrize("n_steps, helpers", [(N_STEPS, 1), (1 << 16, 0)])
+    @pytest.mark.parametrize(
+        "n_steps, helpers",
+        [pytest.param(N_STEPS, 1, id="four-blocks"), pytest.param(langevin._BLOCK, 0, id="one-block")],
+    )
     def test_helper_thread_joined(self, n_steps, helpers):
         before = threading.active_count()
         during = []
@@ -417,6 +422,35 @@ class TestLoopStability:
         assert not traj.lock_lost
 
 
+class TestWorkingSet:
+    """What ``simulate`` holds besides its outputs is bounded by the block,
+    not by the run.  tracemalloc counts numpy's allocations, so the figures
+    repeat exactly."""
+
+    # in blocks of one float64 series (_BLOCK * 8 B): two 8-column input
+    # slots make 16, the scan workspace ~12, the block's x, y, q, p and
+    # detector temporaries the rest
+    BOUND_BLOCKS = 48
+
+    def test_peak_above_outputs_is_a_few_blocks(self):
+        # the fastest bench cool-sweep point: 4 s, many blocks
+        gain = 2 * math.pi * 640.0
+        fb = FeedbackConfig(cooling_rate=gain, spring_gain=250.0 * math.sqrt(gain))
+        det = DetectorModel(imprecision_forward=2.2e-16)
+        n_steps = round(4.0 / DT17)
+        assert n_steps >= 8 * langevin._BLOCK
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            traj = simulate(TRAP, Bath(pressure=2e-2), fb, det, SETUP, duration=4.0, dt=DT17, seed=5)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        outputs = sum(getattr(traj, name).nbytes for name in ("x", "y", "volts_self", "volts_fwd"))
+        assert outputs == 4 * 8 * n_steps
+        assert peak - outputs < self.BOUND_BLOCKS * langevin._BLOCK * 8
+
+
 class TestScanAgainstScalarLoop:
     """Every linear run goes through the vectorized scan of s' = A s + B u;
     the scalar loop that A and B are probed from is the reference."""
@@ -430,7 +464,10 @@ class TestScanAgainstScalarLoop:
         fringe=st.booleans(),
         backaction=st.booleans(),
         hot=st.booleans(),
-        n_steps=st.sampled_from([2, 3, 97, 4099, (1 << 16) + 1, (1 << 16) + 1234]),
+        # one block, a block boundary and a partial block after several
+        n_steps=st.sampled_from([
+            2, 3, 97, 4099, langevin._BLOCK + 1, langevin._BLOCK + 1234, 4 * langevin._BLOCK + 777,
+        ]),
         seed=st.integers(0, 2**31 - 1),
     )
     def test_matches_scalar_loop(
@@ -464,7 +501,7 @@ class TestScanAgainstScalarLoop:
             cooling_rate=gain, spring_gain=250.0 * math.sqrt(gain), source_channel=channel
         )
         det = DetectorModel(imprecision_forward=2.2e-16)
-        n_steps = 3 * (1 << 16) + 777
+        n_steps = 3 * langevin._BLOCK + 777
         self.assert_matches_scalar_loop(
             Bath(pressure=2e-2), fb, det, duration=n_steps * DT17, dt=DT17, seed=5
         )
@@ -485,8 +522,8 @@ class TestScalarSubBlocks:
     ``_SUB_BLOCK`` steps; the result is that of one scalar loop over the
     whole run."""
 
-    # 16 + 3 full 4096-step blocks and a partial one: longer than one 65 536-step block
-    N_STEPS = (1 << 16) + 3 * langevin._SUB_BLOCK + 777
+    # full sub-blocks and a partial one, longer than several ``_BLOCK``s
+    N_STEPS = 4 * langevin._BLOCK + 3 * langevin._SUB_BLOCK + 777
     LOOPS = {
         # the benchmark psd loop: 1 K, viscous only, 4-sample delay
         "bench-psd": (
@@ -525,7 +562,7 @@ class TestScalarSubBlocks:
                 return simulate(TRAP, bath, fb, det, SETUP, **kwargs), rows
 
         sub, rows = simulate_counting_rows()
-        assert max(rows) <= 4096
+        assert max(rows) <= langevin._SUB_BLOCK
         assert sum(rows) == self.N_STEPS
         # the reference: the same run as one block, one scalar loop
         with mock.patch.object(langevin, "_SUB_BLOCK", self.N_STEPS):
