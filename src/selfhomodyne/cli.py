@@ -127,14 +127,13 @@ def _calibration_slope(cfg: ScenarioConfig) -> float:
     return fringe_slope(amp_volts, cfg.setup.wavelength)
 
 
-def _positions(traj, slope: float, n0: int = 0):
-    """The self-homodyne channel of ``simulate``'s result ``traj`` from
-    sample ``n0`` on, divided by ``slope`` in place: the recorded positions
-    [m].  Returns them with the sample rate and the lock status.  A caller
-    that passes ``simulate(...)`` straight in holds no trajectory: x, y and
-    the forward channel are freed on return, and no second copy of the
-    series is made."""
-    q_rec = traj.volts_self[n0:]
+def _positions(traj, slope: float):
+    """The self-homodyne record of ``simulate(..., self_from=n0)``'s result
+    ``traj``, divided by ``slope`` in place: the recorded positions [m], whose
+    sample k sits at t = (n0 + k)*dt.  Returns them with the sample rate and
+    the lock status.  The record stores that one series alone, so no second
+    copy of it is made."""
+    q_rec = traj.volts_self
     q_rec /= slope
     return q_rec, traj.sample_rate, traj.lock_lost
 
@@ -155,6 +154,7 @@ def _ramp_run(cfg: ScenarioConfig, seed: int):
     return simulate(
         cfg.trap, cfg.bath, FeedbackConfig(), det, cfg.setup,
         duration=duration, dt=cfg.dt, seed=seed, initial_state=(0.0, 0.0, 0.0, 0.0),
+        self_from=0,
     )
 
 
@@ -221,7 +221,7 @@ def _imprecision_point(cfg: ScenarioConfig, seed: int, index: int, power: float)
             cfg.trap, cfg.bath, FeedbackConfig(), det, setup,
             duration=cfg.duration, dt=cfg.dt, seed=_point_seed(seed, index),
             initial_state=(0.0, 0.0, 0.0, 0.0),
-            backaction_force_psd=backaction_psd(power, setup.wavelength),
+            backaction_force_psd=backaction_psd(power, setup.wavelength), self_from=0,
         ), slope)
     with _stage(f"{point}: Welch floor estimate failed"):
         psd = welch_psd(q_rec, fs, segment_len=min(1 << 15, q_rec.size // 8))
@@ -263,7 +263,8 @@ def _cool_point(cfg: ScenarioConfig, seed: int, index: int, gfb: float, channel:
         q_rec, fs, lock_lost = _positions(simulate(
             cfg.trap, cfg.bath, feedback, cfg.detector, cfg.setup,
             duration=cfg.duration, dt=cfg.dt, seed=_point_seed(seed, offset + index),
-        ), slope, int(cfg.transient / cfg.dt))
+            self_from=int(cfg.transient / cfg.dt),
+        ), slope)
 
     sol = radial_modes(cfg.trap.secular_freq_x, cfg.trap.secular_freq_y, alpha)
     gamma0 = gas_damping_rate(cfg.bath)
@@ -403,8 +404,8 @@ def cmd_psd(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) -> dict
     with _stage("psd: simulation failed"):
         q_rec, fs, lock_lost = _positions(simulate(
             cfg.trap, cfg.bath, cfg.feedback, cfg.detector, cfg.setup,
-            duration=cfg.duration, dt=cfg.dt, seed=seed,
-        ), slope, int(cfg.transient / cfg.dt))
+            duration=cfg.duration, dt=cfg.dt, seed=seed, self_from=int(cfg.transient / cfg.dt),
+        ), slope)
     with _stage("psd: Welch estimate failed"):
         psd = welch_psd(q_rec, fs, segment_len=min(1 << 17, q_rec.size // 4))
     psd.write_csv(out_dir / "psd.csv")

@@ -18,9 +18,11 @@ One detector model (``_detector_outputs``) maps the recorded motion to the
 self-homodyne and forward channels for both ``simulate`` and
 ``synthesize_detector``; in locked mode both follow
 ``DetectorModel.fringe_nonlinearity``.  The integrator applies it to each
-block of stored samples; the per-step loop computes only the motion and the
-feedback measurement.  No mirror offset is stored: a locked mirror sits on
-its mid-fringe point, a ramped one at ``_mirror_position``.
+block of samples; the per-step loop computes only the motion and the
+feedback measurement.  A run that stores the self-homodyne channel alone
+(``self_from``) forms no forward channel.  No mirror offset is stored: a
+locked mirror sits on its mid-fringe point, a ramped one at
+``_mirror_position``.
 
 Integrator: per step, external forces (feedback, back-action) enter as an
 impulse, then a half-step of exact damping+thermal Ornstein-Uhlenbeck, an
@@ -181,18 +183,27 @@ class Trajectory:
     sample k sits at t = k*dt.
 
     The detection-axis displacement ``q`` = (x + y)/sqrt(2) is derived from
-    x and y, not stored.
+    x and y, not stored.  A record of ``simulate(..., self_from=n0)`` stores
+    ``volts_self`` from step n0 on alone, so its sample k sits at
+    t = (n0 + k)*dt; x, y and ``volts_fwd`` are None, and ``lock_lost``
+    still covers every step.
     """
 
     dt: float
-    x: np.ndarray
-    y: np.ndarray
+    x: np.ndarray | None
+    y: np.ndarray | None
     volts_self: np.ndarray
-    volts_fwd: np.ndarray
+    volts_fwd: np.ndarray | None
     lock_lost: bool = False
+    self_from: int | None = None
 
     @property
     def q(self) -> np.ndarray:
+        if self.x is None:
+            raise ValueError(
+                f"q needs x and y, which a record simulated with self_from = {self.self_from} "
+                "does not store"
+            )
         return (self.x + self.y) * _INVSQ2
 
     @property
@@ -257,12 +268,13 @@ def _detector_outputs(q, p, nu_self, nu_fwd, t, setup: OpticalSetup, detector: D
     S * (q + nu_self), S = V_eff * k_eff, with q replaced by sin(k_eff q)/k_eff
     under ``fringe_nonlinearity``.  Ramp mode: the raw fringe
     1 - V_eff cos(4 pi (f + d(t))/lambda + k_eff q) as the mirror advances,
-    plus S * nu_self.  The forward channel reads p + nu_fwd in both modes.
+    plus S * nu_self.  The forward channel reads p + nu_fwd in both modes;
+    it is None when p is.
     """
     v_eff = _effective_visibility(setup)
     k_eff = _effective_wavenumber(setup)
     slope = v_eff * k_eff
-    volts_fwd = p + nu_fwd
+    volts_fwd = None if p is None else p + nu_fwd
     if detector.mirror_mode == "locked":
         meas = np.sin(k_eff * q) / k_eff if detector.fringe_nonlinearity else q
         return slope * (meas + nu_self), volts_fwd
@@ -528,6 +540,7 @@ def simulate(
     seed: int,
     initial_state: tuple | None = None,
     backaction_force_psd: float = 0.0,
+    self_from: int | None = None,
 ) -> Trajectory:
     """Integrate the radial motion and synthesize both detector channels.
 
@@ -538,14 +551,43 @@ def simulate(
     optics.backaction_psd(P, lambda)).  A feedback loop whose one-step map
     has a spectral radius above 1 is rejected before integrating.
     Deterministic for a given (arguments, seed).
+
+    With ``self_from`` = n0 the record stores the self-homodyne channel from
+    step n0 on alone: its sample k sits at t = (n0 + k)*dt, x, y and the
+    forward channel are None, and the run holds one series instead of four.
+    The stored samples equal those of the full record, ``volts_self[n0:]``.
     """
-    if duration <= 0.0 or dt <= 0.0:
-        raise ValueError("duration and dt must be positive")
-    if backaction_force_psd < 0.0:
-        raise ValueError("backaction_force_psd must be >= 0")
-    n_steps = int(round(duration / dt))
+    for name, value in (("duration", duration), ("dt", dt)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"duration and dt must be positive and finite, got {name} = {value!r}")
+    if not (math.isfinite(backaction_force_psd) and backaction_force_psd >= 0.0):
+        raise ValueError(
+            f"backaction_force_psd must be >= 0 and finite, got {backaction_force_psd!r}"
+        )
+    steps = duration / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"duration / dt = {steps!r} steps is not a finite count")
+    n_steps = int(round(steps))
     if n_steps < 2:
         raise ValueError("duration too short for the chosen dt")
+    if initial_state is not None:
+        try:
+            start = [float(v) for v in initial_state]
+        except (TypeError, ValueError):
+            start = []
+        if len(start) != 4 or not all(map(math.isfinite, start)):
+            raise ValueError(
+                f"initial_state must be 4 finite numbers (x, y, vx, vy), got {initial_state!r}"
+            )
+    if self_from is not None and (
+        isinstance(self_from, bool)
+        or not isinstance(self_from, (int, np.integer))
+        or not 0 <= self_from < n_steps
+    ):
+        raise ValueError(
+            f"self_from must be an int with 0 <= self_from < {n_steps} (the run's steps), "
+            f"got {self_from!r}"
+        )
 
     # looked up on the module at each call, where perfbench's tracer patches it
     mode_sol = modes.radial_modes(trap.secular_freq_x, trap.secular_freq_y, feedback.spring_gain)
@@ -570,7 +612,7 @@ def simulate(
 
     rng = np.random.default_rng(seed)
     if initial_state is not None:
-        x, y, vx, vy = (float(v) for v in initial_state)
+        x, y, vx, vy = start
     else:
         x = rng.standard_normal() * step.sigma_v / step.wx
         y = rng.standard_normal() * step.sigma_v / step.wy
@@ -578,10 +620,15 @@ def simulate(
         vy = rng.standard_normal() * step.sigma_v
     state = [x, vx, y, vy] + [0.0] * (step.n_state - 4)
 
-    out_x = np.empty(n_steps)
-    out_y = np.empty(n_steps)
-    out_vs = np.empty(n_steps)
-    out_vf = np.empty(n_steps)
+    full = self_from is None
+    n0 = 0 if full else int(self_from)
+    out_vs = np.empty(n_steps - n0)
+    if full:
+        out_x = np.empty(n_steps)
+        out_y = np.empty(n_steps)
+        out_vf = np.empty(n_steps)
+    else:
+        out_x = out_y = out_vf = None
     lock_lost = False
 
     # imported here, not with the package: it loads logging, which added
@@ -606,14 +653,20 @@ def simulate(
                 pending = pool.submit(step.draw_inputs, rng, (b + 1) % 2, sizes[b + 1])
             i0 = b * block
             blk = slice(i0, i0 + nblk)
-            out_x[blk], out_y[blk], state = step.propagate(state, inputs)
-            q = (out_x[blk] + out_y[blk]) * _INVSQ2
-            p = (out_x[blk] - out_y[blk]) * _INVSQ2
+            # the scalar loop returns lists
+            xb, yb, state = step.propagate(state, inputs)
+            xb, yb = np.asarray(xb), np.asarray(yb)
+            q = (xb + yb) * _INVSQ2
+            p = (xb - yb) * _INVSQ2 if full else None
             # the sample times: only the ramp mirror reads them
             t = np.arange(i0, i0 + nblk) * dt if detector.mirror_mode == "ramp" else None
-            out_vs[blk], out_vf[blk] = _detector_outputs(
-                q, p, inputs[:, 6], inputs[:, 7], t, setup, detector
-            )
+            vs, vf = _detector_outputs(q, p, inputs[:, 6], inputs[:, 7], t, setup, detector)
+            if full:
+                out_x[blk], out_y[blk], out_vf[blk] = xb, yb, vf
+            # the block's steps from n0 on
+            lo = max(n0 - i0, 0)
+            if lo < nblk:
+                out_vs[i0 + lo - n0 : i0 + nblk - n0] = vs[lo:]
             if detector.mirror_mode == "locked" and not lock_lost:
                 lock_lost = bool(np.any(np.abs(q) > setup.wavelength / 4.0))
 
@@ -624,6 +677,7 @@ def simulate(
         volts_self=out_vs,
         volts_fwd=out_vf,
         lock_lost=lock_lost,
+        self_from=None if full else n0,
     )
 
 
@@ -647,7 +701,7 @@ def synthesize_detector(
         noise = np.zeros_like(q)
     else:
         noise = rng.standard_normal(q.size) * _white_scale(detector.imprecision_self, dt)
-    volts_self, _ = _detector_outputs(q, 0.0, noise, 0.0, np.arange(q.size) * dt, setup, detector)
+    volts_self, _ = _detector_outputs(q, None, noise, None, np.arange(q.size) * dt, setup, detector)
     return volts_self
 
 

@@ -308,6 +308,24 @@ class TestFeedbackSpring:
             (dict(duration=0.01, dt=-DT16), "duration and dt must be positive"),
             (dict(duration=0.01, dt=DT16, backaction_force_psd=-1e-43), "backaction_force_psd must be >= 0"),
             (dict(duration=1.4 * DT16, dt=DT16), "duration too short"),
+            (dict(duration=math.nan, dt=DT16), "positive and finite, got duration = nan"),
+            (dict(duration=math.inf, dt=DT16), "positive and finite, got duration = inf"),
+            (dict(duration=0.01, dt=math.nan), "positive and finite, got dt = nan"),
+            (dict(duration=1e300, dt=1e-10), "duration / dt = inf steps is not a finite count"),
+            (dict(duration=0.01, dt=DT16, backaction_force_psd=math.nan),
+             "backaction_force_psd must be >= 0 and finite, got nan"),
+            (dict(duration=0.01, dt=DT16, backaction_force_psd=math.inf),
+             "backaction_force_psd must be >= 0 and finite, got inf"),
+            (dict(duration=0.01, dt=DT16, initial_state=(0.0, math.nan, 0.0, 0.0)), "initial_state"),
+            (dict(duration=0.01, dt=DT16, initial_state=(0.0, 0.0, 0.0)), "initial_state"),
+            (dict(duration=0.01, dt=DT16, initial_state=(0.0, 0.0, 0.0, 0.0, 0.0)), "initial_state"),
+            (dict(duration=0.01, dt=DT16, initial_state=("a", 0.0, 0.0, 0.0)), "initial_state"),
+            (dict(duration=0.01, dt=DT16, initial_state=1.0), "initial_state"),
+            (dict(duration=64 * DT16, dt=DT16, self_from=True), "self_from .* got True"),
+            (dict(duration=64 * DT16, dt=DT16, self_from=1.0), "self_from .* got 1.0"),
+            (dict(duration=64 * DT16, dt=DT16, self_from="1"), "self_from .* got '1'"),
+            (dict(duration=64 * DT16, dt=DT16, self_from=-1), r"0 <= self_from < 64 .* got -1"),
+            (dict(duration=64 * DT16, dt=DT16, self_from=64), r"0 <= self_from < 64 .* got 64"),
         ]
         for kwargs, message in bad:
             with pytest.raises(ValueError, match=message):
@@ -433,22 +451,91 @@ class TestWorkingSet:
     BOUND_BLOCKS = 48
 
     def test_peak_above_outputs_is_a_few_blocks(self):
-        # the fastest bench cool-sweep point: 4 s, many blocks
+        # the fastest bench cool-sweep point: 4 s, many blocks, stored in
+        # full and, as cool-sweep runs it, after its 0.5 s transient alone
         gain = 2 * math.pi * 640.0
         fb = FeedbackConfig(cooling_rate=gain, spring_gain=250.0 * math.sqrt(gain))
         det = DetectorModel(imprecision_forward=2.2e-16)
-        n_steps = round(4.0 / DT17)
+        n_steps, n0 = round(4.0 / DT17), round(0.5 / DT17)
         assert n_steps >= 8 * langevin._BLOCK
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            traj = simulate(TRAP, Bath(pressure=2e-2), fb, det, SETUP, duration=4.0, dt=DT17, seed=5)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        outputs = sum(getattr(traj, name).nbytes for name in ("x", "y", "volts_self", "volts_fwd"))
-        assert outputs == 4 * 8 * n_steps
-        assert peak - outputs < self.BOUND_BLOCKS * langevin._BLOCK * 8
+        for self_from, series in ((None, 4 * n_steps), (n0, n_steps - n0)):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                traj = simulate(
+                    TRAP, Bath(pressure=2e-2), fb, det, SETUP, duration=4.0, dt=DT17, seed=5,
+                    self_from=self_from,
+                )
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            stored = (traj.x, traj.y, traj.volts_self, traj.volts_fwd)
+            outputs = sum(a.nbytes for a in stored if a is not None)
+            assert outputs == 8 * series
+            assert peak - outputs < self.BOUND_BLOCKS * langevin._BLOCK * 8, self_from
+
+
+class TestStoredRecord:
+    """``simulate(..., self_from=n0)`` stores the self-homodyne channel from
+    step n0 on alone, and it equals that part of the full record."""
+
+    N_STEPS = 4 * langevin._BLOCK + 777
+    GAIN = 2 * math.pi * 640.0
+    LOOPS = {
+        "open": (Bath(pressure=2e-2), NO_FB, DetectorModel()),
+        "self-closed-spring": (
+            Bath(pressure=2e-2),
+            FeedbackConfig(cooling_rate=GAIN, spring_gain=250.0 * math.sqrt(GAIN)),
+            DetectorModel(),
+        ),
+        "forward-closed": (
+            Bath(pressure=2e-2),
+            FeedbackConfig(cooling_rate=GAIN, source_channel="forward"),
+            DetectorModel(imprecision_forward=2.2e-16),
+        ),
+        "ramp": (Bath(pressure=2e-2), NO_FB, DetectorModel(mirror_mode="ramp", ramp_rate=2e-6)),
+        # the scalar loop, whose propagate returns Python lists
+        "nonlinear-4-sample-delay": (
+            Bath(pressure=2e-2, temperature=1.0),
+            FeedbackConfig(cooling_rate=2 * math.pi * 160.0, loop_delay=4 * DT17),
+            DetectorModel(fringe_nonlinearity=True),
+        ),
+    }
+
+    def run(self, loop, self_from=None):
+        bath, fb, det = self.LOOPS[loop]
+        return simulate(
+            TRAP, bath, fb, det, SETUP, duration=self.N_STEPS * DT17, dt=DT17, seed=29,
+            backaction_force_psd=backaction_psd(1e-7, SETUP.wavelength), self_from=self_from,
+        )
+
+    @pytest.mark.parametrize("loop", LOOPS)
+    def test_equals_the_full_record(self, loop):
+        full = self.run(loop)
+        # the first step, the steps around the first block boundary, the last
+        for n0 in (0, langevin._BLOCK - 1, langevin._BLOCK, langevin._BLOCK + 1, self.N_STEPS - 1):
+            lean = self.run(loop, n0)
+            assert np.array_equal(lean.volts_self, full.volts_self[n0:]), n0
+            assert lean.lock_lost == full.lock_lost
+            assert lean.x is None and lean.y is None and lean.volts_fwd is None
+            assert lean.self_from == n0
+            with pytest.raises(ValueError, match=f"self_from = {n0}"):
+                lean.q
+
+    def test_lock_lost_covers_the_transient(self):
+        # a cold particle started 1 um out, beyond lambda/4, and cooled back
+        # inside it within the first block: the stored record never leaves
+        # the fringe, yet the run lost the lock
+        fb = FeedbackConfig(cooling_rate=self.GAIN)
+        kwargs = dict(
+            duration=self.N_STEPS * DT17, dt=DT17, seed=3, initial_state=(1e-6, 0.0, 0.0, 0.0)
+        )
+        cold = Bath(pressure=2e-2, temperature=1e-3)
+        full = simulate(TRAP, cold, fb, QUIET, SETUP, **kwargs)
+        n0 = langevin._BLOCK
+        assert full.lock_lost
+        assert np.max(np.abs(full.q[n0:])) < SETUP.wavelength / 4.0
+        assert simulate(TRAP, cold, fb, QUIET, SETUP, self_from=n0, **kwargs).lock_lost
 
 
 class TestScanAgainstScalarLoop:
