@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .constants import C, CONSTANTS, EPS0, HBAR, K_B
 from .optics import (
     Beam,
-    FringeState,
     OpticalSetup,
     RayleighValidityWarning,
     Scatterer,
@@ -19,11 +18,8 @@ from .optics import (
     calibration_deviation,
     collection_efficiency,
     detection_efficiency,
-    dipole_density,
     fringe_slope,
-    fringe_state,
     imprecision,
-    interference_intensity,
     mirror_sensitivity,
     particle_sensitivity,
     rayleigh_scattered_power,
@@ -45,7 +41,6 @@ from .langevin import (
     gas_damping_rate,
     run_calibration,
     simulate,
-    synthesize_detector,
     thermal_force_psd,
 )
 from .spectral import (

@@ -25,7 +25,6 @@ from .constants import CONSTANTS, K_B
 from .langevin import (
     FeedbackConfig,
     _effective_visibility,
-    _mirror_position,
     gas_damping_rate,
     run_calibration,
     simulate,
@@ -163,8 +162,7 @@ def cmd_fringe_scan(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int)
     The manifest records the fringes the fit found next to those ramped: they
     differ where the fit follows the particle's motion, not the fringes."""
     traj = _ramp_run(cfg, seed)
-    d = _mirror_position(cfg.setup, cfg.detector.ramp_rate, np.arange(traj.volts_self.size) * traj.dt)
-    disp = d - d[0]
+    disp = cfg.detector.ramp_rate * (np.arange(traj.volts_self.size) * traj.dt)
     if float(np.ptp(traj.volts_self)) < 1e-12 * max(abs(float(traj.volts_self[0])), 1.0):
         visibility, fringes = 0.0, None  # no fringes (e.g. no mirror)
     else:

@@ -46,8 +46,6 @@ def default_config_dict() -> dict:
             "visibility": opt.visibility,
             "path_efficiency": opt.path_efficiency,
             "detector_quantum_efficiency": opt.detector_qe,
-            "focal_length_m": opt.focal_length,
-            "mirror_distance_m": opt.mirror_distance,
         },
         "scatterer": {
             "radius_m": sca.radius,
@@ -222,8 +220,6 @@ class ScenarioConfig:
                 visibility=leaf(_fraction, "optics.visibility"),
                 path_efficiency=leaf(_fraction, "optics.path_efficiency"),
                 detector_qe=leaf(_fraction, "optics.detector_quantum_efficiency"),
-                focal_length=leaf(_real, "optics.focal_length_m"),
-                mirror_distance=leaf(_real, "optics.mirror_distance_m"),
             )
             scatterer = Scatterer(
                 radius=leaf(_positive, "scatterer.radius_m"),

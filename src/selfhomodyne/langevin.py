@@ -15,14 +15,14 @@ contains a viscous term -m*gamma_fb*dq_meas/dt and a spring term
 imprecision noise and, optionally, the sinusoidal fringe response.
 
 One detector model (``_detector_outputs``) maps the recorded motion to the
-self-homodyne and forward channels for both ``simulate`` and
-``synthesize_detector``; in locked mode both follow
-``DetectorModel.fringe_nonlinearity``.  The integrator applies it to each
-block of samples; the per-step loop computes only the motion and the
+self-homodyne and forward channels; in locked mode the self-homodyne one
+follows ``DetectorModel.fringe_nonlinearity``.  The integrator applies it to
+each block of samples; the per-step loop computes only the motion and the
 feedback measurement.  A run that stores the self-homodyne channel alone
 (``self_from``) forms no forward channel.  No mirror offset is stored: a
-locked mirror sits on its mid-fringe point, a ramped one at
-``_mirror_position``.
+locked mirror sits on its mid-fringe point, and a ramped one starts at the
+fixed focus-to-mirror path ``_RAMP_START_PATH`` and advances at
+``DetectorModel.ramp_rate``.
 
 Integrator: per step, external forces (feedback, back-action) enter as an
 impulse, then a half-step of exact damping+thermal Ornstein-Uhlenbeck, an
@@ -73,7 +73,6 @@ __all__ = [
     "gas_damping_rate",
     "thermal_force_psd",
     "simulate",
-    "synthesize_detector",
     "run_calibration",
 ]
 
@@ -96,6 +95,10 @@ _RHO_TOL = 1e-9
 # default forward-channel noise floor sits 38 dB above the self-homodyne one
 _FORWARD_DB = 38.0
 
+# one-way path R_s from the focus to the mirror where a ramp starts [m]: it
+# only sets where on the fringe the ramp starts, and no output depends on it
+_RAMP_START_PATH = 0.15
+
 
 @dataclass(frozen=True)
 class Bath:
@@ -107,13 +110,15 @@ class Bath:
     damping_anchor: tuple = (1e-2, 2.0 * math.pi * 4.3)  # (mbar, rad/s)
 
     def __post_init__(self):
-        if self.pressure < 0.0:
-            raise ValueError("pressure must be >= 0")
-        if self.temperature < 0.0:
-            raise ValueError("temperature must be >= 0")
+        for name in ("pressure", "temperature"):
+            val = getattr(self, name)
+            if not 0.0 <= val < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite, got {val!r}")
         p_ref, g_ref = self.damping_anchor
-        if p_ref <= 0.0 or g_ref <= 0.0:
-            raise ValueError("damping anchor must be positive")
+        if not (0.0 < p_ref < math.inf and 0.0 < g_ref < math.inf):
+            raise ValueError(
+                f"damping anchor must be positive and finite, got {self.damping_anchor!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -128,13 +133,15 @@ class FeedbackConfig:
     source_channel: str = "self-homodyne"
 
     def __post_init__(self):
-        if self.cooling_rate < 0.0 or self.spring_gain < 0.0:
-            raise ValueError("feedback gains must be >= 0")
-        if self.loop_delay < 0.0:
-            raise ValueError("loop delay must be >= 0")
+        for name in ("cooling_rate", "spring_gain", "loop_delay"):
+            val = getattr(self, name)
+            if not 0.0 <= val < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite, got {val!r}")
         lo, hi = self.filter_band
-        if not 0.0 <= lo < hi:
-            raise ValueError("filter band must satisfy 0 <= f_lo < f_hi")
+        if not 0.0 <= lo < hi < math.inf:
+            raise ValueError(
+                f"filter_band must satisfy 0 <= f_lo < f_hi < inf, got {self.filter_band!r}"
+            )
         if self.source_channel not in ("self-homodyne", "forward"):
             raise ValueError("source_channel must be 'self-homodyne' or 'forward'")
 
@@ -151,9 +158,10 @@ class DetectorModel:
     floors [m^2/Hz] (0 = ideal detector; the forward default sits 38 dB above
     the self-homodyne floor).  In locked mode the mirror holds a mid-fringe
     point with R_s = (lambda/8)(2n+1), n even; in ramp mode it advances at
-    ``ramp_rate`` [m/s].  Both channels are in units of the normalized
-    intensity: every reported number is a position, the channel divided by
-    the fringe slope, in which any detector gain would cancel.
+    ``ramp_rate`` [m/s] from R_s = ``_RAMP_START_PATH``.  Both channels are
+    in units of the normalized intensity: every reported number is a
+    position, the channel divided by the fringe slope, in which any detector
+    gain would cancel.
     """
 
     imprecision_self: float = 3.0e-24
@@ -163,18 +171,22 @@ class DetectorModel:
     ramp_rate: float = 2e-6
 
     def __post_init__(self):
-        if self.imprecision_self < 0.0:
-            raise ValueError("imprecision must be >= 0")
+        if not 0.0 <= self.imprecision_self < math.inf:
+            raise ValueError(
+                f"imprecision_self must be >= 0 and finite, got {self.imprecision_self!r}"
+            )
         if self.mirror_mode not in ("locked", "ramp"):
             raise ValueError("mirror_mode must be 'locked' or 'ramp'")
-        if self.ramp_rate <= 0.0:
-            raise ValueError(f"ramp_rate must be > 0, got {self.ramp_rate!r}")
+        if not 0.0 < self.ramp_rate < math.inf:
+            raise ValueError(f"ramp_rate must be > 0 and finite, got {self.ramp_rate!r}")
         if self.imprecision_forward is None:
             object.__setattr__(
                 self, "imprecision_forward", self.imprecision_self * 10 ** (_FORWARD_DB / 10.0)
             )
-        elif self.imprecision_forward < 0.0:
-            raise ValueError("imprecision must be >= 0")
+        elif not 0.0 <= self.imprecision_forward < math.inf:
+            raise ValueError(
+                f"imprecision_forward must be >= 0 and finite, got {self.imprecision_forward!r}"
+            )
 
 
 @dataclass
@@ -253,11 +265,6 @@ def _effective_visibility(setup: OpticalSetup) -> float:
     return setup.visibility * 2.0 * rho / (1.0 + rho * rho)
 
 
-def _mirror_position(setup: OpticalSetup, ramp_rate: float, t):
-    """Mirror offset d(t) [m] of the ramp at the sample times t [s]."""
-    return setup.mirror_distance + ramp_rate * t
-
-
 def _detector_outputs(q, p, nu_self, nu_fwd, t, setup: OpticalSetup, detector: DetectorModel):
     """The detector model: map the detection-axis and orthogonal
     displacements q and p [m], the position-referred imprecision noise of
@@ -267,9 +274,10 @@ def _detector_outputs(q, p, nu_self, nu_fwd, t, setup: OpticalSetup, detector: D
     Locked mode: the mirror sits on the mid-fringe point and the signal is
     S * (q + nu_self), S = V_eff * k_eff, with q replaced by sin(k_eff q)/k_eff
     under ``fringe_nonlinearity``.  Ramp mode: the raw fringe
-    1 - V_eff cos(4 pi (f + d(t))/lambda + k_eff q) as the mirror advances,
-    plus S * nu_self.  The forward channel reads p + nu_fwd in both modes;
-    it is None when p is.
+    1 - V_eff cos(4 pi (R_s + r t)/lambda + k_eff q) as the mirror advances
+    at r = ``ramp_rate`` from the path R_s = ``_RAMP_START_PATH``, plus
+    S * nu_self.  The forward channel reads p + nu_fwd in both modes; it is
+    None when p is.
     """
     v_eff = _effective_visibility(setup)
     k_eff = _effective_wavenumber(setup)
@@ -278,11 +286,12 @@ def _detector_outputs(q, p, nu_self, nu_fwd, t, setup: OpticalSetup, detector: D
     if detector.mirror_mode == "locked":
         meas = np.sin(k_eff * q) / k_eff if detector.fringe_nonlinearity else q
         return slope * (meas + nu_self), volts_fwd
-    d_now = _mirror_position(setup, detector.ramp_rate, t)
-    # float64 resolves the ~2.4e6 rad mirror term only to ~5e-10 rad: wrap it
-    # before adding k_eff q, so the phase keeps the precision of q
-    mirror_phase = 4.0 * math.pi * (setup.focal_length + d_now) / setup.wavelength
-    phase = np.mod(mirror_phase, 2.0 * math.pi) + k_eff * q
+    # float64 resolves the ~2.4e6 rad start phase only to ~5e-10 rad: wrap it
+    # once, so the phase keeps the precision of q; the ramp term, 6 pi over a
+    # commanded three-fringe scan, is small enough to need no wrap
+    k_mirror = 4.0 * math.pi / setup.wavelength
+    start = math.fmod(k_mirror * _RAMP_START_PATH, 2.0 * math.pi)
+    phase = start + k_mirror * detector.ramp_rate * t + k_eff * q
     return (1.0 - v_eff * np.cos(phase)) + slope * nu_self, volts_fwd
 
 
@@ -679,30 +688,6 @@ def simulate(
         lock_lost=lock_lost,
         self_from=None if full else n0,
     )
-
-
-def synthesize_detector(
-    q, setup: OpticalSetup, detector: DetectorModel, dt: float, rng=None
-) -> np.ndarray:
-    """Self-homodyne detector output for a given displacement series, from
-    the same detector model ``simulate`` uses (so a noiseless trajectory's
-    ``q`` reproduces its ``volts_self`` exactly).
-
-    Locked mode: mid-fringe signal proportional to q, or to sin(k_eff q)
-    when ``detector.fringe_nonlinearity`` is set, plus noise equivalent to
-    the configured imprecision referred to position (drawn from ``rng``;
-    none when it is None).  Ramp mode: the raw fringe intensity as the
-    mirror advances, 1 - V_eff * cos(4 pi (f + d(t))/lambda + k_eff q).
-    The stand-alone entry to that detector model, for a displacement series
-    that was not simulated here.
-    """
-    q = np.asarray(q, dtype=float)
-    if rng is None:
-        noise = np.zeros_like(q)
-    else:
-        noise = rng.standard_normal(q.size) * _white_scale(detector.imprecision_self, dt)
-    volts_self, _ = _detector_outputs(q, None, noise, None, np.arange(q.size) * dt, setup, detector)
-    return volts_self
 
 
 def run_calibration(trajectory: Trajectory, wavelength: float) -> CalibrationResult:

@@ -45,11 +45,10 @@ class TrapConfig:
     mass: float = 2.0e-17
 
     def __post_init__(self):
-        for name in ("secular_freq_x", "secular_freq_y"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.mass <= 0.0:
-            raise ValueError("mass must be positive")
+        for name in ("secular_freq_x", "secular_freq_y", "mass"):
+            val = getattr(self, name)
+            if not 0.0 < val < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {val!r}")
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,13 @@
 A point dipole radiates toward a collection lens of half-aperture theta_D; a
 flat mirror behind a second confocal lens retro-reflects the image so the
 directly scattered field interferes with its mirror image on the detector.
-This module evaluates that interference signal and everything derived from
-it: fringe amplitude/phase, mirror and particle sensitivities, the
-calibration deviation between them, collection and detection efficiencies,
-Rayleigh scattered power, the position-imprecision floor, and the
-radiation-pressure back-action force PSD.
+This module evaluates what the commands derive from that interference
+signal: the mirror and particle sensitivities, the calibration deviation
+between them, collection and detection efficiencies, Rayleigh scattered
+power, the position-imprecision floor, and the radiation-pressure
+back-action force PSD.  The focus-to-mirror path only sets where on the
+fringe a mirror ramp starts; none of these depends on it, so it is no
+parameter here (``langevin`` fixes it for the ramp).
 
 Conventions
 -----------
@@ -37,11 +39,7 @@ __all__ = [
     "OpticalSetup",
     "Scatterer",
     "Beam",
-    "FringeState",
     "RayleighValidityWarning",
-    "dipole_density",
-    "fringe_state",
-    "interference_intensity",
     "mirror_sensitivity",
     "particle_sensitivity",
     "calibration_deviation",
@@ -68,8 +66,8 @@ class OpticalSetup:
     is the *field* reflectivity rho of the retro-mirror.  ``visibility``,
     ``path_efficiency`` and ``detector_qe`` are the measured interferometric
     visibility and the optical/quantum loss factors entering the detection
-    efficiency.  ``focal_length`` + ``mirror_distance`` set the one-way
-    optical path R_s from the focus to the mirror.
+    efficiency.  No field sets the focus-to-mirror path: no quantity here
+    depends on it.
     """
 
     wavelength: float = 780e-9
@@ -78,31 +76,22 @@ class OpticalSetup:
     visibility: float = 0.7
     path_efficiency: float = 0.9
     detector_qe: float = 0.82
-    focal_length: float = 0.05
-    mirror_distance: float = 0.10
 
     def __post_init__(self):
         if not 0.0 < self.half_aperture <= math.pi / 2:
             raise ValueError("half_aperture must lie in (0, pi/2]")
-        if self.wavelength <= 0.0:
-            raise ValueError("wavelength must be positive")
+        if not 0.0 < self.wavelength < math.inf:
+            raise ValueError(f"wavelength must be positive and finite, got {self.wavelength!r}")
         for name in ("mirror_reflectivity", "visibility", "path_efficiency", "detector_qe"):
             val = getattr(self, name)
             if not 0.0 <= val <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {val}")
-        if self.focal_length + self.mirror_distance < 0.0:
-            raise ValueError("optical path focal_length + mirror_distance must be >= 0")
 
     @classmethod
     def from_numerical_aperture(cls, na: float) -> "OpticalSetup":
         if not 0.0 < na <= 1.0:
             raise ValueError("numerical aperture must lie in (0, 1]")
         return cls(half_aperture=math.asin(na))
-
-    @property
-    def optical_path(self) -> float:
-        """One-way path R_s = focal_length + mirror_distance [m]."""
-        return self.focal_length + self.mirror_distance
 
 
 @dataclass(frozen=True)
@@ -113,10 +102,12 @@ class Scatterer:
     refractive_index: float = 1.45
 
     def __post_init__(self):
-        if self.radius <= 0.0:
-            raise ValueError("radius must be positive")
-        if self.refractive_index <= 1.0:
-            raise ValueError("refractive_index must exceed 1")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.radius!r}")
+        if not 1.0 < self.refractive_index < math.inf:
+            raise ValueError(
+                f"refractive_index must exceed 1 and be finite, got {self.refractive_index!r}"
+            )
 
     def is_rayleigh(self, wavelength: float) -> bool:
         """True when the dipole approximation is comfortable (r < lambda/2)."""
@@ -132,22 +123,10 @@ class Beam:
     wavelength: float = 780e-9
 
     def __post_init__(self):
-        if self.power < 0.0:
-            raise ValueError("power must be >= 0")
-        if self.waist <= 0.0:
-            raise ValueError("waist must be positive")
-
-
-@dataclass(frozen=True)
-class FringeState:
-    """Fringe amplitude/phase of the interference term at one scatterer
-    displacement: amplitude A = 2*rho*sqrt(a^2+b^2), phase = atan2(b, a),
-    with (a, b) the cosine/sine moments of the dipole pattern over the cap."""
-
-    amplitude: float
-    phase: float
-    cos_moment: float
-    sin_moment: float
+        if not 0.0 <= self.power < math.inf:
+            raise ValueError(f"power must be >= 0 and finite, got {self.power!r}")
+        if not 0.0 < self.waist < math.inf:
+            raise ValueError(f"waist must be positive and finite, got {self.waist!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +142,9 @@ def _cap_weights(theta_d: float) -> tuple[np.ndarray, np.ndarray]:
 
     The azimuthal integral is closed form, int n_y^2 dphi = pi (1 - u^2),
     which leaves a smooth 1-D integral over u.  One fixed 64-node
-    Gauss-Legendre rule resolves it to rounding for every f used here:
-    polynomials of low degree and cos/sin(k u) with |k| < 4 pi.
+    Gauss-Legendre rule resolves it to rounding for the low-degree
+    polynomials summed here, and for the fringe moments cos/sin(k u),
+    |k| < 4 pi, of a scatterer displaced by |q| < lambda.
     """
     lo = math.cos(theta_d)
     u = 0.5 * (1.0 - lo) * _GL_NODES + 0.5 * (1.0 + lo)
@@ -183,64 +163,15 @@ def _effective_wavenumber(setup: OpticalSetup) -> float:
 # Operations
 # ---------------------------------------------------------------------------
 
-def dipole_density(direction) -> float:
-    """Dipole-radiated power per unit solid angle along the unit vector
-    ``direction`` for the dipole oscillating along y: (3/8pi)(1 - n_y^2).
-
-    Integrates to 1 over the full sphere.  The reference integrand: the
-    tests integrate it with scipy's ``dblquad`` to check the cap weights
-    every optical quantity is summed with.
-    """
-    n = np.asarray(direction, dtype=float)
-    norm = float(np.linalg.norm(n))
-    if n.shape != (3,) or not abs(norm - 1.0) <= 1e-8:  # a NaN component fails too
-        raise ValueError(f"direction must be a unit 3-vector, got {direction!r}")
-    n_y = float(n[1])
-    return (3.0 / (8.0 * math.pi)) * (1.0 - n_y * n_y)
-
-
-def fringe_state(setup: OpticalSetup, q: float) -> FringeState:
-    """Fringe amplitude and phase for a scatterer displaced by q along the
-    detection axis.
-
-    The cosine/sine moments are
-        a = int_cap cos((4pi/lambda) q cos(theta)) dp
-        b = int_cap sin((4pi/lambda) q cos(theta)) dp
-    over the collection cap, weighted by the dipole pattern, and
-    A = 2*rho*sqrt(a^2 + b^2), phase = atan2(b, a).
-    """
-    if abs(q) >= setup.wavelength:
-        raise ValueError("displacement must satisfy |q| < wavelength")
-    u, w = _cap_weights(setup.half_aperture)
-    k2 = 4.0 * math.pi / setup.wavelength
-    a = float(w @ np.cos(k2 * q * u))
-    b = float(w @ np.sin(k2 * q * u))
-    rho = setup.mirror_reflectivity
-    return FringeState(
-        amplitude=2.0 * rho * math.hypot(a, b),
-        phase=math.atan2(b, a),
-        cos_moment=a,
-        sin_moment=b,
-    )
-
-
-def interference_intensity(setup: OpticalSetup, q: float, optical_path: float | None = None) -> float:
-    """Varying part of the normalized detector intensity,
-    I = -A cos(4pi R_s / lambda + phase); the full intensity is I + 1 + rho^2.
-
-    The signal whose slope in q at the mid-fringe lock point is
-    ``particle_sensitivity``; the tests check the two against each other by
-    a Taylor expansion about q = 0.
-    """
-    rs = setup.optical_path if optical_path is None else optical_path
-    state = fringe_state(setup, q)
-    return -state.amplitude * math.cos(4.0 * math.pi * rs / setup.wavelength + state.phase)
-
-
 def mirror_sensitivity(setup: OpticalSetup) -> float:
     """Maximum detector sensitivity to mirror displacements, 4*pi*A/lambda,
-    with the fringe amplitude of the particle at rest."""
-    return fringe_slope(fringe_state(setup, 0.0).amplitude, setup.wavelength)
+    with the fringe amplitude A = 2*rho*int_cap dp of the particle at rest
+    (at q = 0 the sine moment of the cap vanishes and the cosine moment is
+    the collected power)."""
+    u, w = _cap_weights(setup.half_aperture)
+    # w @ 1, not w.sum(): the cosine moment w @ cos(k q u) at q = 0 to the bit
+    amplitude = 2.0 * setup.mirror_reflectivity * float(w @ np.ones(u.size))
+    return fringe_slope(amplitude, setup.wavelength)
 
 
 def particle_sensitivity(setup: OpticalSetup) -> float:

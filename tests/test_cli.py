@@ -91,7 +91,8 @@ class TestConfig:
                            ("trap", "secular_freq_z_hz"), ("trap", "stability_q"),
                            ("trap", "drive_freq_hz"), ("detector", "mirror_mode"),
                            ("detector", "lock_setpoint_index"), ("optics", "polarization_axis"),
-                           ("detector", "gain_volts")]:
+                           ("detector", "gain_volts"), ("optics", "focal_length_m"),
+                           ("optics", "mirror_distance_m")]:
             with pytest.raises(ConfigError, match="unknown config key"):
                 ScenarioConfig.from_dict({table: {key: 0.5}})
 

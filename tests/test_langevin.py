@@ -24,14 +24,15 @@ from selfhomodyne.langevin import (
     DetectorModel,
     FeedbackConfig,
     Trajectory,
+    _detector_outputs,
+    _effective_visibility,
     gas_damping_rate,
     run_calibration,
     simulate,
-    synthesize_detector,
     thermal_force_psd,
 )
 from selfhomodyne.modes import TrapConfig, radial_modes
-from selfhomodyne.optics import OpticalSetup, backaction_psd, fringe_slope
+from selfhomodyne.optics import OpticalSetup, _effective_wavenumber, backaction_psd, fringe_slope
 from selfhomodyne.spectral import welch_psd
 
 TRAP = TrapConfig()
@@ -67,9 +68,15 @@ class TestBathModel:
             Bath(pressure=-1e-3)
         with pytest.raises(ValueError, match="temperature must be >= 0"):
             Bath(temperature=-1.0)
-        for anchor in [(0.0, 1.0), (1e-2, 0.0), (-1e-2, 1.0), (1e-2, -1.0)]:
+        for anchor in [(0.0, 1.0), (1e-2, 0.0), (-1e-2, 1.0), (1e-2, -1.0), (math.nan, 1.0),
+                       (1e-2, math.inf)]:
             with pytest.raises(ValueError, match="damping anchor must be positive"):
                 Bath(damping_anchor=anchor)
+        # a NaN or infinite field fails its range and is named
+        for field in ("pressure", "temperature"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"{field} must be >= 0 and finite"):
+                    Bath(**{field: value})
 
     def test_thermal_force_psd_zero_temperature(self):
         assert thermal_force_psd(Bath(pressure=1e-2, temperature=0.0), 2e-17) == 0.0
@@ -687,13 +694,33 @@ class TestDetectorSynthesis:
         # 1 K: the motion spans k_eff*q ~ 1, where sin(k_eff q) and q differ
         bath = Bath(pressure=0.5, temperature=1.0)
         traj = simulate(TRAP, bath, NO_FB, det, SETUP, duration=0.05, dt=DT16, seed=3)
-        assert np.array_equal(synthesize_detector(traj.q, SETUP, det, dt=DT16), traj.volts_self)
+        q = traj.q
+        t = np.arange(q.size) * DT16
+        out, _ = _detector_outputs(q, None, np.zeros(q.size), None, t, SETUP, det)
+        assert np.array_equal(out, traj.volts_self)
+
+    def test_ramp_is_the_two_term_path(self):
+        # the ramp phase with the start path written as the sum of a 0.05 m
+        # focal length and a 0.10 m mirror distance, the mirror term wrapped
+        # per sample: the fixed 0.15 m start gives the same fringe to rounding
+        rate = 2e-6
+        det = DetectorModel(imprecision_self=0.0, imprecision_forward=0.0, mirror_mode="ramp",
+                            ramp_rate=rate)
+        lam = SETUP.wavelength
+        traj = simulate(TRAP, Bath(), NO_FB, det, SETUP, duration=3 * (lam / 2) / rate, dt=DT17,
+                        seed=20240901, initial_state=(0.0, 0.0, 0.0, 0.0))
+        t = np.arange(traj.volts_self.size) * DT17
+        mirror = np.mod(4.0 * math.pi * (0.05 + (0.10 + rate * t)) / lam, 2.0 * math.pi)
+        phase = mirror + _effective_wavenumber(SETUP) * traj.q
+        expected = 1.0 - _effective_visibility(SETUP) * np.cos(phase)
+        assert float(np.max(np.abs(traj.volts_self - expected))) <= 2e-9
 
     def test_locked_zero_motion_gives_zero_mean_noise(self):
         det = DetectorModel(imprecision_self=1e-22)
         rng = np.random.default_rng(5)
-        out = synthesize_detector(np.zeros(1 << 15), SETUP, det, dt=DT16, rng=rng)
         sigma = math.sqrt(1e-22 / (2 * DT16))
+        n = 1 << 15
+        out, _ = _detector_outputs(np.zeros(n), None, rng.standard_normal(n) * sigma, None, None, SETUP, det)
         slope = SETUP.visibility * (4 * math.pi / SETUP.wavelength) * (
             1 - SETUP.half_aperture**2 / 4
         )
@@ -707,7 +734,7 @@ class TestDetectorSynthesis:
         n = 4096
         dt = duration / n
         det = DetectorModel(mirror_mode="ramp", ramp_rate=rate, imprecision_self=0.0)
-        out = synthesize_detector(np.zeros(n), SETUP, det, dt=dt)
+        out, _ = _detector_outputs(np.zeros(n), None, np.zeros(n), None, np.arange(n) * dt, SETUP, det)
         assert out[0] == pytest.approx(out[-1], rel=1e-3)
         mid = (out.max() + out.min()) / 2
         crossings = np.sum(np.diff(np.sign(out - mid)) != 0)
@@ -716,14 +743,14 @@ class TestDetectorSynthesis:
     def test_ramp_visibility_equals_configured(self):
         det = DetectorModel(mirror_mode="ramp", ramp_rate=2e-6, imprecision_self=0.0)
         n = 1 << 14
-        out = synthesize_detector(np.zeros(n), SETUP, det, dt=DT16 * 8)
+        out, _ = _detector_outputs(np.zeros(n), None, np.zeros(n), None, np.arange(n) * (DT16 * 8), SETUP, det)
         vis = (out.max() - out.min()) / (out.max() + out.min())
         assert vis == pytest.approx(SETUP.visibility, rel=1e-3)
 
     def test_no_mirror_flat_output(self):
         setup = OpticalSetup(mirror_reflectivity=0.0)
         det = DetectorModel(mirror_mode="ramp", ramp_rate=2e-6, imprecision_self=0.0)
-        out = synthesize_detector(np.zeros(256), setup, det, dt=DT16)
+        out, _ = _detector_outputs(np.zeros(256), None, np.zeros(256), None, np.arange(256) * DT16, setup, det)
         assert float(np.ptp(out)) == 0.0
 
     def test_small_signal_peak_amplitude(self):
@@ -737,7 +764,7 @@ class TestDetectorSynthesis:
         f_d = 1024.0  # integer number of cycles in the record
         t = np.arange(n) * DT16
         q = q_amp * np.sin(2 * math.pi * f_d * t)
-        out = synthesize_detector(q, setup, det, dt=DT16)
+        out, _ = _detector_outputs(q, None, np.zeros(n), None, None, setup, det)
         # least-squares amplitude at the tone frequency
         design = np.column_stack(
             [np.cos(2 * math.pi * f_d * t), np.sin(2 * math.pi * f_d * t)]
@@ -882,19 +909,32 @@ class TestConfigTypes:
             FeedbackConfig(filter_band=(5000.0, 100.0))
         with pytest.raises(ValueError):
             FeedbackConfig(source_channel="sideways")
-        with pytest.raises(ValueError, match="loop delay must be >= 0"):
+        with pytest.raises(ValueError, match="loop_delay must be >= 0"):
             FeedbackConfig(loop_delay=-1e-6)
+        # a NaN or infinite field fails its range and is named; a NaN
+        # cooling rate would otherwise run the loop open (nan > 0 is False)
+        for field in ("cooling_rate", "spring_gain", "loop_delay"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"{field} must be >= 0 and finite"):
+                    FeedbackConfig(**{field: value})
+        for band in [(math.nan, 6400.0), (300.0, math.nan), (300.0, math.inf)]:
+            with pytest.raises(ValueError, match="filter_band must satisfy"):
+                FeedbackConfig(filter_band=band)
 
     def test_detector_validation(self):
         with pytest.raises(ValueError):
             DetectorModel(imprecision_self=-1.0)
-        with pytest.raises(ValueError, match="imprecision must be >= 0"):
+        with pytest.raises(ValueError, match="imprecision_forward must be >= 0"):
             DetectorModel(imprecision_forward=-1e-20)
         with pytest.raises(ValueError):
             DetectorModel(mirror_mode="wobble")
-        for rate in (0.0, -1e-6):
+        for rate in (0.0, -1e-6, math.nan, math.inf):
             with pytest.raises(ValueError, match="ramp_rate must be > 0"):
                 DetectorModel(ramp_rate=rate)
+        for field in ("imprecision_self", "imprecision_forward"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"{field} must be >= 0 and finite"):
+                    DetectorModel(**{field: value})
 
     def test_forward_default_38_db(self):
         det = DetectorModel(imprecision_self=3e-24)

@@ -181,3 +181,8 @@ class TestTrapConfig:
             TrapConfig(secular_freq_x=0.0)
         with pytest.raises(ValueError):
             TrapConfig(mass=0.0)
+        # a NaN or infinite field fails its range and is named
+        for field in ("secular_freq_x", "secular_freq_y", "mass"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+                    TrapConfig(**{field: value})

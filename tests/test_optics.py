@@ -4,7 +4,11 @@ Oracles are independent of the production code path: the cap moments have a
 closed antiderivative after the azimuthal integral is done by hand (for the
 standard geometry, polarization perpendicular to the cap axis), sensitivities
 reduce to polynomials in c = cos(theta_D), and the sphere normalization is
-checked with scipy's adaptive quadrature.
+checked with scipy's adaptive quadrature.  The dipole pattern, the fringe
+state of a displaced scatterer and the interference intensity are written
+here from their formulas, as references summed with the production cap
+weights: the quadrature checks those weights through them, and the
+sensitivities are checked against them.
 """
 
 import dataclasses
@@ -17,7 +21,7 @@ from scipy.constants import c as C_SI, hbar as HBAR_SI
 
 from selfhomodyne import cli
 from selfhomodyne.config import ScenarioConfig
-from selfhomodyne.langevin import synthesize_detector
+from selfhomodyne.langevin import _RAMP_START_PATH, _detector_outputs
 from selfhomodyne.optics import (
     Beam,
     OpticalSetup,
@@ -31,11 +35,8 @@ from selfhomodyne.optics import (
     calibration_deviation,
     collection_efficiency,
     detection_efficiency,
-    dipole_density,
     fringe_slope,
-    fringe_state,
     imprecision,
-    interference_intensity,
     mirror_sensitivity,
     particle_sensitivity,
     rayleigh_scattered_power,
@@ -99,12 +100,63 @@ def detection_angular_analytic(theta_d):
     return (8.0 - 5.0 * c**3 - 3.0 * c**5) / 8.0
 
 
+def dipole_density(direction) -> float:
+    """Dipole-radiated power per unit solid angle along the unit vector
+    ``direction`` for the dipole oscillating along y: (3/8pi)(1 - n_y^2),
+    the integrand whose cap integrals the cap weights sum."""
+    n = np.asarray(direction, dtype=float)
+    norm = float(np.linalg.norm(n))
+    if n.shape != (3,) or not abs(norm - 1.0) <= 1e-8:  # a NaN component fails too
+        raise ValueError(f"direction must be a unit 3-vector, got {direction!r}")
+    n_y = float(n[1])
+    return (3.0 / (8.0 * math.pi)) * (1.0 - n_y * n_y)
+
+
+@dataclasses.dataclass(frozen=True)
+class FringeState:
+    """Fringe amplitude/phase of the interference term at one scatterer
+    displacement: amplitude A = 2*rho*sqrt(a^2+b^2), phase = atan2(b, a),
+    with (a, b) the cosine/sine moments of the dipole pattern over the cap."""
+
+    amplitude: float
+    phase: float
+    cos_moment: float
+    sin_moment: float
+
+
+def fringe_state(setup, q) -> FringeState:
+    """Fringe amplitude and phase for a scatterer displaced by q along the
+    detection axis, from the moments
+        a = int_cap cos((4pi/lambda) q cos(theta)) dp
+        b = int_cap sin((4pi/lambda) q cos(theta)) dp
+    summed with the production cap weights, which resolve them for
+    |q| < lambda."""
+    if abs(q) >= setup.wavelength:
+        raise ValueError("displacement must satisfy |q| < wavelength")
+    u, w = _cap_weights(setup.half_aperture)
+    k2 = 4.0 * math.pi / setup.wavelength
+    a = float(w @ np.cos(k2 * q * u))
+    b = float(w @ np.sin(k2 * q * u))
+    rho = setup.mirror_reflectivity
+    return FringeState(
+        amplitude=2.0 * rho * math.hypot(a, b), phase=math.atan2(b, a), cos_moment=a, sin_moment=b
+    )
+
+
+def interference_intensity(setup, q, optical_path) -> float:
+    """Varying part of the normalized detector intensity at the one-way
+    focus-to-mirror path R_s = ``optical_path``,
+    I = -A cos(4pi R_s / lambda + phase); the full intensity is I + 1 + rho^2."""
+    state = fringe_state(setup, q)
+    return -state.amplitude * math.cos(4.0 * math.pi * optical_path / setup.wavelength + state.phase)
+
+
 PAPER_SETUP = OpticalSetup()  # NA = 0.18, 780 nm, V = 0.7, eta_opt = 0.9, QE = 0.82
 Y_POL = (0.0, 1.0, 0.0)  # the paper's polarization, perpendicular to the cap axis
 
 
 # ---------------------------------------------------------------------------
-# dipole_density
+# dipole_density (reference)
 # ---------------------------------------------------------------------------
 
 class TestDipoleDensity:
@@ -163,7 +215,7 @@ class TestCapWeightsReference:
 
 
 # ---------------------------------------------------------------------------
-# fringe_state
+# fringe_state (reference)
 # ---------------------------------------------------------------------------
 
 class TestFringeState:
@@ -223,7 +275,7 @@ class TestFringeState:
 
 
 # ---------------------------------------------------------------------------
-# interference_intensity
+# interference_intensity (reference)
 # ---------------------------------------------------------------------------
 
 class TestInterferenceIntensity:
@@ -234,7 +286,7 @@ class TestInterferenceIntensity:
 
     def test_periodic_in_optical_path(self):
         lam = PAPER_SETUP.wavelength
-        rs0 = PAPER_SETUP.optical_path
+        rs0 = _RAMP_START_PATH
         q = lam / 50
         i0 = interference_intensity(PAPER_SETUP, q, optical_path=rs0)
         i1 = interference_intensity(PAPER_SETUP, q, optical_path=rs0 + lam / 2)
@@ -261,6 +313,16 @@ class TestInterferenceIntensity:
 # ---------------------------------------------------------------------------
 
 class TestSensitivities:
+    @pytest.mark.parametrize("rho", [1.0, 0.37])
+    def test_mirror_sensitivity_is_the_rest_fringe_slope(self, rho):
+        # the slope of the fringe amplitude of the particle at rest, to the bit
+        for na in np.linspace(0.01, 0.99, 500):
+            setup = dataclasses.replace(
+                OpticalSetup.from_numerical_aperture(float(na)), mirror_reflectivity=rho
+            )
+            rest = fringe_state(setup, 0.0).amplitude
+            assert mirror_sensitivity(setup) == fringe_slope(rest, setup.wavelength)
+
     def test_mirror_sensitivity_zero_without_mirror(self):
         assert mirror_sensitivity(OpticalSetup(mirror_reflectivity=0.0)) == 0.0
 
@@ -510,7 +572,7 @@ class TestVoltsToMeters:
         cfg = ScenarioConfig.from_dict({})
         for nonlinear in (False, True):
             det = dataclasses.replace(cfg.detector, fringe_nonlinearity=nonlinear)
-            volts = synthesize_detector(np.zeros(8), cfg.setup, det, dt=2.0**-16)
+            volts, _ = _detector_outputs(np.zeros(8), None, np.zeros(8), None, None, cfg.setup, det)
             assert np.all(volts / cli._calibration_slope(cfg) == 0.0)
 
     def test_zero_slope_raises(self):
@@ -533,9 +595,7 @@ class TestTypes:
             OpticalSetup(half_aperture=0.0)
         with pytest.raises(ValueError):
             OpticalSetup(visibility=1.2)
-        with pytest.raises(ValueError):
-            OpticalSetup(focal_length=-1.0, mirror_distance=0.1)
-        for wavelength in (0.0, -780e-9):
+        for wavelength in (0.0, -780e-9, math.nan, math.inf):
             with pytest.raises(ValueError, match="wavelength must be positive"):
                 OpticalSetup(wavelength=wavelength)
 
@@ -551,12 +611,21 @@ class TestTypes:
             Scatterer(radius=0.0)
         with pytest.raises(ValueError):
             Scatterer(refractive_index=0.9)
+        # a NaN or infinite field fails its range and is named
+        for field, value in [("radius", math.nan), ("radius", math.inf),
+                             ("refractive_index", math.nan), ("refractive_index", math.inf)]:
+            with pytest.raises(ValueError, match=f"{field} must"):
+                Scatterer(**{field: value})
 
     def test_invalid_beam_rejected(self):
         with pytest.raises(ValueError):
             Beam(power=-0.1, waist=1e-4)
         with pytest.raises(ValueError):
             Beam(power=0.1, waist=0.0)
+        for field, value in [("power", math.nan), ("power", math.inf),
+                             ("waist", math.nan), ("waist", math.inf)]:
+            with pytest.raises(ValueError, match=f"{field} must"):
+                Beam(**{"power": 0.1, "waist": 1e-4, field: value})
 
     def test_rayleigh_flag(self):
         s = Scatterer(radius=150e-9)

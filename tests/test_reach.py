@@ -39,14 +39,7 @@ SRC = Path(selfhomodyne.__file__).parent
 # is kept; the options of a kept function are not checked
 KEEP = {
     "calibration_deviation": "the paper's delta_chi(NA), checked by acceptance criteria 1 and 10",
-    "dipole_density": "the integrand that scipy's dblquad integrates to check the cap weights",
-    "interference_intensity": "the intensity whose mid-fringe slope is particle_sensitivity "
-                              "(the Taylor test)",
-    "synthesize_detector": "the stand-alone entry to the one detector model simulate uses",
     "phonon_occupation": "the paper's quoted phonon occupation of the mode at 1 mK",
-    "FringeState.cos_moment": "the cap moment a that amplitude and phase are built from; the "
-                              "tests check it against the closed-form cap integral",
-    "FringeState.sin_moment": "the cap moment b, checked as cos_moment is",
     "LorentzianFit.std_errors": "the fit's standard errors, which the tests compare with "
                                 "curve_fit's and use to bound the fitted floor",
     "LorentzianFit.floor": "the fitted noise floor, a parameter of the fit model that the "
