@@ -126,17 +126,6 @@ def _calibration_slope(cfg: ScenarioConfig) -> float:
     return fringe_slope(amp_volts, cfg.setup.wavelength)
 
 
-def _positions(traj, slope: float):
-    """The self-homodyne record of ``simulate(..., self_from=n0)``'s result
-    ``traj``, divided by ``slope`` in place: the recorded positions [m], whose
-    sample k sits at t = (n0 + k)*dt.  Returns them with the sample rate and
-    the lock status.  The record stores that one series alone, so no second
-    copy of it is made."""
-    q_rec = traj.volts_self
-    q_rec /= slope
-    return q_rec, traj.sample_rate, traj.lock_lost
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -215,14 +204,17 @@ def _imprecision_point(cfg: ScenarioConfig, seed: int, index: int, power: float)
     det = dataclasses.replace(cfg.detector, imprecision_self=s_pred)
     point = f"imprecision-sweep point {index}: power = {power:.6g} W"
     with _stage(f"{point}: simulation failed"):
-        q_rec, fs, _ = _positions(simulate(
+        traj = simulate(
             cfg.trap, cfg.bath, FeedbackConfig(), det, setup,
             duration=cfg.duration, dt=cfg.dt, seed=_point_seed(seed, index),
             initial_state=(0.0, 0.0, 0.0, 0.0),
             backaction_force_psd=backaction_psd(power, setup.wavelength), self_from=0,
-        ), slope)
+        )
+    # the positions [m], divided in place: no second copy of the series
+    q_rec = traj.volts_self
+    q_rec /= slope
     with _stage(f"{point}: Welch floor estimate failed"):
-        psd = welch_psd(q_rec, fs, segment_len=min(1 << 15, q_rec.size // 8))
+        psd = welch_psd(q_rec, traj.sample_rate, segment_len=min(1 << 15, q_rec.size // 8))
         s_ext = imprecision_from_floor(psd, _FLOOR_BAND)
     return power, s_pred, s_ideal, s_ext
 
@@ -258,11 +250,13 @@ def _cool_point(cfg: ScenarioConfig, seed: int, index: int, gfb: float, channel:
         f"{point}, alpha = {alpha:.6g} rad/s (spring rule alpha = spring_gain_coef * "
         "sqrt(gamma_fb), 0 on the forward channel)"
     ):
-        q_rec, fs, lock_lost = _positions(simulate(
+        traj = simulate(
             cfg.trap, cfg.bath, feedback, cfg.detector, cfg.setup,
             duration=cfg.duration, dt=cfg.dt, seed=_point_seed(seed, offset + index),
             self_from=int(cfg.transient / cfg.dt),
-        ), slope)
+        )
+    q_rec = traj.volts_self
+    q_rec /= slope
 
     sol = radial_modes(cfg.trap.secular_freq_x, cfg.trap.secular_freq_y, alpha)
     gamma0 = gas_damping_rate(cfg.bath)
@@ -273,7 +267,7 @@ def _cool_point(cfg: ScenarioConfig, seed: int, index: int, gfb: float, channel:
     half = min(max(6.0 * gamma_exp / (2.0 * math.pi), 150.0), 0.4 * gap_hz)
     f_hi_mode = sol.freq_high / (2.0 * math.pi)
     with _stage(f"{point}: fit of the upper mode failed", (FitError, ValueError)):
-        psd = welch_psd(q_rec, fs, segment_len=min(1 << 18, q_rec.size // 4))
+        psd = welch_psd(q_rec, traj.sample_rate, segment_len=min(1 << 18, q_rec.size // 4))
         fit = lorentzian_fit(psd, (f_hi_mode - half, f_hi_mode + half))
     t_mode = mode_temperature(
         cfg.trap.mass, 2.0 * math.pi * fit.center, fit.area, sol.theta_fb
@@ -286,7 +280,7 @@ def _cool_point(cfg: ScenarioConfig, seed: int, index: int, gfb: float, channel:
         "nu_high_hz": fit.center,
         "theta_fb_rad": sol.theta_fb,
         "t_mode_k": t_mode,
-        "lock_lost": lock_lost,
+        "lock_lost": traj.lock_lost,
         "fwhm_hz": fit.fwhm,
         "bin_hz": psd.resolution,
     }
@@ -400,14 +394,16 @@ def cmd_psd(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) -> dict
     manifest records whether the mirror lock was lost."""
     slope = _calibration_slope(cfg)
     with _stage("psd: simulation failed"):
-        q_rec, fs, lock_lost = _positions(simulate(
+        traj = simulate(
             cfg.trap, cfg.bath, cfg.feedback, cfg.detector, cfg.setup,
             duration=cfg.duration, dt=cfg.dt, seed=seed, self_from=int(cfg.transient / cfg.dt),
-        ), slope)
+        )
+    q_rec = traj.volts_self
+    q_rec /= slope
     with _stage("psd: Welch estimate failed"):
-        psd = welch_psd(q_rec, fs, segment_len=min(1 << 17, q_rec.size // 4))
+        psd = welch_psd(q_rec, traj.sample_rate, segment_len=min(1 << 17, q_rec.size // 4))
     psd.write_csv(out_dir / "psd.csv")
-    return {"outputs": ["psd.csv"], "lock_lost": lock_lost}
+    return {"outputs": ["psd.csv"], "lock_lost": traj.lock_lost}
 
 
 _COMMANDS = {

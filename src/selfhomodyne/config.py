@@ -144,11 +144,34 @@ _non_negative = _ranged(lambda v: v >= 0.0, ">= 0")
 _fraction = _ranged(lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 
 
-def _reals(value) -> tuple[float, ...]:
-    """A JSON array of finite numbers."""
-    if not isinstance(value, list):
-        raise TypeError(f"expected an array of numbers, got {value!r}")
-    return tuple(_real(v) for v in value)
+def _reals(item, least: int = 0, most: float = math.inf):
+    """A parser of the JSON arrays of ``least`` to ``most`` numbers, each
+    parsed by ``item``."""
+    def parse(value) -> tuple[float, ...]:
+        if not isinstance(value, list):
+            raise TypeError(f"expected an array of numbers, got {value!r}")
+        values = tuple(item(v) for v in value)
+        if len(values) < least:
+            raise ValueError(f"needs {least} or more entries, got {len(values)}")
+        if len(values) > most:
+            raise ValueError(f"allows at most {most} entries, got {len(values)}")
+        return values
+    return parse
+
+
+def _band(value) -> tuple[float, float]:
+    """A frequency band [f_lo, f_hi], 0 <= f_lo < f_hi."""
+    lo, hi = _reals(_non_negative, 2, 2)(value)
+    if not lo < hi:
+        raise ValueError(f"must satisfy f_lo < f_hi, got {value!r}")
+    return lo, hi
+
+
+def _channel(value) -> str:
+    """The detector channel that drives the feedback loop, a string."""
+    if value not in ("self-homodyne", "forward"):
+        raise ValueError(f"must be 'self-homodyne' or 'forward', got {value!r}")
+    return value
 
 
 def _seed(value) -> int:
@@ -209,9 +232,7 @@ class ScenarioConfig:
         try:
             if not isinstance(tree["scenario_id"], str):
                 raise TypeError(f"scenario_id must be a string, got {tree['scenario_id']!r}")
-            na = leaf(_real, "optics.numerical_aperture")
-            if not 0.0 < na <= 1.0:
-                raise ValueError(f"optics numerical_aperture must lie in (0, 1], got {na!r}")
+            na = leaf(_ranged(lambda v: 0.0 < v <= 1.0, "in (0, 1]"), "optics.numerical_aperture")
             wavelength = leaf(_positive, "optics.wavelength_m")
             setup = OpticalSetup(
                 wavelength=wavelength,
@@ -223,7 +244,7 @@ class ScenarioConfig:
             )
             scatterer = Scatterer(
                 radius=leaf(_positive, "scatterer.radius_m"),
-                refractive_index=leaf(_real, "scatterer.refractive_index"),
+                refractive_index=leaf(_ranged(lambda v: v > 1.0, "> 1"), "scatterer.refractive_index"),
             )
             beam = Beam(
                 power=leaf(_non_negative, "beam.power_w"),
@@ -249,38 +270,25 @@ class ScenarioConfig:
                 fringe_nonlinearity=leaf(_flag, "detector.fringe_nonlinearity"),
                 ramp_rate=leaf(_positive, "detector.ramp_rate_m_per_s"),
             )
-            band = leaf(_reals, "feedback.filter_band_hz")
-            if len(band) != 2:
-                raise ValueError(f"feedback filter_band_hz needs 2 entries, got {len(band)}")
             feedback = FeedbackConfig(
                 cooling_rate=leaf(_non_negative, "feedback.cooling_rate_rad_per_s"),
                 spring_gain=leaf(_non_negative, "feedback.spring_gain_rad_per_s"),
                 loop_delay=leaf(_non_negative, "feedback.loop_delay_s"),
-                filter_band=band,
-                source_channel=str(tree["feedback"]["source_channel"]),
+                filter_band=leaf(_band, "feedback.filter_band_hz"),
+                source_channel=leaf(_channel, "feedback.source_channel"),
             )
-            dt, duration = leaf(_real, "sim.dt_s"), leaf(_real, "sim.duration_s")
-            transient = leaf(_real, "sim.transient_s")
-            if dt <= 0 or duration <= 0:
-                raise ValueError("sim dt_s and duration_s must be positive")
-            if transient < 0 or transient >= duration:
-                raise ValueError("sim transient_s must lie in [0, duration_s)")
+            dt, duration = leaf(_positive, "sim.dt_s"), leaf(_positive, "sim.duration_s")
+            transient = leaf(
+                _ranged(lambda v: 0.0 <= v < duration, "in [0, sim.duration_s)"), "sim.transient_s"
+            )
             seed = leaf(_seed, "sim.seed")
-            powers = leaf(_reals, "sweeps.scattered_powers_w")
-            if not powers or any(p <= 0 for p in powers):
-                raise ValueError("sweeps scattered_powers_w needs at least 1 entry, all > 0")
-            rates = leaf(_reals, "sweeps.cooling_rates_rad_per_s")
-            if len(rates) < 3:
-                # the cooling-curve fit of cool-sweep needs three points
-                raise ValueError("sweeps cooling_rates_rad_per_s needs at least 3 entries")
-            if len(rates) > _FORWARD_SEED_OFFSET:
-                raise ValueError(
-                    f"sweeps cooling_rates_rad_per_s allows at most {_FORWARD_SEED_OFFSET} entries"
-                )
-            coef = leaf(_real, "sweeps.spring_gain_coef")
-            mode_gains = leaf(_reals, "sweeps.mode_spring_gains_rad_per_s")
-            if any(g < 0 for g in rates + mode_gains + (coef,)):
-                raise ValueError("sweeps gains and spring_gain_coef must be >= 0")
+            powers = leaf(_reals(_positive, 1), "sweeps.scattered_powers_w")
+            # the cooling-curve fit of cool-sweep needs three points
+            rates = leaf(
+                _reals(_non_negative, 3, _FORWARD_SEED_OFFSET), "sweeps.cooling_rates_rad_per_s"
+            )
+            coef = leaf(_non_negative, "sweeps.spring_gain_coef")
+            mode_gains = leaf(_reals(_non_negative), "sweeps.mode_spring_gains_rad_per_s")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid configuration: {exc}") from exc
         return cls(

@@ -36,18 +36,20 @@ nonlinearity, the step is the linear map s' = A s + B u (state s, inputs u);
 A and B are probed from the loop with unit vectors, and each block of steps
 runs as an exact chunked scan (``_scan``) that agrees with the loop to
 rounding: the zero-start response of every chunk, a carry of the chunk
-starts, and x and y by superposition of the two.  Only a loop that sees the
+starts, and x and y by superposition of the two.  Each live input column
+enters the scan's workspace in one strided copy.  Only a loop that sees the
 fringe runs the scalar loop, over blocks of ``_SUB_BLOCK`` steps instead of
 ``_BLOCK``.  A loop whose A (for the fringe: its linearization) has a
 spectral radius above 1 is rejected before integrating.
 
-The inputs of each block are 8 normals per step from one generator.  While
-the calling thread scans a block and forms its detector outputs, one helper
-thread draws the next block into the other of two input slots (the draw
-releases the GIL), so a run uses up to two cores; a run of one block starts
-no thread, and the scalar loop, whose blocks are too short to overlap, draws
-each block in place.  The generator draws the blocks in order, one at a
-time, so the stream is the serial one.
+The inputs of each block are 8 normals per step from one generator, drawn
+into the input slots of ``simulate``'s block loop.  While the calling thread
+scans a block and forms its detector outputs, one helper thread draws the
+next block into the other of two slots (the draw releases the GIL), so a run
+uses up to two cores; a run of one block starts no thread, and the scalar
+loop, whose blocks are too short to overlap, draws each block in place.  The
+generator draws the blocks in order, one at a time, so the stream is the
+serial one.
 
 Runs are deterministic: (config, seed) -> bit-identical Trajectory.
 """
@@ -83,9 +85,6 @@ _BLOCK = 1 << 14
 # the block of a loop that runs the scalar loop: its per-step Python float
 # lists and its one input slot are bounded by this, not by _BLOCK
 _SUB_BLOCK = 1 << 12
-# scan chunks whose live inputs are copied into the workspace together: a
-# group's rows of the (n, 8) input block stay in cache for all its columns
-_COPY_CHUNKS = 32
 
 # a loop is unstable when the spectral radius of its one-step map exceeds 1
 # by more than this: an undamped oscillator's |lambda| = 1 comes out within
@@ -309,20 +308,11 @@ class _StepMap:
     it with unit vectors; for a loop that sees the fringe nonlinearity it is
     the linearization at q = 0.
 
-    A step map serves one ``simulate`` call.  Its inputs live in two slots,
-    block j in slot j % 2, so that one block can be drawn while the other is
-    scanned.  ``allocate_slots`` makes them once per call (the scan
-    workspace is made once per block size) and every block reuses them: a
-    fresh multi-MB buffer per block would be a fresh mmap and page-fault in
-    anew.  The slots are allocated in the calling thread, not in the thread
-    that draws: a slot allocated there comes from a second glibc arena, and
-    with one slot allocated there the bench cool-sweep peaked at 127.0 MB
-    instead of 122.6 MB.  They are two arrays, each sized to its block, not
-    one (2, n, 8) array: a run of one full block and a short one (16 384 + k
-    steps) holds (16 384 + k) * 64 B of inputs, not 2 MB.  A full slot takes
-    1 MB and the scan workspace of a full block of the self closed loop
-    1.6 MB.  A loop that sees the fringe runs blocks of ``_SUB_BLOCK`` steps
-    and draws each into slot 0, so its inputs take 256 KB.
+    A step map serves one ``simulate`` call, whose block loop owns the
+    input buffers that ``draw_inputs`` fills.  ``propagate`` copies each
+    live input column into the scan workspace in one strided copy; the
+    workspace is made once per block size and reused by every block of that
+    size.
     """
 
     def __init__(
@@ -377,19 +367,12 @@ class _StepMap:
         # the scan skips inputs that are zero (a scale of 0) or move nothing
         self.live = [k for k in range(8) if self.normal_scale[k] != 0.0 and self.B[:, k].any()]
         self.ab = np.concatenate((self.A, self.B[:, self.live]), axis=1)
-        self._slots = self._work = None
+        self._work = None
 
-    def allocate_slots(self, sizes) -> None:
-        """The input slots, at most two, for blocks of ``sizes`` steps: slot
-        i is sized to block i, the largest block that uses it."""
-        self._slots = [np.empty((n, 8)) for n in sizes[:2]]
-
-    def draw_inputs(self, rng, slot: int, n: int) -> np.ndarray:
-        """The inputs of the next n steps: 8 normals per step, drawn in one
-        call into input slot ``slot`` and scaled in place, the last four to
-        force and imprecision.  The result is a view of the slot, valid
-        until the slot is drawn again."""
-        buf = self._slots[slot][:n]
+    def draw_inputs(self, rng, buf: np.ndarray) -> np.ndarray:
+        """The inputs of the next ``len(buf)`` steps, drawn into the (n, 8)
+        buffer ``buf`` in one call and scaled in place: 8 normals per step,
+        the last four scaled to force and imprecision.  Returns ``buf``."""
         return np.multiply(rng.standard_normal(out=buf), self.normal_scale, out=buf)
 
     def propagate(self, state, inputs):
@@ -403,18 +386,14 @@ class _StepMap:
         if self._work is None or self._work[0] != n:
             self._work = (n, *self._workspace(n))
         _, w, a_pow, a_end, rows_pow = self._work
-        # w[l, d + j, c] = live input j at step l of chunk c, copied
-        # _COPY_CHUNKS chunks at a time; the padding after step n stays zero
+        # w[l, d + j, c] = live input j at step l of chunk c, one strided
+        # copy per input; the padding after step n stays zero
         d, L = self.n_state, w.shape[0] - 1
-        c_full = n // L
-        for c0 in range(0, c_full, _COPY_CHUNKS):
-            c1 = min(c0 + _COPY_CHUNKS, c_full)
-            rows = inputs[c0 * L : c1 * L]
-            for j, k in enumerate(self.live):
-                w[:L, d + j, c0:c1] = rows[:, k].reshape(c1 - c0, L).T
-        if n > c_full * L:
-            for j, k in enumerate(self.live):
-                w[: n - c_full * L, d + j, c_full] = inputs[c_full * L :, k]
+        c_full, tail = divmod(n, L)
+        for j, k in enumerate(self.live):
+            w[:L, d + j, :c_full] = inputs[: c_full * L, k].reshape(c_full, L).T
+            if tail:
+                w[:tail, d + j, c_full] = inputs[c_full * L :, k]
         return _scan(self.ab, a_pow, a_end, rows_pow, state, w, n)
 
     def _workspace(self, n: int):
@@ -493,7 +472,7 @@ class _StepMap:
             vy = a_half * vy + ou_std * g2y[k]
 
         end = [x, vx, y, vy] + ([hp, vf, prev, *line] if fb_on else [])
-        return xs, ys, end
+        return np.array(xs), np.array(ys), end
 
 
 def _scan(ab, a_pow, a_end, rows_pow, state, w, n):
@@ -560,6 +539,10 @@ def simulate(
     optics.backaction_psd(P, lambda)).  A feedback loop whose one-step map
     has a spectral radius above 1 is rejected before integrating.
     Deterministic for a given (arguments, seed).
+
+    The block loop owns the run's input slots, one for the scalar loop and
+    two for the scan; ``_StepMap.propagate`` copies each live input column
+    of a block into the scan workspace in one strided copy.
 
     With ``self_from`` = n0 the record stores the self-homodyne channel from
     step n0 on alone: its sample k sits at t = (n0 + k)*dt, x, y and the
@@ -654,17 +637,18 @@ def simulate(
     # `simulate` call ~20% slower (median 0.56 s against 0.45 s, 2 vCPU).
     block, ahead = (_SUB_BLOCK, False) if step.nonlin else (_BLOCK, True)
     sizes = [min(block, n_steps - i0) for i0 in range(0, n_steps, block)]
-    step.allocate_slots(sizes if ahead else sizes[:1])
+    # the input slots, made once per run (a buffer per block is a fresh mmap)
+    # on the calling thread (the helper's would come from a second glibc
+    # arena), each sized to its first block; block b + 1 uses the other one
+    slots = [np.empty((n, 8)) for n in sizes[: 2 if ahead else 1]]
     with ThreadPoolExecutor(max_workers=1) as pool:
         for b, nblk in enumerate(sizes):
-            inputs = pending.result() if b and ahead else step.draw_inputs(rng, 0, nblk)
+            inputs = pending.result() if b and ahead else step.draw_inputs(rng, slots[0][:nblk])
             if ahead and b + 1 < len(sizes):
-                pending = pool.submit(step.draw_inputs, rng, (b + 1) % 2, sizes[b + 1])
+                pending = pool.submit(step.draw_inputs, rng, slots[(b + 1) % 2][: sizes[b + 1]])
             i0 = b * block
             blk = slice(i0, i0 + nblk)
-            # the scalar loop returns lists
             xb, yb, state = step.propagate(state, inputs)
-            xb, yb = np.asarray(xb), np.asarray(yb)
             q = (xb + yb) * _INVSQ2
             p = (xb - yb) * _INVSQ2 if full else None
             # the sample times: only the ramp mirror reads them

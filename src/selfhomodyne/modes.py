@@ -76,10 +76,11 @@ def radial_modes(omega_x: float, omega_y: float, alpha: float) -> ModeSolution:
     and eigenvectors (c, 1) with c = (nu^2 - wy^2)/a^2 - 1 for a > 0.
     At alpha = 0 the bare axes are returned.
     """
-    if alpha < 0.0:
-        raise ValueError("spring gain alpha must be >= 0")
-    if omega_x <= 0.0 or omega_y <= 0.0:
-        raise ValueError("trap frequencies must be positive")
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError(f"spring gain alpha must be >= 0 and finite, got {alpha!r}")
+    for name, val in (("omega_x", omega_x), ("omega_y", omega_y)):
+        if not 0.0 < val < math.inf:
+            raise ValueError(f"trap frequency {name} must be positive and finite, got {val!r}")
 
     wx2, wy2, a2 = omega_x**2, omega_y**2, alpha**2
     root = math.sqrt(4.0 * a2 * a2 + (wx2 - wy2) ** 2)
@@ -120,6 +121,10 @@ def mode_temperature(mass: float, mode_freq: float, var_q: float, theta_fb: floa
     axis; theta_fb = pi/2 (mode orthogonal to the detection axis) is a
     division error.
     """
+    args = {"mass": mass, "mode_freq": mode_freq, "var_q": var_q, "theta_fb": theta_fb}
+    for name, val in args.items():
+        if not math.isfinite(val):
+            raise ValueError(f"{name} must be finite, got {val!r}")
     c = math.cos(theta_fb)
     if abs(c) < 1e-12:
         raise ZeroDivisionError("mode axis orthogonal to the detection axis")
@@ -130,8 +135,8 @@ def phonon_occupation(temperature: float, omega: float) -> float:
     """Bose occupation n = 1/(exp(hbar w / kB T) - 1): the phonon number of
     a feedback-cooled mode at its temperature, as the paper quotes it for
     the 1 mK cooling limit."""
-    if temperature <= 0.0:
-        raise ValueError("temperature must be positive")
+    if not 0.0 < temperature < math.inf:
+        raise ValueError(f"temperature must be positive and finite, got {temperature!r}")
     x = HBAR * omega / (K_B * temperature)
     if x > 700.0:
         return 0.0

@@ -127,6 +127,8 @@ class Beam:
             raise ValueError(f"power must be >= 0 and finite, got {self.power!r}")
         if not 0.0 < self.waist < math.inf:
             raise ValueError(f"waist must be positive and finite, got {self.waist!r}")
+        if not 0.0 < self.wavelength < math.inf:
+            raise ValueError(f"wavelength must be positive and finite, got {self.wavelength!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -256,16 +258,19 @@ def imprecision(power: float, eta_det: float, wavelength: float) -> float:
     detection axis, S_imp = 5 hbar c lambda / (8 pi eta_det P)  [m^2/Hz]."""
     if power == 0.0 or eta_det == 0.0:
         raise ZeroDivisionError("power and detection efficiency must be nonzero")
-    if power < 0.0 or eta_det < 0.0:
-        raise ValueError("power and detection efficiency must be positive")
+    for name, val in (("power", power), ("eta_det", eta_det), ("wavelength", wavelength)):
+        if not 0.0 < val < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {val!r}")
     return 5.0 * HBAR * C * wavelength / (8.0 * math.pi * eta_det * power)
 
 
 def backaction_psd(power: float, wavelength: float) -> float:
     """One-sided radiation-pressure shot-noise force PSD,
     S_BA = (4/5) hbar k P / c  [N^2/Hz]."""
-    if power < 0.0:
-        raise ValueError("power must be >= 0")
+    if not 0.0 <= power < math.inf:
+        raise ValueError(f"power must be >= 0 and finite, got {power!r}")
+    if not 0.0 < wavelength < math.inf:
+        raise ValueError(f"wavelength must be positive and finite, got {wavelength!r}")
     k = 2.0 * math.pi / wavelength
     return 0.8 * HBAR * k * power / C
 

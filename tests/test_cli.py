@@ -139,29 +139,40 @@ class TestConfig:
             ("sweeps", "spring_gain_coef", "250"),
             ("sweeps", "mode_spring_gains_rad_per_s", "abc"),
             ("sweeps", "mode_spring_gains_rad_per_s", [True]),
+            ("sim", "dt_s", 0.0),
+            ("sim", "dt_s", -1e-6),
+            ("sim", "duration_s", 0.0),
+            ("sim", "transient_s", -0.1),
+            ("sim", "transient_s", 99.0),
+            ("optics", "numerical_aperture", 1.5),
+            ("optics", "numerical_aperture", 0.0),
+            ("optics", "numerical_aperture", -0.18),
+            ("feedback", "filter_band_hz", [300.0, 6400.0, 9000.0]),
+            ("feedback", "filter_band_hz", [300.0]),
+            ("feedback", "filter_band_hz", [6400.0, 300.0]),
+            ("sweeps", "scattered_powers_w", [0.0]),
+            ("sweeps", "cooling_rates_rad_per_s", [-1.0, 0.0, 1.0]),
+            ("sweeps", "spring_gain_coef", -250.0),
+            ("sweeps", "mode_spring_gains_rad_per_s", [-1.0]),
+            ("scatterer", "refractive_index", 0.9),
+            ("feedback", "source_channel", 3),
+            ("feedback", "source_channel", "side"),
         ]
         for table, key, value in typed:
             with pytest.raises(ConfigError, match=re.escape(f"{table}.{key}: ")):
                 ScenarioConfig.from_dict({table: {key: value}})
-        # sweeps too short to run: the error names the key
+        # sweeps too short to run: the error names the leaf
         short = [("scattered_powers_w", []), ("cooling_rates_rad_per_s", []),
                  ("cooling_rates_rad_per_s", [0.0, 100.0])]
         for key, value in short:
-            with pytest.raises(ConfigError, match=key):
+            with pytest.raises(ConfigError, match=re.escape(f"sweeps.{key}: needs")):
                 ScenarioConfig.from_dict({"sweeps": {key: value}})
-        # values that would fail deeper in, or not at all: the error names the leaf
+        # the scenario id and the tables: the error names the key
         named = [
-            ({"optics": {"numerical_aperture": 1.5}}, "optics numerical_aperture must lie in"),
-            ({"optics": {"numerical_aperture": 0.0}}, "optics numerical_aperture must lie in"),
-            ({"optics": {"numerical_aperture": -0.18}}, "optics numerical_aperture must lie in"),
-            ({"feedback": {"filter_band_hz": [300.0, 6400.0, 9000.0]}}, "feedback filter_band_hz needs 2"),
-            ({"feedback": {"filter_band_hz": [300.0]}}, "feedback filter_band_hz needs 2"),
             ({"scenario_id": 5}, "scenario_id must be a string"),
             ({"scenario_id": None}, "scenario_id must be a string"),
             ({"bath": 2e-8}, "config key bath must be a table"),
             ({"sim": [1.0]}, "config key sim must be a table"),
-            ({"sim": {"dt_s": 0.0}}, "sim dt_s and duration_s must be positive"),
-            ({"sim": {"dt_s": -1e-6}}, "sim dt_s and duration_s must be positive"),
         ]
         for overrides, message in named:
             with pytest.raises(ConfigError, match=message):
@@ -175,7 +186,7 @@ class TestConfig:
         # 1001st self-homodyne point would share forward point 0's seed
         rates = [float(i) for i in range(1000)]
         assert len(ScenarioConfig.from_dict({"sweeps": {"cooling_rates_rad_per_s": rates}}).cooling_rates) == 1000
-        with pytest.raises(ConfigError, match="cooling_rates_rad_per_s allows at most 1000 entries"):
+        with pytest.raises(ConfigError, match=r"sweeps\.cooling_rates_rad_per_s: allows at most 1000 entries"):
             ScenarioConfig.from_dict({"sweeps": {"cooling_rates_rad_per_s": rates + [1000.0]}})
 
 

@@ -456,30 +456,53 @@ class TestWorkingSet:
     # slots make 16, the scan workspace ~12, the block's x, y, q, p and
     # detector temporaries the rest
     BOUND_BLOCKS = 48
+    # the scalar loop's, in sub-blocks (_SUB_BLOCK * 8 B): its one 8-column
+    # input slot makes 8, the Python float lists of the inputs and of x and
+    # y (32 B a float) ~36, the block's arrays the rest; 55.7 measured in
+    # full, 50.4 stored alone
+    BOUND_SUB_BLOCKS = 64
 
     def test_peak_above_outputs_is_a_few_blocks(self):
-        # the fastest bench cool-sweep point: 4 s, many blocks, stored in
-        # full and, as cool-sweep runs it, after its 0.5 s transient alone
         gain = 2 * math.pi * 640.0
-        fb = FeedbackConfig(cooling_rate=gain, spring_gain=250.0 * math.sqrt(gain))
-        det = DetectorModel(imprecision_forward=2.2e-16)
-        n_steps, n0 = round(4.0 / DT17), round(0.5 / DT17)
-        assert n_steps >= 8 * langevin._BLOCK
-        for self_from, series in ((None, 4 * n_steps), (n0, n_steps - n0)):
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                traj = simulate(
-                    TRAP, Bath(pressure=2e-2), fb, det, SETUP, duration=4.0, dt=DT17, seed=5,
-                    self_from=self_from,
-                )
-                peak = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
-            stored = (traj.x, traj.y, traj.volts_self, traj.volts_fwd)
-            outputs = sum(a.nbytes for a in stored if a is not None)
-            assert outputs == 8 * series
-            assert peak - outputs < self.BOUND_BLOCKS * langevin._BLOCK * 8, self_from
+        runs = [
+            # the scan: the fastest bench cool-sweep point, 4 s, stored in
+            # full and, as cool-sweep runs it, after its 0.5 s transient alone
+            (
+                Bath(pressure=2e-2),
+                FeedbackConfig(cooling_rate=gain, spring_gain=250.0 * math.sqrt(gain)),
+                DetectorModel(imprecision_forward=2.2e-16),
+                4.0, 0.5, langevin._BLOCK, self.BOUND_BLOCKS,
+            ),
+            # the scalar loop: the bench psd loop (1 K, viscous only, 4-sample
+            # delay), stored in full and after a quarter of the run alone.
+            # tracemalloc slows its per-step loop ~40x, so the run is 8
+            # sub-blocks, not 4 s: a 4 s run gives the same figures to 0.03
+            # sub-blocks
+            (
+                Bath(pressure=2e-2, temperature=1.0),
+                FeedbackConfig(cooling_rate=2 * math.pi * 160.0, loop_delay=4 * DT17),
+                DetectorModel(fringe_nonlinearity=True),
+                0.25, 0.0625, langevin._SUB_BLOCK, self.BOUND_SUB_BLOCKS,
+            ),
+        ]
+        for bath, fb, det, duration, transient, block, bound in runs:
+            n_steps, n0 = round(duration / DT17), round(transient / DT17)
+            assert n_steps >= 8 * block
+            for self_from, series in ((None, 4 * n_steps), (n0, n_steps - n0)):
+                tracemalloc.start()
+                try:
+                    base = tracemalloc.get_traced_memory()[0]
+                    traj = simulate(
+                        TRAP, bath, fb, det, SETUP, duration=duration, dt=DT17, seed=5,
+                        self_from=self_from,
+                    )
+                    peak = tracemalloc.get_traced_memory()[1] - base
+                finally:
+                    tracemalloc.stop()
+                stored = (traj.x, traj.y, traj.volts_self, traj.volts_fwd)
+                outputs = sum(a.nbytes for a in stored if a is not None)
+                assert outputs == 8 * series
+                assert peak - outputs < bound * block * 8, (block, self_from)
 
 
 class TestStoredRecord:

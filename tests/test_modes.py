@@ -122,6 +122,11 @@ class TestRadialModes:
             radial_modes(WX, WY, -1.0)
         with pytest.raises(ValueError):
             radial_modes(0.0, WY, 0.0)
+        # a NaN or infinite argument fails its range and is named
+        for name, args in [("omega_x", (math.nan, WY, 0.0)), ("omega_y", (WX, math.inf, 0.0)),
+                           ("alpha", (WX, WY, math.nan)), ("alpha", (WX, WY, math.inf))]:
+            with pytest.raises(ValueError, match=f"{name} must be"):
+                radial_modes(*args)
 
 
 class TestModeTemperature:
@@ -143,6 +148,13 @@ class TestModeTemperature:
     def test_orthogonal_axis_raises(self):
         with pytest.raises(ZeroDivisionError):
             mode_temperature(2.0e-17, WY, 1e-18, math.pi / 2)
+
+    def test_non_finite_argument_rejected(self):
+        args = {"mass": 2.0e-17, "mode_freq": WY, "var_q": 1e-18, "theta_fb": 0.0}
+        for name in args:
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    mode_temperature(**{**args, name: value})
 
 
 class TestPhononOccupation:
@@ -169,6 +181,9 @@ class TestPhononOccupation:
         assert phonon_occupation(1e-12, WY) == 0.0
         with pytest.raises(ValueError):
             phonon_occupation(0.0, WY)
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="temperature must be positive and finite"):
+                phonon_occupation(value, WY)
 
 
 class TestTrapConfig:

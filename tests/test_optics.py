@@ -536,6 +536,13 @@ class TestImprecision:
         for power, eta in ((-84e-9, 0.021), (84e-9, -0.021)):
             with pytest.raises(ValueError, match="must be positive"):
                 imprecision(power, eta, 780e-9)
+        # a NaN or infinite argument fails its range and is named
+        for name, args in [("power", (math.nan, 0.021, 780e-9)), ("power", (math.inf, 0.021, 780e-9)),
+                           ("eta_det", (84e-9, math.nan, 780e-9)),
+                           ("wavelength", (84e-9, 0.021, math.nan)),
+                           ("wavelength", (84e-9, 0.021, math.inf))]:
+            with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                imprecision(*args)
 
 
 class TestBackaction:
@@ -543,6 +550,11 @@ class TestBackaction:
         assert backaction_psd(0.0, 780e-9) == 0.0
         with pytest.raises(ValueError, match="power must be >= 0"):
             backaction_psd(-1e-9, 780e-9)
+        # a NaN or infinite argument fails its range and is named
+        for name, args in [("power", (math.nan, 780e-9)), ("power", (math.inf, 780e-9)),
+                           ("wavelength", (84e-9, math.nan)), ("wavelength", (84e-9, 0.0))]:
+            with pytest.raises(ValueError, match=f"{name} must be"):
+                backaction_psd(*args)
 
     def test_value_at_84_nw(self):
         ref = 0.8 * HBAR_SI * (2 * math.pi / 780e-9) * 84e-9 / C_SI
@@ -623,7 +635,9 @@ class TestTypes:
         with pytest.raises(ValueError):
             Beam(power=0.1, waist=0.0)
         for field, value in [("power", math.nan), ("power", math.inf),
-                             ("waist", math.nan), ("waist", math.inf)]:
+                             ("waist", math.nan), ("waist", math.inf),
+                             ("wavelength", math.nan), ("wavelength", math.inf),
+                             ("wavelength", 0.0)]:
             with pytest.raises(ValueError, match=f"{field} must"):
                 Beam(**{"power": 0.1, "waist": 1e-4, field: value})
 
