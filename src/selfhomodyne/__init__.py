@@ -53,4 +53,4 @@ from .spectral import (
     lorentzian_fit,
     welch_psd,
 )
-from .config import ConfigError, ScenarioConfig, default_config_dict
+from .config import ConfigError, ScenarioConfig

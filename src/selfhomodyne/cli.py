@@ -150,12 +150,14 @@ def cmd_fringe_scan(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int)
     """Ramp the mirror over several fringes and record the detector output.
     The manifest records the fringes the fit found next to those ramped: they
     differ where the fit follows the particle's motion, not the fringes."""
-    traj = _ramp_run(cfg, seed)
+    with _stage("fringe-scan: simulation failed"):
+        traj = _ramp_run(cfg, seed)
     disp = cfg.detector.ramp_rate * (np.arange(traj.volts_self.size) * traj.dt)
     if float(np.ptp(traj.volts_self)) < 1e-12 * max(abs(float(traj.volts_self[0])), 1.0):
         visibility, fringes = 0.0, None  # no fringes (e.g. no mirror)
     else:
-        result = run_calibration(traj, cfg.setup.wavelength)
+        with _stage("fringe-scan: calibration failed"):
+            result = run_calibration(traj, cfg.setup.wavelength)
         visibility, fringes = result.visibility, result.fringes_covered
     # the constant visibility cell is formatted once, as write_csv formats a float
     rows = ColumnRows(disp, traj.volts_self, "%.17g" % visibility)
@@ -169,8 +171,10 @@ def cmd_calibrate(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) -
     particle at rest, and motion the bath drives during the scan blurs the
     fringes and lowers the slope."""
     model_slope = _calibration_slope(cfg)
-    traj = _ramp_run(cfg, seed)
-    result = run_calibration(traj, cfg.setup.wavelength)
+    with _stage("calibrate: simulation failed"):
+        traj = _ramp_run(cfg, seed)
+    with _stage("calibrate: calibration failed"):
+        result = run_calibration(traj, cfg.setup.wavelength)
     deviation = result.volts_per_meter / model_slope - 1.0
     if not abs(deviation) <= 0.01:
         raise ValueError(

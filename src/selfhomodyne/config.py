@@ -3,13 +3,14 @@ names, parsed into the library's typed objects.
 
 Every value has a default (the published operating point of the tabletop
 setup, written once, as the library's dataclass defaults), so a config file
-only needs the keys it overrides.  Seeds are always
-explicit; no ambient entropy enters a run.
+only needs the keys it overrides.  ``ScenarioConfig.from_dict`` names each
+leaf once, with its parser and its default, and keeps the tree as read: each
+leaf's override as given, or its default.  Seeds are always explicit; no
+ambient entropy enters a run.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import math
@@ -19,7 +20,7 @@ from .langevin import Bath, DetectorModel, FeedbackConfig
 from .modes import TrapConfig
 from .optics import Beam, OpticalSetup, Scatterer
 
-__all__ = ["ScenarioConfig", "default_config_dict", "ConfigError"]
+__all__ = ["ScenarioConfig", "ConfigError"]
 
 
 # cool-sweep seeds forward-channel point i as sweep point _FORWARD_SEED_OFFSET + i,
@@ -29,94 +30,6 @@ _FORWARD_SEED_OFFSET = 1000
 
 class ConfigError(ValueError):
     """Configuration failed validation."""
-
-
-def default_config_dict() -> dict:
-    """Full default configuration tree: the library's dataclass defaults (the
-    tabletop operating point) in the units the keys name, and the beam, the
-    simulation and the sweeps, which no dataclass default holds."""
-    opt, sca, trap = OpticalSetup(), Scatterer(), TrapConfig()
-    bath, det, fbk = Bath(), DetectorModel(), FeedbackConfig()
-    return {
-        "scenario_id": "default",
-        "optics": {
-            "wavelength_m": opt.wavelength,
-            "numerical_aperture": math.sin(opt.half_aperture),
-            "mirror_field_reflectivity": opt.mirror_reflectivity,
-            "visibility": opt.visibility,
-            "path_efficiency": opt.path_efficiency,
-            "detector_quantum_efficiency": opt.detector_qe,
-        },
-        "scatterer": {
-            "radius_m": sca.radius,
-            "refractive_index": sca.refractive_index,
-            "mass_kg": trap.mass,
-        },
-        "beam": {"power_w": 0.43, "waist_m": 0.29e-3},
-        "trap": {
-            "secular_freq_x_hz": trap.secular_freq_x / (2.0 * math.pi),
-            "secular_freq_y_hz": trap.secular_freq_y / (2.0 * math.pi),
-        },
-        "bath": {
-            "pressure_mbar": bath.pressure,
-            "temperature_k": bath.temperature,
-            "damping_anchor_pressure_mbar": bath.damping_anchor[0],
-            "damping_anchor_gamma_rad_per_s": bath.damping_anchor[1],
-        },
-        "detector": {
-            "imprecision_self_m2_per_hz": det.imprecision_self,
-            "imprecision_forward_m2_per_hz": det.imprecision_forward,
-            "fringe_nonlinearity": det.fringe_nonlinearity,
-            "ramp_rate_m_per_s": det.ramp_rate,
-        },
-        "feedback": {
-            "cooling_rate_rad_per_s": fbk.cooling_rate,
-            "spring_gain_rad_per_s": fbk.spring_gain,
-            "loop_delay_s": fbk.loop_delay,
-            "filter_band_hz": list(fbk.filter_band),
-            "source_channel": fbk.source_channel,
-        },
-        "sim": {
-            "dt_s": 2.0**-17,
-            "duration_s": 4.0,
-            "transient_s": 1.0,
-            "seed": 20240901,
-        },
-        "sweeps": {
-            "scattered_powers_w": [2e-8, 4e-8, 8.4e-8, 1.8e-7, 4e-7],
-            "cooling_rates_rad_per_s": [
-                0.0,
-                2.0 * math.pi * 20.0,
-                2.0 * math.pi * 40.0,
-                2.0 * math.pi * 80.0,
-                2.0 * math.pi * 160.0,
-                2.0 * math.pi * 320.0,
-                2.0 * math.pi * 640.0,
-            ],
-            "spring_gain_coef": 250.0,  # alpha = coef * sqrt(cooling_rate)
-            "mode_spring_gains_rad_per_s": [
-                0.0,
-                2.0 * math.pi * 500.0,
-                2.0 * math.pi * 1000.0,
-                2.0 * math.pi * 2000.0,
-                2.0 * math.pi * 4000.0,
-            ],
-        },
-    }
-
-
-def _merge(base: dict, override: dict, path: str = "") -> dict:
-    out = copy.deepcopy(base)
-    for key, val in override.items():
-        if key not in base:
-            raise ConfigError(f"unknown config key: {path}{key}")
-        if isinstance(base[key], dict):
-            if not isinstance(val, dict):
-                raise ConfigError(f"config key {path}{key} must be a table")
-            out[key] = _merge(base[key], val, f"{path}{key}.")
-        else:
-            out[key] = val
-    return out
 
 
 def _real(value) -> float:
@@ -194,7 +107,8 @@ def _flag(value) -> bool:
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Validated scenario: the typed values every command reads, plus the
-    raw (merged) tree, kept only to serialize and hash the scenario."""
+    raw tree as read (each leaf's override as given, or its default), kept
+    only to serialize and hash the scenario."""
 
     tree: dict = field(repr=False)
     setup: OpticalSetup = field(repr=False)
@@ -219,78 +133,116 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, overrides: dict | None = None) -> "ScenarioConfig":
-        tree = _merge(default_config_dict(), overrides or {})
+        """Parse ``overrides`` over the defaults.  Each leaf is read once,
+        with its default: the library's dataclass defaults (the tabletop
+        operating point) in the units the key names, and literals for the
+        beam, the simulation and the sweeps, which no dataclass default
+        holds.  ``from_dict({}).to_json()`` prints the default tree."""
+        overrides = {} if overrides is None else overrides
+        if not isinstance(overrides, dict):
+            raise ConfigError(f"config overrides must be a dict, got {type(overrides).__name__}")
+        tree = {"scenario_id": overrides.get("scenario_id", "default")}
 
-        def leaf(parse, path: str):
-            """The leaf at the dotted ``path``, parsed; a rejection names it."""
+        def leaf(parse, path: str, default):
+            """The leaf at the dotted ``path`` of the overrides, or ``default``
+            where they leave it out: recorded in the tree as given, returned
+            parsed; a rejection names it."""
             section, key = path.split(".")
+            table = overrides.get(section)
+            value = table.get(key, default) if isinstance(table, dict) else default
+            tree.setdefault(section, {})[key] = value
             try:
-                return parse(tree[section][key])
+                return parse(value)
             except (TypeError, ValueError) as exc:
                 raise type(exc)(f"{path}: {exc}") from exc
 
+        opt, sca, trp = OpticalSetup(), Scatterer(), TrapConfig()
+        gas, det, fbk = Bath(), DetectorModel(), FeedbackConfig()
+        two_pi = 2.0 * math.pi
         try:
             if not isinstance(tree["scenario_id"], str):
                 raise TypeError(f"scenario_id must be a string, got {tree['scenario_id']!r}")
-            na = leaf(_ranged(lambda v: 0.0 < v <= 1.0, "in (0, 1]"), "optics.numerical_aperture")
-            wavelength = leaf(_positive, "optics.wavelength_m")
+            in_unit = _ranged(lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+            na = leaf(in_unit, "optics.numerical_aperture", math.sin(opt.half_aperture))
+            wavelength = leaf(_positive, "optics.wavelength_m", opt.wavelength)
             setup = OpticalSetup(
                 wavelength=wavelength,
                 half_aperture=math.asin(na),
-                mirror_reflectivity=leaf(_fraction, "optics.mirror_field_reflectivity"),
-                visibility=leaf(_fraction, "optics.visibility"),
-                path_efficiency=leaf(_fraction, "optics.path_efficiency"),
-                detector_qe=leaf(_fraction, "optics.detector_quantum_efficiency"),
+                mirror_reflectivity=leaf(
+                    _fraction, "optics.mirror_field_reflectivity", opt.mirror_reflectivity),
+                visibility=leaf(_fraction, "optics.visibility", opt.visibility),
+                path_efficiency=leaf(_fraction, "optics.path_efficiency", opt.path_efficiency),
+                detector_qe=leaf(_fraction, "optics.detector_quantum_efficiency", opt.detector_qe),
             )
             scatterer = Scatterer(
-                radius=leaf(_positive, "scatterer.radius_m"),
-                refractive_index=leaf(_ranged(lambda v: v > 1.0, "> 1"), "scatterer.refractive_index"),
+                radius=leaf(_positive, "scatterer.radius_m", sca.radius),
+                refractive_index=leaf(
+                    _ranged(lambda v: v > 1.0, "> 1"), "scatterer.refractive_index", sca.refractive_index),
             )
             beam = Beam(
-                power=leaf(_non_negative, "beam.power_w"),
-                waist=leaf(_positive, "beam.waist_m"),
+                power=leaf(_non_negative, "beam.power_w", 0.43),
+                waist=leaf(_positive, "beam.waist_m", 0.29e-3),
                 wavelength=wavelength,
             )
             trap = TrapConfig(
-                secular_freq_x=2.0 * math.pi * leaf(_positive, "trap.secular_freq_x_hz"),
-                secular_freq_y=2.0 * math.pi * leaf(_positive, "trap.secular_freq_y_hz"),
-                mass=leaf(_positive, "scatterer.mass_kg"),
+                secular_freq_x=two_pi * leaf(
+                    _positive, "trap.secular_freq_x_hz", trp.secular_freq_x / two_pi),
+                secular_freq_y=two_pi * leaf(
+                    _positive, "trap.secular_freq_y_hz", trp.secular_freq_y / two_pi),
+                mass=leaf(_positive, "scatterer.mass_kg", trp.mass),
             )
             bath = Bath(
-                pressure=leaf(_non_negative, "bath.pressure_mbar"),
-                temperature=leaf(_non_negative, "bath.temperature_k"),
+                pressure=leaf(_non_negative, "bath.pressure_mbar", gas.pressure),
+                temperature=leaf(_non_negative, "bath.temperature_k", gas.temperature),
                 damping_anchor=(
-                    leaf(_positive, "bath.damping_anchor_pressure_mbar"),
-                    leaf(_positive, "bath.damping_anchor_gamma_rad_per_s"),
+                    leaf(_positive, "bath.damping_anchor_pressure_mbar", gas.damping_anchor[0]),
+                    leaf(_positive, "bath.damping_anchor_gamma_rad_per_s", gas.damping_anchor[1]),
                 ),
             )
             detector = DetectorModel(
-                imprecision_self=leaf(_non_negative, "detector.imprecision_self_m2_per_hz"),
-                imprecision_forward=leaf(_non_negative, "detector.imprecision_forward_m2_per_hz"),
-                fringe_nonlinearity=leaf(_flag, "detector.fringe_nonlinearity"),
-                ramp_rate=leaf(_positive, "detector.ramp_rate_m_per_s"),
+                imprecision_self=leaf(
+                    _non_negative, "detector.imprecision_self_m2_per_hz", det.imprecision_self),
+                imprecision_forward=leaf(
+                    _non_negative, "detector.imprecision_forward_m2_per_hz", det.imprecision_forward),
+                fringe_nonlinearity=leaf(_flag, "detector.fringe_nonlinearity", det.fringe_nonlinearity),
+                ramp_rate=leaf(_positive, "detector.ramp_rate_m_per_s", det.ramp_rate),
             )
             feedback = FeedbackConfig(
-                cooling_rate=leaf(_non_negative, "feedback.cooling_rate_rad_per_s"),
-                spring_gain=leaf(_non_negative, "feedback.spring_gain_rad_per_s"),
-                loop_delay=leaf(_non_negative, "feedback.loop_delay_s"),
-                filter_band=leaf(_band, "feedback.filter_band_hz"),
-                source_channel=leaf(_channel, "feedback.source_channel"),
+                cooling_rate=leaf(_non_negative, "feedback.cooling_rate_rad_per_s", fbk.cooling_rate),
+                spring_gain=leaf(_non_negative, "feedback.spring_gain_rad_per_s", fbk.spring_gain),
+                loop_delay=leaf(_non_negative, "feedback.loop_delay_s", fbk.loop_delay),
+                filter_band=leaf(_band, "feedback.filter_band_hz", list(fbk.filter_band)),
+                source_channel=leaf(_channel, "feedback.source_channel", fbk.source_channel),
             )
-            dt, duration = leaf(_positive, "sim.dt_s"), leaf(_positive, "sim.duration_s")
-            transient = leaf(
-                _ranged(lambda v: 0.0 <= v < duration, "in [0, sim.duration_s)"), "sim.transient_s"
-            )
-            seed = leaf(_seed, "sim.seed")
-            powers = leaf(_reals(_positive, 1), "sweeps.scattered_powers_w")
+            dt = leaf(_positive, "sim.dt_s", 2.0**-17)
+            duration = leaf(_positive, "sim.duration_s", 4.0)
+            within = _ranged(lambda v: 0.0 <= v < duration, "in [0, sim.duration_s)")
+            transient = leaf(within, "sim.transient_s", 1.0)
+            seed = leaf(_seed, "sim.seed", 20240901)
+            powers = leaf(
+                _reals(_positive, 1), "sweeps.scattered_powers_w", [2e-8, 4e-8, 8.4e-8, 1.8e-7, 4e-7])
             # the cooling-curve fit of cool-sweep needs three points
             rates = leaf(
-                _reals(_non_negative, 3, _FORWARD_SEED_OFFSET), "sweeps.cooling_rates_rad_per_s"
+                _reals(_non_negative, 3, _FORWARD_SEED_OFFSET), "sweeps.cooling_rates_rad_per_s",
+                [0.0] + [two_pi * f for f in (20.0, 40.0, 80.0, 160.0, 320.0, 640.0)],
             )
-            coef = leaf(_non_negative, "sweeps.spring_gain_coef")
-            mode_gains = leaf(_reals(_non_negative), "sweeps.mode_spring_gains_rad_per_s")
+            coef = leaf(_non_negative, "sweeps.spring_gain_coef", 250.0)
+            mode_gains = leaf(
+                _reals(_non_negative), "sweeps.mode_spring_gains_rad_per_s",
+                [0.0] + [two_pi * f for f in (500.0, 1000.0, 2000.0, 4000.0)],
+            )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid configuration: {exc}") from exc
+        # every table and key of the overrides must be one a leaf read
+        for section, table in overrides.items():
+            if section not in tree:
+                raise ConfigError(f"unknown config key: {section}")
+            if isinstance(tree[section], dict):
+                if not isinstance(table, dict):
+                    raise ConfigError(f"config key {section} must be a table")
+                for key in table:
+                    if key not in tree[section]:
+                        raise ConfigError(f"unknown config key: {section}.{key}")
         return cls(
             tree=tree, setup=setup, scatterer=scatterer, beam=beam,
             trap=trap, bath=bath, detector=detector, feedback=feedback,

@@ -70,9 +70,9 @@ class TestConfig:
         assert cfg.bath.pressure == 2e-8
 
     def test_defaults_are_library_defaults(self):
-        # default_config_dict() builds its tables from the dataclass
-        # defaults, the one copy of the operating point: parsing them back
-        # through the key units gives the same objects
+        # from_dict reads each leaf's default from the dataclass defaults,
+        # the one copy of the operating point: parsing them back through the
+        # key units gives the same objects
         cfg = ScenarioConfig.from_dict({})
         assert cfg.setup == OpticalSetup()
         assert cfg.scatterer == Scatterer()
@@ -81,11 +81,30 @@ class TestConfig:
         assert cfg.detector == DetectorModel()
         assert cfg.feedback == FeedbackConfig()
 
+    def test_default_tree_pinned(self):
+        # a default moved, or a unit conversion changed, shows here
+        assert ScenarioConfig.from_dict({}).sha256() == (
+            "a63cabdb67034ba5597173c7bbfb6f7904d5652753c94e8495821d84a7eae4ee"
+        )
+        assert ScenarioConfig.from_dict().sha256() == ScenarioConfig.from_dict({}).sha256()
+
+    @pytest.mark.parametrize("overrides", [[1], "x", 5, []], ids=repr)
+    def test_non_dict_overrides_rejected(self, overrides):
+        message = f"config overrides must be a dict, got {type(overrides).__name__}$"
+        with pytest.raises(ConfigError, match=message):
+            ScenarioConfig.from_dict(overrides)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
             ScenarioConfig.from_dict({"optic": {}})
         with pytest.raises(ConfigError, match="unknown config key"):
             ScenarioConfig.from_dict({"optics": {"wavelength_nm": 780}})
+        # an unknown table that is not a table is unknown, not a bad table
+        with pytest.raises(ConfigError, match="^unknown config key: optic$"):
+            ScenarioConfig.from_dict({"optic": 5})
+        # an unknown key beside valid ones in a table that is read
+        with pytest.raises(ConfigError, match="^unknown config key: optics.bogus$"):
+            ScenarioConfig.from_dict({"optics": {"wavelength_m": 780e-9, "bogus": 1, "visibility": 0.5}})
         # settings that no computation read are gone
         for table, key in [("optics", "axis_projection_angle_rad"),
                            ("trap", "secular_freq_z_hz"), ("trap", "stability_q"),
@@ -492,6 +511,21 @@ class TestDeterminismAndErrors:
         err = json.loads((out / "error_manifest.json").read_text())["error"]
         assert err.startswith("ValueError: psd: simulation failed: unstable feedback loop")
         assert "8-sample" in err
+
+    @pytest.mark.parametrize("command", ["fringe-scan", "calibrate"])
+    @pytest.mark.parametrize("overrides, stage", [
+        # a 1 ms step is too coarse for the 3.2 kHz mode
+        ({"sim": {"dt_s": 1e-3}}, "simulation failed: dt = 0.001 s too coarse"),
+        # a three-fringe ramp at 15 mm/s lasts under 16 steps
+        ({"detector": {"ramp_rate_m_per_s": 0.015}},
+         "calibration failed: trajectory too short for calibration"),
+    ], ids=["simulation", "calibration"])
+    def test_ramp_failure_named(self, tmp_path, command, overrides, stage):
+        code, out = run_cli(tmp_path, command, overrides)
+        assert code == 1
+        assert not list(out.glob("*.csv")) and not (out / "manifest.json").exists()
+        err = json.loads((out / "error_manifest.json").read_text())["error"]
+        assert err.startswith(f"ValueError: {command}: {stage}")
 
     def test_psd_failure_named(self, tmp_path):
         # 2 samples of record after the transient are too few for a Welch segment

@@ -12,7 +12,7 @@ import json
 import math
 
 from selfhomodyne.cli import main
-from selfhomodyne.config import default_config_dict
+from selfhomodyne.config import ScenarioConfig
 
 # short enough for the whole module to run in a few seconds: a 0.1 s record,
 # one scattered power, three cooling rates and a ten-fold faster ramp
@@ -122,7 +122,7 @@ def _outputs(tmp_path, command, overrides):
 
 
 def test_table_names_every_leaf():
-    leaves = list(_leaves(default_config_dict()))
+    leaves = list(_leaves(ScenarioConfig.from_dict({}).tree))
     assert sorted(set(leaves) - set(TABLE)) == [], "a leaf has no entry: name the command it moves"
     assert sorted(set(TABLE) - set(leaves)) == [], "the table names a leaf the config does not have"
 
@@ -136,7 +136,7 @@ def test_every_leaf_moves_its_command(tmp_path):
         if key not in base_runs:
             base_runs[key] = _outputs(tmp_path, command, overrides)
         if value is None:
-            old = _get(_merge(default_config_dict(), overrides), leaf)
+            old = _get(ScenarioConfig.from_dict(overrides).tree, leaf)
             value = [1.01 * v for v in old] if isinstance(old, list) else 1.01 * old
         perturbed = copy.deepcopy(overrides)
         _set(perturbed, leaf, value)
