@@ -43,7 +43,6 @@ from .optics import (
     rayleigh_scattered_power,
 )
 from .spectral import (
-    ColumnRows,
     FitError,
     cooling_curve_fit,
     imprecision_from_floor,
@@ -159,9 +158,10 @@ def cmd_fringe_scan(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int)
         with _stage("fringe-scan: calibration failed"):
             result = run_calibration(traj, cfg.setup.wavelength)
         visibility, fringes = result.visibility, result.fringes_covered
-    # the constant visibility cell is formatted once, as write_csv formats a float
-    rows = ColumnRows(disp, traj.volts_self, "%.17g" % visibility)
-    _write_csv(out_dir / "fringe_scan.csv", ["mirror_displacement_m", "detector_volts", "visibility"], rows)
+    _write_csv(
+        out_dir / "fringe_scan.csv", ["mirror_displacement_m", "detector_volts", "visibility"],
+        disp, traj.volts_self, visibility,
+    )
     return {"outputs": ["fringe_scan.csv"], "fringes_ramped": _FRINGES_RAMPED, "fringes_covered": fringes}
 
 
@@ -231,15 +231,17 @@ def cmd_imprecision_sweep(cfg: ScenarioConfig, seed: int, out_dir: Path, threads
     _write_csv(
         out_dir / "imprecision_sweep.csv",
         ["power_w", "s_imp_predicted_m2_per_hz", "s_imp_ideal_m2_per_hz", "s_imp_extracted_m2_per_hz"],
-        rows,
+        *np.array(rows).T,
     )
     return {"outputs": ["imprecision_sweep.csv"]}
 
 
 def _cool_point(cfg: ScenarioConfig, seed: int, index: int, gfb: float, channel: str):
-    """Cooling-sweep point ``index`` of ``channel``: simulate, fit the high
-    mode, return the measured cooling rate (total linewidth) and mode
-    temperature.  The spring gain follows the sweep rule
+    """Cooling-sweep point ``index`` of ``channel``: simulate and fit the
+    high mode.  Returns the measured cooling rate (total linewidth) [rad/s],
+    the spring gain [rad/s], the two mode frequencies [Hz], the mode angle
+    [rad], the mode temperature [K], the lock flag, and the fitted linewidth
+    and PSD bin [Hz].  The spring gain follows the sweep rule
     alpha = spring_gain_coef * sqrt(gamma_fb) on the self-homodyne channel
     and is 0 on the forward one."""
     slope = _calibration_slope(cfg)
@@ -276,18 +278,10 @@ def _cool_point(cfg: ScenarioConfig, seed: int, index: int, gfb: float, channel:
     t_mode = mode_temperature(
         cfg.trap.mass, 2.0 * math.pi * fit.center, fit.area, sol.theta_fb
     )
-    gamma_meas = 2.0 * math.pi * fit.fwhm
-    return {
-        "gamma_fb_rad_per_s": gamma_meas,
-        "alpha_rad_per_s": alpha,
-        "nu_low_hz": sol.freq_low / (2.0 * math.pi),
-        "nu_high_hz": fit.center,
-        "theta_fb_rad": sol.theta_fb,
-        "t_mode_k": t_mode,
-        "lock_lost": traj.lock_lost,
-        "fwhm_hz": fit.fwhm,
-        "bin_hz": psd.resolution,
-    }
+    return (
+        2.0 * math.pi * fit.fwhm, alpha, sol.freq_low / (2.0 * math.pi), fit.center,
+        sol.theta_fb, t_mode, traj.lock_lost, fit.fwhm, psd.resolution,
+    )
 
 
 def cmd_cool_sweep(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) -> dict:
@@ -309,31 +303,23 @@ def cmd_cool_sweep(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) 
     outputs, unresolved = [], []
     for channel, name in (("self-homodyne", "self"), ("forward", "forward")):
         points = [(cfg, seed, i, g, channel) for i, g in enumerate(cfg.cooling_rates)]
-        results = _sweep(threads, _cool_point, points)
+        gamma, alpha, nu_low, nu_high, theta, t_mode, lock_lost, fwhm, bins = map(
+            np.array, zip(*_sweep(threads, _cool_point, points))
+        )
         with _stage(f"cool-sweep {channel}: cooling-curve fit failed"):
-            curve = cooling_curve_fit(
-                [(r["gamma_fb_rad_per_s"], r["t_mode_k"]) for r in results], b_floor
-            )
+            curve = cooling_curve_fit(np.column_stack([gamma, t_mode]), b_floor)
         unresolved += [
-            {"channel": channel, "index": i, "fwhm_hz": r["fwhm_hz"], "bin_hz": r["bin_hz"]}
-            for i, r in enumerate(results)
-            if r["fwhm_hz"] < r["bin_hz"]
+            {"channel": channel, "index": int(i), "fwhm_hz": float(fwhm[i]), "bin_hz": float(bins[i])}
+            for i in np.flatnonzero(fwhm < bins)
         ]
-        header = [
-            "gamma_fb_rad_per_s", "alpha_rad_per_s", "nu_low_hz", "nu_high_hz",
-            "theta_fb_rad", "t_mode_k", "fitted_a_rad_k_per_s", "t_min_k",
-            "gamma_min_rad_per_s", "lock_lost",
-        ]
-        rows = [
-            (
-                r["gamma_fb_rad_per_s"], r["alpha_rad_per_s"], r["nu_low_hz"],
-                r["nu_high_hz"], r["theta_fb_rad"], r["t_mode_k"],
-                curve.coeff_a, curve.t_min, curve.gamma_min, int(r["lock_lost"]),
-            )
-            for r in results
-        ]
+        table = {
+            "gamma_fb_rad_per_s": gamma, "alpha_rad_per_s": alpha, "nu_low_hz": nu_low,
+            "nu_high_hz": nu_high, "theta_fb_rad": theta, "t_mode_k": t_mode,
+            "fitted_a_rad_k_per_s": curve.coeff_a, "t_min_k": curve.t_min,
+            "gamma_min_rad_per_s": curve.gamma_min, "lock_lost": lock_lost,
+        }
         fname = f"cool_sweep_{name}.csv"
-        _write_csv(out_dir / fname, header, rows)
+        _write_csv(out_dir / fname, list(table), *table.values())
         outputs.append(fname)
     return {"outputs": outputs, "unresolved_fits": unresolved}
 

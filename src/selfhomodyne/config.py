@@ -33,12 +33,17 @@ class ConfigError(ValueError):
 
 
 def _real(value) -> float:
-    """A finite JSON number; strings, booleans and NaN/inf are rejected."""
+    """A finite JSON number; strings, booleans, NaN/inf and integers too
+    large for a float are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"expected a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError("expected a finite number, got an integer too large for a float") from None
+    if not math.isfinite(number):
         raise ValueError(f"expected a finite number, got {value!r}")
-    return float(value)
+    return number
 
 
 def _ranged(ok, rule: str):

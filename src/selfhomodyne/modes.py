@@ -125,6 +125,10 @@ def mode_temperature(mass: float, mode_freq: float, var_q: float, theta_fb: floa
     for name, val in args.items():
         if not math.isfinite(val):
             raise ValueError(f"{name} must be finite, got {val!r}")
+    if not mass > 0.0:
+        raise ValueError(f"mass must be > 0, got {mass!r}")
+    if not var_q >= 0.0:
+        raise ValueError(f"var_q must be >= 0, got {var_q!r}")
     c = math.cos(theta_fb)
     if abs(c) < 1e-12:
         raise ZeroDivisionError("mode axis orthogonal to the detection axis")
@@ -137,6 +141,8 @@ def phonon_occupation(temperature: float, omega: float) -> float:
     the 1 mK cooling limit."""
     if not 0.0 < temperature < math.inf:
         raise ValueError(f"temperature must be positive and finite, got {temperature!r}")
+    if not 0.0 < omega < math.inf:
+        raise ValueError(f"omega must be positive and finite, got {omega!r}")
     x = HBAR * omega / (K_B * temperature)
     if x > 700.0:
         return 0.0

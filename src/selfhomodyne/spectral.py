@@ -1,6 +1,7 @@
 """Spectral estimation and fitting: Welch PSDs, Lorentzian resonance fits,
 cooling-curve fits, and noise-floor extraction; and the one CSV writer of
-the package (``write_csv``).
+the package (``write_csv``), which writes numeric columns, every cell in one
+format.
 
 PSDs are one-sided densities: white noise of position PSD S produces a flat
 estimate at S, and the integral over frequency reproduces the variance of a
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import repeat
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -32,7 +33,6 @@ __all__ = [
     "cooling_curve_fit",
     "imprecision_from_floor",
     "write_csv",
-    "ColumnRows",
 ]
 
 _CSV_BATCH = 1 << 12  # rows formatted per write
@@ -57,7 +57,7 @@ class Psd:
             raise ValueError("frequencies and values must be matching 1-d arrays")
         if f.size >= 2 and not np.all(np.diff(f) > 0):
             raise ValueError("frequency grid must be ascending")
-        if np.any(v < 0.0):
+        if not np.all(v >= 0.0):
             raise ValueError("PSD values must be >= 0")
         object.__setattr__(self, "frequencies", f)
         object.__setattr__(self, "values", v)
@@ -73,55 +73,33 @@ class Psd:
         return Psd(self.frequencies[sel], self.values[sel])
 
     def write_csv(self, path) -> None:
-        write_csv(path, ["f_hz", "psd_m2_per_hz"], ColumnRows(self.frequencies, self.values))
+        write_csv(path, ["f_hz", "psd_m2_per_hz"], self.frequencies, self.values)
 
 
-def write_csv(path, header, rows) -> None:
-    """Write ``header`` and ``rows`` as CSV: float cells (numpy float64
-    included) as ``'%.17g'``, every other cell as ``str()``, lines ended by
-    ``\\r\\n``.  These are the bytes ``csv.writer`` writes for cells that
-    need no quoting; no cell is quoted, so no header or ``str()`` cell may
-    hold a comma, a double quote or a line break.
+def write_csv(path, header, *columns) -> None:
+    """Write ``header`` and the rows of the numeric ``columns`` as CSV, every
+    cell as ``'%.17g'``, lines ended by ``\\r\\n``: the bytes ``csv.writer``
+    writes for cells ``f"{v:.17g}"``.  No cell is quoted, so no header cell
+    may hold a comma, a double quote or a line break.
 
-    Rows with the same cell types share one template, so formatting a row
-    is a single ``%`` operation.  Up to ``_CSV_BATCH`` rows are formatted
-    and written at a time, so a lazy ``rows`` costs memory for one batch.
+    A column is a 1-d numpy array, or one number repeated on every row; the arrays
+    must have one length.  Rows are formatted ``_CSV_BATCH`` at a time from
+    ``.tolist()`` slices, so a long table costs memory for one batch.
     """
-    templates = {}
-
-    def line(row):
-        kinds = tuple(map(type, row))
-        template = templates.get(kinds)
-        if template is None:
-            cells = ["%.17g" if issubclass(k, float) else "%s" for k in kinds]
-            template = templates[kinds] = ",".join(cells) + "\r\n"
-        return template % tuple(row)
-
-    rows = iter(rows)
+    sizes = {len(c) for c in columns if np.ndim(c)}
+    if len(sizes) != 1 or len(header) != len(columns):
+        raise ValueError(
+            f"need a name per column and 1-d arrays of one length, got {len(header)} names "
+            f"for {len(columns)} columns of lengths {sorted(sizes)}"
+        )
+    (size,) = sizes
+    line = ",".join(["%.17g"] * len(columns)) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        while batch := list(islice(rows, _CSV_BATCH)):
-            fh.write("".join(map(line, batch)))
-
-
-class ColumnRows:
-    """The rows of equal-length columns, for ``write_csv``.  A column is a
-    1-d array, or a single cell (a 0-d value) repeated on every row.  The
-    rows are sized and are built ``_CSV_BATCH`` at a time as they are
-    iterated, so a long table never exists as one list of tuples."""
-
-    def __init__(self, *columns):
-        self.columns = columns
-        self.size = next(len(c) for c in columns if np.ndim(c))
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __iter__(self):
-        for i0 in range(0, self.size, _CSV_BATCH):
-            i1 = min(i0 + _CSV_BATCH, self.size)
-            cells = [c[i0:i1].tolist() if np.ndim(c) else repeat(c, i1 - i0) for c in self.columns]
-            yield from zip(*cells)
+        for i0 in range(0, size, _CSV_BATCH):
+            n = min(_CSV_BATCH, size - i0)
+            cells = [c[i0 : i0 + n].tolist() if np.ndim(c) else repeat(c, n) for c in columns]
+            fh.write("".join(map(line.__mod__, zip(*cells))))
 
 
 @dataclass(frozen=True)

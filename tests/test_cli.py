@@ -176,6 +176,9 @@ class TestConfig:
             ("scatterer", "refractive_index", 0.9),
             ("feedback", "source_channel", 3),
             ("feedback", "source_channel", "side"),
+            # an integer JSON number too large for a float
+            ("bath", "pressure_mbar", 10**400),
+            ("sim", "seed", 10**400),
         ]
         for table, key, value in typed:
             with pytest.raises(ConfigError, match=re.escape(f"{table}.{key}: ")):

@@ -156,6 +156,14 @@ class TestModeTemperature:
                 with pytest.raises(ValueError, match=f"{name} must be finite"):
                     mode_temperature(**{**args, name: value})
 
+    def test_out_of_range_argument_rejected(self):
+        args = {"mass": 2.0e-17, "mode_freq": WY, "var_q": 1e-18, "theta_fb": 0.0}
+        for name, value, rule in [("mass", -1.0, "> 0"), ("mass", 0.0, "> 0"), ("var_q", -1.0, ">= 0")]:
+            with pytest.raises(ValueError, match=f"{name} must be {rule}"):
+                mode_temperature(**{**args, name: value})
+        # no detected motion is a valid mode at zero temperature
+        assert mode_temperature(**{**args, "var_q": 0.0}) == 0.0
+
 
 class TestPhononOccupation:
     def test_exact_bose_inversion(self):
@@ -184,6 +192,11 @@ class TestPhononOccupation:
         for value in (math.nan, math.inf):
             with pytest.raises(ValueError, match="temperature must be positive and finite"):
                 phonon_occupation(value, WY)
+
+    def test_bad_frequency_rejected(self):
+        for value in (math.nan, math.inf, -1.0, 0.0):
+            with pytest.raises(ValueError, match="omega must be positive and finite"):
+                phonon_occupation(1e-3, value)
 
 
 class TestTrapConfig:

@@ -20,7 +20,6 @@ from scipy import optimize, signal
 from selfhomodyne import spectral
 from selfhomodyne.constants import K_B
 from selfhomodyne.spectral import (
-    ColumnRows,
     CoolingCurveFit,
     FitError,
     Psd,
@@ -371,6 +370,11 @@ class TestPsdType:
             Psd(np.zeros(4), np.zeros(5))
         with pytest.raises(ValueError, match="PSD values must be >= 0"):
             Psd(np.arange(3.0), np.array([1.0, -1e-30, 1.0]))
+        # NaN fails the test too, as does the Welch PSD of a series holding one
+        with pytest.raises(ValueError, match="PSD values must be >= 0"):
+            Psd(np.arange(3.0), np.array([1.0, math.nan, 1.0]))
+        with pytest.raises(ValueError, match="PSD values must be >= 0"):
+            welch_psd(np.r_[np.ones(50), math.nan, np.ones(50)], 1.0, segment_len=16)
 
     def test_csv_export_roundtrip(self, tmp_path):
         psd = Psd(np.array([0.0, 1.0, 2.0]), np.array([1e-24, 2e-24, 3e-24]))
@@ -382,42 +386,47 @@ class TestPsdType:
 
 
 class TestWriteCsv:
-    @pytest.mark.parametrize("batch", [4, spectral._CSV_BATCH])
-    def test_bytes_match_csv_writer(self, tmp_path, monkeypatch, batch):
-        """The bulk writer writes the bytes of csv.writer with floats as
-        f"{v:.17g}" and other cells as str(), whatever the cell types and
-        however the rows fall into write batches."""
-        monkeypatch.setattr(spectral, "_CSV_BATCH", batch)
-        floats = [
-            0.1, -2.5e-24, 1.0 / 3.0, float("nan"), float("inf"), float("-inf"),
-            -0.0, 5e-324, 1e308, 0.0,
-        ]
-        rows = [(v, np.float64(v), k) for k, v in enumerate(floats)]
-        rows += [[np.float64(1e-300), 7, -1], (2**70, 3.0, True), (np.int64(5), -0.0, 0.7)]
-        header = ["a_m", "b_v", "c"]
-
-        path = tmp_path / "bulk.csv"
-        write_csv(path, header, iter(rows))
-        ref = tmp_path / "ref.csv"
-        with open(ref, "w", newline="") as fh:
+    @staticmethod
+    def reference(path, header, columns, size):
+        """What csv.writer writes for the cells f"{v:.17g}"."""
+        cells = [c.tolist() if np.ndim(c) else [c] * size for c in columns]
+        with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for row in rows:
-                writer.writerow([f"{v:.17g}" if isinstance(v, float) else str(v) for v in row])
-        assert path.read_bytes() == ref.read_bytes()
-        assert path.read_bytes().count(b"\r\n") == len(rows) + 1
+            for row in zip(*cells):
+                writer.writerow([f"{v:.17g}" for v in row])
 
     @pytest.mark.parametrize("batch", [4, spectral._CSV_BATCH])
-    def test_column_rows(self, tmp_path, monkeypatch, batch):
-        """Sized rows of array columns and a repeated cell: a float cell
-        formatted once as a string writes the bytes of the float."""
+    def test_bytes_match_csv_writer(self, tmp_path, monkeypatch, batch):
+        """Float, int and bool arrays and repeated float and int cells give
+        the bytes of csv.writer with every cell f"{v:.17g}", on an empty
+        table, one that ends on a batch boundary and one that does not."""
         monkeypatch.setattr(spectral, "_CSV_BATCH", batch)
-        a = np.random.default_rng(3).standard_normal(10)
-        b = np.linspace(-1.0, 1.0, 10)
-        v = 1.0 / 3.0
-        rows = ColumnRows(a, b, "%.17g" % v)
-        assert len(rows) == 10
-        assert list(rows) == list(zip(a.tolist(), b.tolist(), ["%.17g" % v] * 10))
-        write_csv(tmp_path / "columns.csv", ["a", "b", "v"], rows)
-        write_csv(tmp_path / "tuples.csv", ["a", "b", "v"], zip(a.tolist(), b.tolist(), [v] * 10))
-        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "tuples.csv").read_bytes()
+        floats = np.array([
+            0.1, -2.5e-24, 1.0 / 3.0, math.nan, math.inf, -math.inf,
+            -0.0, 5e-324, 1e308, 0.0, 1e-300,
+        ])
+        header = ["a_m", "b", "flag", "c_v", "d"]
+        for size in (0, 1, 2 * batch, 2 * batch + 3):
+            columns = [
+                np.resize(floats, size), np.arange(size) - 3, np.arange(size) % 3 == 1,
+                1.0 / 3.0, 7,
+            ]
+            path, ref = tmp_path / f"bulk{size}.csv", tmp_path / f"ref{size}.csv"
+            write_csv(path, header, *columns)
+            self.reference(ref, header, columns, size)
+            assert path.read_bytes() == ref.read_bytes()
+            assert path.read_bytes().count(b"\r\n") == size + 1
+
+    def test_bad_columns_rejected(self, tmp_path):
+        """A short column, a table of repeated cells alone, or a header of
+        another width: nothing is written."""
+        path = tmp_path / "bad.csv"
+        for header, columns in [
+            (["a", "b"], (np.zeros(3), np.zeros(4))),
+            (["a", "b"], (1.0, 2.0)),
+            (["a"], (np.zeros(3), 1.0)),
+        ]:
+            with pytest.raises(ValueError, match="a name per column and 1-d arrays of one length"):
+                write_csv(path, header, *columns)
+        assert not path.exists()
