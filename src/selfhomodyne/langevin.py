@@ -14,15 +14,10 @@ contains a viscous term -m*gamma_fb*dq_meas/dt and a spring term
 ``modes.radial_modes``.  q_meas is the detector-derived position including
 imprecision noise and, optionally, the sinusoidal fringe response.
 
-One detector model (``_detector_outputs``) maps the recorded motion to the
-self-homodyne and forward channels; in locked mode the self-homodyne one
-follows ``DetectorModel.fringe_nonlinearity``.  The integrator applies it to
-each block of samples; the per-step loop computes only the motion and the
-feedback measurement.  A run that stores the self-homodyne channel alone
-(``self_from``) forms no forward channel.  No mirror offset is stored: a
-locked mirror sits on its mid-fringe point, and a ramped one starts at the
-fixed focus-to-mirror path ``_RAMP_START_PATH`` and advances at
-``DetectorModel.ramp_rate``.
+One detector model, ``_detector_outputs``, maps each block of recorded
+motion to the self-homodyne and forward channels; the per-step loop computes
+only the motion and the feedback measurement.  A run that stores the
+self-homodyne channel alone (``self_from``) forms no forward channel.
 
 Integrator: per step, external forces (feedback, back-action) enter as an
 impulse, then a half-step of exact damping+thermal Ornstein-Uhlenbeck, an
@@ -30,26 +25,11 @@ exact harmonic rotation, and a second OU half-step.  In the noiseless
 open-loop limit the map is the exact oscillator propagator; with the bath on,
 the discrete stationary position and velocity variances of the thermal
 oscillator are exact for any dt (fixed point of the O/2-R-O/2 map), so
-equipartition holds without dt extrapolation.  The step is written once, as
-the scalar loop ``_StepMap.run``.  Unless the feedback loop sees the fringe
-nonlinearity, the step is the linear map s' = A s + B u (state s, inputs u);
-A and B are probed from the loop with unit vectors, and each block of steps
-runs as an exact chunked scan (``_scan``) that agrees with the loop to
-rounding: the zero-start response of every chunk, a carry of the chunk
-starts, and x and y by superposition of the two.  Each live input column
-enters the scan's workspace in one strided copy.  Only a loop that sees the
-fringe runs the scalar loop, over blocks of ``_SUB_BLOCK`` steps instead of
-``_BLOCK``.  A loop whose A (for the fringe: its linearization) has a
-spectral radius above 1 is rejected before integrating.
-
-The inputs of each block are 8 normals per step from one generator, drawn
-into the input slots of ``simulate``'s block loop.  While the calling thread
-scans a block and forms its detector outputs, one helper thread draws the
-next block into the other of two slots (the draw releases the GIL), so a run
-uses up to two cores; a run of one block starts no thread, and the scalar
-loop, whose blocks are too short to overlap, draws each block in place.  The
-generator draws the blocks in order, one at a time, so the stream is the
-serial one.
+equipartition holds without dt extrapolation.  The step is written once,
+in ``_StepMap``; a block of steps runs as the exact chunked scan ``_scan`` of
+its linear map, or as the scalar loop when the feedback loop sees the fringe
+nonlinearity.  ``simulate``'s block loop draws each block's inputs, 8
+normals per step from one generator.
 
 Runs are deterministic: (config, seed) -> bit-identical Trajectory.
 """
@@ -155,12 +135,11 @@ class DetectorModel:
 
     ``imprecision_self``/``imprecision_forward`` are position-referred noise
     floors [m^2/Hz] (0 = ideal detector; the forward default sits 38 dB above
-    the self-homodyne floor).  In locked mode the mirror holds a mid-fringe
-    point with R_s = (lambda/8)(2n+1), n even; in ramp mode it advances at
-    ``ramp_rate`` [m/s] from R_s = ``_RAMP_START_PATH``.  Both channels are
-    in units of the normalized intensity: every reported number is a
-    position, the channel divided by the fringe slope, in which any detector
-    gain would cancel.
+    the self-homodyne floor).  ``mirror_mode`` is "locked" or "ramp", and
+    ``ramp_rate`` [m/s] the mirror speed in ramp mode; ``_detector_outputs``
+    is the model.  Both channels are in units of the normalized intensity:
+    every reported number is a position, the channel divided by the fringe
+    slope, in which any detector gain would cancel.
     """
 
     imprecision_self: float = 3.0e-24
@@ -270,13 +249,13 @@ def _detector_outputs(q, p, nu_self, nu_fwd, t, setup: OpticalSetup, detector: D
     each channel [m] and the sample times t [s] (read in ramp mode only) to
     (volts_self, volts_fwd).
 
-    Locked mode: the mirror sits on the mid-fringe point and the signal is
-    S * (q + nu_self), S = V_eff * k_eff, with q replaced by sin(k_eff q)/k_eff
-    under ``fringe_nonlinearity``.  Ramp mode: the raw fringe
-    1 - V_eff cos(4 pi (R_s + r t)/lambda + k_eff q) as the mirror advances
-    at r = ``ramp_rate`` from the path R_s = ``_RAMP_START_PATH``, plus
-    S * nu_self.  The forward channel reads p + nu_fwd in both modes; it is
-    None when p is.
+    Locked mode: the mirror sits on a mid-fringe point, R_s = (lambda/8)(2n+1)
+    with n even, and the signal is S * (q + nu_self), S = V_eff * k_eff, with
+    q replaced by sin(k_eff q)/k_eff under ``fringe_nonlinearity``.  Ramp
+    mode: the raw fringe 1 - V_eff cos(4 pi (R_s + r t)/lambda + k_eff q) as
+    the mirror advances at r = ``ramp_rate`` from the path
+    R_s = ``_RAMP_START_PATH``, plus S * nu_self.  The forward channel reads
+    p + nu_fwd in both modes; it is None when p is.
     """
     v_eff = _effective_visibility(setup)
     k_eff = _effective_wavenumber(setup)
@@ -307,12 +286,6 @@ class _StepMap:
     ``run`` is the scalar loop.  The linear map s' = A s + B u is probed from
     it with unit vectors; for a loop that sees the fringe nonlinearity it is
     the linearization at q = 0.
-
-    A step map serves one ``simulate`` call, whose block loop owns the
-    input buffers that ``draw_inputs`` fills.  ``propagate`` copies each
-    live input column into the scan workspace in one strided copy; the
-    workspace is made once per block size and reused by every block of that
-    size.
     """
 
     def __init__(
@@ -485,7 +458,7 @@ def _scan(ab, a_pow, a_end, rows_pow, state, w, n):
     response plus rows 0 and 2 of A^l (``rows_pow``) times s_c, and the end
     state is ``a_end`` s_c plus the zero-start response at the end of the
     last chunk.  Returns the x and y at the start of each step and the end
-    state.
+    state, which agree with the scalar loop ``_StepMap.run`` to rounding.
 
     Measured per 16 384-step block of the self closed loop (d = 7, 5 live
     inputs, L = C = 128, 2-vCPU host): (1) takes ~0.4 ms with ``matmul``
@@ -539,10 +512,6 @@ def simulate(
     optics.backaction_psd(P, lambda)).  A feedback loop whose one-step map
     has a spectral radius above 1 is rejected before integrating.
     Deterministic for a given (arguments, seed).
-
-    The block loop owns the run's input slots, one for the scalar loop and
-    two for the scan; ``_StepMap.propagate`` copies each live input column
-    of a block into the scan workspace in one strided copy.
 
     With ``self_from`` = n0 the record stores the self-homodyne channel from
     step n0 on alone: its sample k sits at t = (n0 + k)*dt, x, y and the
@@ -628,13 +597,14 @@ def simulate(
     from concurrent.futures import ThreadPoolExecutor
 
     # block b + 1 is drawn on a helper thread while block b is scanned (the
-    # draw releases the GIL); one generator draws every block in order, and
-    # draw b + 1 starts only once draw b is done, so the stream is the serial
-    # one.  The pool starts its thread at the first submit, so a run of one
-    # block, with nothing to overlap, starts none.  The scalar loop draws its
-    # blocks in place: a 4096-step block runs for about one GIL switch
-    # interval (5 ms), and handing its draws to the helper made the bench psd
-    # `simulate` call ~20% slower (median 0.56 s against 0.45 s, 2 vCPU).
+    # draw releases the GIL), so a run uses up to two cores; one generator
+    # draws every block in order, and draw b + 1 starts only once draw b is
+    # done, so the stream is the serial one.  The pool starts its thread at
+    # the first submit, so a run of one block, with nothing to overlap,
+    # starts none.  The scalar loop draws its blocks in place: a 4096-step
+    # block runs for about one GIL switch interval (5 ms), and handing its
+    # draws to the helper made the bench psd `simulate` call ~20% slower
+    # (median 0.56 s against 0.45 s, 2 vCPU).
     block, ahead = (_SUB_BLOCK, False) if step.nonlin else (_BLOCK, True)
     sizes = [min(block, n_steps - i0) for i0 in range(0, n_steps, block)]
     # the input slots, made once per run (a buffer per block is a fresh mmap)

@@ -7,9 +7,7 @@ This module evaluates what the commands derive from that interference
 signal: the mirror and particle sensitivities, the calibration deviation
 between them, collection and detection efficiencies, Rayleigh scattered
 power, the position-imprecision floor, and the radiation-pressure
-back-action force PSD.  The focus-to-mirror path only sets where on the
-fringe a mirror ramp starts; none of these depends on it, so it is no
-parameter here (``langevin`` fixes it for the ramp).
+back-action force PSD.
 
 Conventions
 -----------
@@ -66,8 +64,7 @@ class OpticalSetup:
     is the *field* reflectivity rho of the retro-mirror.  ``visibility``,
     ``path_efficiency`` and ``detector_qe`` are the measured interferometric
     visibility and the optical/quantum loss factors entering the detection
-    efficiency.  No field sets the focus-to-mirror path: no quantity here
-    depends on it.
+    efficiency.
     """
 
     wavelength: float = 780e-9

@@ -1,17 +1,10 @@
 """Spectral estimation and fitting: Welch PSDs, Lorentzian resonance fits,
-cooling-curve fits, and noise-floor extraction; and the one CSV writer of
-the package (``write_csv``), which writes numeric columns, every cell in one
-format.
+cooling-curve fits, and noise-floor extraction; and the package's CSV
+writer, ``write_csv``.
 
 PSDs are one-sided densities: white noise of position PSD S produces a flat
 estimate at S, and the integral over frequency reproduces the variance of a
 zero-mean signal (Parseval, window-corrected).
-
-The Lorentzian fit runs on a numpy solver, ``_least_squares``:
-Levenberg-Marquardt with an analytic Jacobian and box bounds (each trial
-point is projected onto the box; a variable at a bound whose gradient
-points out of it is held fixed), stopped by scipy's ``least_squares`` rules.
-``_covariance`` turns its Jacobian into curve_fit's covariance.
 """
 
 from __future__ import annotations
@@ -305,17 +298,12 @@ def lorentzian_fit(psd: Psd, band: tuple[float, float]) -> LorentzianFit:
     correlates weights with the noise and biases the peak low when the bin
     scatter is large.
 
-    Each pass is a Levenberg-Marquardt solve (``_least_squares``) with the
-    analytic Jacobian, the variables scaled by the initial guess and the box
-    center in ``band``, fwhm, area and floor >= 0: a trial point is
-    projected onto the box, and a variable at a bound whose gradient points
-    outward is held fixed.  It stops by scipy's rules with xtol = 1e-10 and
-    ftol = 1e-8, as the bounded ``curve_fit`` this replaces did, and agrees
-    with it to ~1e-3 standard errors.  A pass that needs more than
-    ``_MAX_NFEV`` residual evaluations raises FitError.  The covariance
-    is computed as ``curve_fit`` computes it: the pseudo-inverse of J^T J
-    from the SVD of the weighted Jacobian J, singular values at or below
-    eps * max(J.shape) * s_max dropped, times chi^2 / (n - 4).
+    Each pass is a bounded Levenberg-Marquardt solve (``_least_squares``)
+    with the analytic Jacobian, the variables scaled by the initial guess and
+    the box center in ``band``, fwhm, area and floor >= 0.  The fit agrees
+    with the bounded ``curve_fit`` it replaces to ~1e-3 standard errors, and
+    its covariance is curve_fit's (``_covariance``).  A pass that needs more
+    than ``_MAX_NFEV`` residual evaluations raises FitError.
     """
     sub = psd.band(*band)
     f, s = sub.frequencies, sub.values
