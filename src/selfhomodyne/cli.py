@@ -422,7 +422,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     out_dir = args.out
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        # no directory to hold an error manifest
+        print(f"error: cannot make the output directory --out {out_dir}: {exc}", file=sys.stderr)
+        return 1
     try:
         cfg = (
             ScenarioConfig.from_file(args.config)

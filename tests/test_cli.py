@@ -689,6 +689,20 @@ class TestDeterminismAndErrors:
             err = json.loads((out / "error_manifest.json").read_text())["error"]
             assert err.startswith("ConfigError: ") and message in err
 
+    @pytest.mark.parametrize("sub", [None, "inner"])
+    def test_out_not_a_directory(self, tmp_path, capsys, sub):
+        # an --out that is a file, or lies under one, has no room for an
+        # error manifest: the run says so and exits 1 without a traceback
+        path = tmp_path / "taken"
+        path.write_text("kept\n")
+        out = path if sub is None else path / sub
+        code = main(["--out", str(out), "modes"])
+        assert code == 1
+        assert path.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot make the output directory --out {out}: ")
+
     def test_threads_do_not_change_output(self, tmp_path):
         _, out_a = run_cli(tmp_path / "a", "imprecision-sweep", IMP_SWEEP)
         _, out_b = run_cli(tmp_path / "b", "imprecision-sweep", IMP_SWEEP, extra=["--threads", "3"])
