@@ -153,6 +153,10 @@ class DetectorModel:
             raise ValueError(
                 f"imprecision_self must be >= 0 and finite, got {self.imprecision_self!r}"
             )
+        if not isinstance(self.fringe_nonlinearity, (bool, np.bool_)):
+            raise ValueError(
+                f"fringe_nonlinearity must be a bool, got {self.fringe_nonlinearity!r}"
+            )
         if self.mirror_mode not in ("locked", "ramp"):
             raise ValueError("mirror_mode must be 'locked' or 'ramp'")
         if not 0.0 < self.ramp_rate < math.inf:
@@ -540,6 +544,8 @@ def simulate(
             raise ValueError(
                 f"initial_state must be 4 finite numbers (x, y, vx, vy), got {initial_state!r}"
             )
+    if isinstance(seed, (bool, np.bool_)):
+        raise ValueError(f"seed must be an int, got {seed!r}")
     if self_from is not None and (
         isinstance(self_from, bool)
         or not isinstance(self_from, (int, np.integer))

@@ -333,10 +333,13 @@ class TestFeedbackSpring:
             (dict(duration=64 * DT16, dt=DT16, self_from="1"), "self_from .* got '1'"),
             (dict(duration=64 * DT16, dt=DT16, self_from=-1), r"0 <= self_from < 64 .* got -1"),
             (dict(duration=64 * DT16, dt=DT16, self_from=64), r"0 <= self_from < 64 .* got 64"),
+            # a bool seed would run as the seed 0 or 1
+            (dict(duration=64 * DT16, dt=DT16, seed=True), "seed .* got True"),
+            (dict(duration=64 * DT16, dt=DT16, seed=np.False_), "seed .* got (np.)?False"),
         ]
         for kwargs, message in bad:
             with pytest.raises(ValueError, match=message):
-                simulate(TRAP, bath, NO_FB, QUIET, SETUP, seed=1, **kwargs)
+                simulate(TRAP, bath, NO_FB, QUIET, SETUP, **{"seed": 1, **kwargs})
 
     def test_feedback_requires_locked_mirror(self):
         det = DetectorModel(mirror_mode="ramp", ramp_rate=1e-6)
@@ -958,6 +961,12 @@ class TestConfigTypes:
             for value in (math.nan, math.inf):
                 with pytest.raises(ValueError, match=f"{field} must be >= 0 and finite"):
                     DetectorModel(**{field: value})
+        # a truthy string or number would switch the nonlinearity on
+        for flag in ("false", "", 1, 0.0, None):
+            with pytest.raises(ValueError, match="fringe_nonlinearity must be a bool"):
+                DetectorModel(fringe_nonlinearity=flag)
+        for flag in (True, np.True_, np.False_):
+            assert DetectorModel(fringe_nonlinearity=flag).fringe_nonlinearity == flag
 
     def test_forward_default_38_db(self):
         det = DetectorModel(imprecision_self=3e-24)
