@@ -920,3 +920,17 @@ print("ok")
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "ok"
+
+
+def test_readme_matches_commands_and_config():
+    """The README's command table lists exactly the CLI's commands, and its
+    Configuration section names every top-level table of the config tree."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sections = dict(re.findall(r"^## ([^\n]+)\n(.*?)(?=^## |\Z)", readme, re.S | re.M))
+    listed = re.findall(r"^\| `([\w-]+)` +\|", sections["CLI"], re.M)
+    assert sorted(listed) == sorted(cli._COMMANDS)
+    tree = ScenarioConfig.from_dict({}).tree
+    tables = [name for name, value in tree.items() if isinstance(value, dict)]
+    assert len(tables) == 9
+    named = set(re.findall(r"`(\w+)`", sections["Configuration"]))
+    assert set(tables) <= named, sorted(set(tables) - named)
