@@ -544,8 +544,8 @@ def simulate(
             raise ValueError(
                 f"initial_state must be 4 finite numbers (x, y, vx, vy), got {initial_state!r}"
             )
-    if isinstance(seed, (bool, np.bool_)):
-        raise ValueError(f"seed must be an int, got {seed!r}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be an int >= 0, got {seed!r}")
     if self_from is not None and (
         isinstance(self_from, bool)
         or not isinstance(self_from, (int, np.integer))
@@ -650,6 +650,22 @@ def simulate(
     )
 
 
+def _rfft_magnitude(x: np.ndarray) -> np.ndarray:
+    """``np.abs(np.fft.rfft(x))`` from one Cooley-Tukey split n = n1*n2, n1
+    the largest divisor of n up to sqrt(n): length-n1 FFTs down the columns
+    of ``x.reshape(n1, n2)``, the twiddles exp(-2 pi i k1 j2 / n), length-n2
+    FFTs along the rows; bin k = k1 + n1*k2 sits at row k1, column k2.  What
+    it holds besides x is a few complex copies of it, whatever the factors
+    of n; a prime n (n1 = 1) is one full-length FFT."""
+    n = x.size
+    n1 = next(d for d in range(math.isqrt(n), 0, -1) if n % d == 0)
+    n2 = n // n1
+    cols = np.fft.fft(x.reshape(n1, n2), axis=0)
+    cols *= np.exp(np.outer(np.arange(n1), np.arange(n2)) * (-2j * math.pi / n))
+    bins = np.fft.fft(cols, axis=1).T.reshape(-1)
+    return np.abs(bins[: n // 2 + 1])
+
+
 def run_calibration(trajectory: Trajectory, wavelength: float) -> CalibrationResult:
     """Extract the volts-per-meter scale from a mirror-ramp trajectory.
 
@@ -669,22 +685,33 @@ def run_calibration(trajectory: Trajectory, wavelength: float) -> CalibrationRes
     dt = trajectory.dt
     duration = n * dt
 
-    vc = v - v.mean()
-    spec = np.abs(np.fft.rfft(vc))
+    # the peak bin from a split transform: np.fft.rfft of a length with a
+    # large prime factor, such as the default ramp's 76 677 = 3*61*419, runs
+    # Bluestein's algorithm, whose buffers add 8-11 MB to a command's peak
+    # memory, more than any simulated series
+    spec = _rfft_magnitude(v - v.mean())
     spec[0] = 0.0
     k_peak = int(np.argmax(spec))
     f0 = k_peak / duration
 
     tgrid = np.arange(n) * dt
+    # one design (row 0 the constant) and one work vector serve every fit,
+    # so a fit makes no series-sized array: ``work`` holds the phase, then
+    # the model, then the residual
+    design = np.empty((3, n))
+    design[0] = 1.0
+    work = np.empty(n)
 
     def fit(freq):
         """Least-squares C0, C1, C2 at ``freq`` from the 3x3 normal equations,
         and the residual sum of squares r.r (v.v - C.b cancels to ~1e-12)."""
-        phase = 2.0 * math.pi * freq * tgrid
-        design = np.stack([np.ones(n), np.cos(phase), np.sin(phase)])
+        np.multiply(tgrid, 2.0 * math.pi * freq, out=work)
+        np.cos(work, out=design[1])
+        np.sin(work, out=design[2])
         coef = np.linalg.solve(design @ design.T, design @ v)
-        r = v - coef @ design
-        return coef, float(r @ r)
+        np.matmul(coef, design, out=work)
+        np.subtract(v, work, out=work)
+        return coef, float(work @ work)
 
     def residual(freq):
         return fit(freq)[1]

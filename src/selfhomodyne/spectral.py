@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -86,12 +85,13 @@ def write_csv(path, header, *columns) -> None:
             f"for {len(columns)} columns of lengths {sorted(sizes)}"
         )
     (size,) = sizes
-    line = ",".join(["%.17g"] * len(columns)) + "\r\n"
+    # a repeated number is formatted once, into the row template
+    line = ",".join("%.17g" if np.ndim(c) else "%.17g" % c for c in columns) + "\r\n"
+    arrays = [c for c in columns if np.ndim(c)]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for i0 in range(0, size, _CSV_BATCH):
-            n = min(_CSV_BATCH, size - i0)
-            cells = [c[i0 : i0 + n].tolist() if np.ndim(c) else repeat(c, n) for c in columns]
+            cells = [c[i0 : i0 + _CSV_BATCH].tolist() for c in arrays]
             fh.write("".join(map(line.__mod__, zip(*cells))))
 
 

@@ -333,9 +333,13 @@ class TestFeedbackSpring:
             (dict(duration=64 * DT16, dt=DT16, self_from="1"), "self_from .* got '1'"),
             (dict(duration=64 * DT16, dt=DT16, self_from=-1), r"0 <= self_from < 64 .* got -1"),
             (dict(duration=64 * DT16, dt=DT16, self_from=64), r"0 <= self_from < 64 .* got 64"),
-            # a bool seed would run as the seed 0 or 1
+            # a bool seed would run as the seed 0 or 1; numpy's own errors for the
+            # other three do not name the seed
             (dict(duration=64 * DT16, dt=DT16, seed=True), "seed .* got True"),
             (dict(duration=64 * DT16, dt=DT16, seed=np.False_), "seed .* got (np.)?False"),
+            (dict(duration=64 * DT16, dt=DT16, seed=-1), "seed .* got -1"),
+            (dict(duration=64 * DT16, dt=DT16, seed=1.5), "seed .* got 1.5"),
+            (dict(duration=64 * DT16, dt=DT16, seed="3"), "seed .* got '3'"),
         ]
         for kwargs, message in bad:
             with pytest.raises(ValueError, match=message):
@@ -899,11 +903,24 @@ def brent_calibration(trajectory, wavelength):
     return fringe_slope(math.hypot(coef[1], coef[2]), wavelength), f, float(coef[0])
 
 
+@pytest.mark.parametrize("n", [16, 8192, 10007, 76677], ids=["16", "smooth", "prime", "default-ramp"])
+def test_split_transform_matches_rfft(n):
+    """The calibration's split transform gives ``np.abs(np.fft.rfft(x))``
+    for a smooth length, a prime one (no split) and the default ramp's
+    3*61*419."""
+    x = np.random.default_rng(n).standard_normal(n) + np.cos(0.3 * np.arange(n))
+    ref = np.abs(np.fft.rfft(x))
+    got = langevin._rfft_magnitude(x)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(ref)
+
+
 class TestCalibrationAgainstBrent:
     """The golden-section search and the normal equations give the fit of
     the bounded Brent search and the SVD least squares they replaced, on the
     ramp ``calibrate`` runs: with the default bath, whose fringes are clean,
-    and at 2e-2 mbar, where the particle's motion dominates the scan."""
+    and at 2e-2 mbar, where the particle's motion dominates the scan.  The
+    split transform's peak bin is ``np.fft.rfft``'s on each ramp."""
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("pressure", [None, 2e-2], ids=["default", "2e-2mbar"])
@@ -913,6 +930,8 @@ class TestCalibrationAgainstBrent:
 
         cfg = ScenarioConfig.from_dict({} if pressure is None else {"bath": {"pressure_mbar": pressure}})
         traj = cli._ramp_run(cfg, seed)
+        vc = traj.volts_self - traj.volts_self.mean()
+        assert np.argmax(langevin._rfft_magnitude(vc)[1:]) == np.argmax(np.abs(np.fft.rfft(vc))[1:])
         result = run_calibration(traj, cfg.setup.wavelength)
         got = (result.volts_per_meter, result.fringe_frequency_hz, result.offset_volts)
         np.testing.assert_allclose(got, brent_calibration(traj, cfg.setup.wavelength), rtol=1e-10, atol=0)
