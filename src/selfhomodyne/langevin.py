@@ -137,9 +137,11 @@ class DetectorModel:
     floors [m^2/Hz] (0 = ideal detector; the forward default sits 38 dB above
     the self-homodyne floor).  ``mirror_mode`` is "locked" or "ramp", and
     ``ramp_rate`` [m/s] the mirror speed in ramp mode; ``_detector_outputs``
-    is the model.  Both channels are in units of the normalized intensity:
-    every reported number is a position, the channel divided by the fringe
-    slope, in which any detector gain would cancel.
+    is the model.  The self-homodyne channel is in units of the normalized
+    intensity: every number reported from it is a position, the channel
+    divided by the fringe slope, in which any detector gain would cancel.
+    The forward channel is already a position [m], p plus its imprecision
+    noise, and is read as it is.
     """
 
     imprecision_self: float = 3.0e-24
@@ -171,7 +173,7 @@ class DetectorModel:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
     """Uniformly sampled simulation record.  All series share one grid;
     sample k sits at t = k*dt.
@@ -190,6 +192,10 @@ class Trajectory:
     volts_fwd: np.ndarray | None
     lock_lost: bool = False
     self_from: int | None = None
+
+    def __post_init__(self):
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
 
     @property
     def q(self) -> np.ndarray:

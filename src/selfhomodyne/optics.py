@@ -28,9 +28,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-from numpy.polynomial.legendre import leggauss
-
 from .constants import C, HBAR
 
 __all__ = [
@@ -129,27 +126,22 @@ class Beam:
 
 
 # ---------------------------------------------------------------------------
-# Cap quadrature
+# Cap moments
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = leggauss(64)
+def _cap_moment(theta_d: float, k: int) -> float:
+    """int_cap cos^k(theta) dp over the cap of half-aperture theta_d, with dp
+    the dipole-radiated power fraction.
 
-
-def _cap_weights(theta_d: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes u = cos(theta) on the cap [cos(theta_d), 1] and weights w with
-    sum(w * f(u)) = int_cap f(cos(theta)) * (dipole density) dOmega.
-
-    The azimuthal integral is closed form, int n_y^2 dphi = pi (1 - u^2),
-    which leaves a smooth 1-D integral over u.  One fixed 64-node
-    Gauss-Legendre rule resolves it to rounding for the low-degree
-    polynomials summed here, and for the fringe moments cos/sin(k u),
-    |k| < 4 pi, of a scatterer displaced by |q| < lambda.
+    The azimuthal integral is closed form, int n_y^2 dphi = pi (1 - u^2) for
+    u = cos(theta), which leaves (3/8)(1 + u^2) u^k du on [c, 1],
+    c = cos(theta_d), and so the moment (3/8) sum_{m = k+1, k+3} (1 - c^m)/m.
+    Each 1 - c^m is (1 - c)(1 + c + ... + c^(m-1)) with 1 - c =
+    2 sin^2(theta_d/2), so a small cap loses no digits to cancellation.
     """
-    lo = math.cos(theta_d)
-    u = 0.5 * (1.0 - lo) * _GL_NODES + 0.5 * (1.0 + lo)
-    dot2 = math.pi * (1.0 - u * u)
-    density = (3.0 / (8.0 * math.pi)) * (2.0 * math.pi - dot2)
-    return u, 0.5 * (1.0 - lo) * _GL_WEIGHTS * density
+    c = math.cos(theta_d)
+    one_minus_c = 2.0 * math.sin(0.5 * theta_d) ** 2
+    return 0.375 * one_minus_c * sum(sum(c**j for j in range(m)) / m for m in (k + 1, k + 3))
 
 
 def _effective_wavenumber(setup: OpticalSetup) -> float:
@@ -167,9 +159,7 @@ def mirror_sensitivity(setup: OpticalSetup) -> float:
     with the fringe amplitude A = 2*rho*int_cap dp of the particle at rest
     (at q = 0 the sine moment of the cap vanishes and the cosine moment is
     the collected power)."""
-    u, w = _cap_weights(setup.half_aperture)
-    # w @ 1, not w.sum(): the cosine moment w @ cos(k q u) at q = 0 to the bit
-    amplitude = 2.0 * setup.mirror_reflectivity * float(w @ np.ones(u.size))
+    amplitude = 2.0 * setup.mirror_reflectivity * _cap_moment(setup.half_aperture, 0)
     return fringe_slope(amplitude, setup.wavelength)
 
 
@@ -183,8 +173,8 @@ def particle_sensitivity(setup: OpticalSetup) -> float:
     maximum is evaluated there.  Its small-aperture form is
     (4pi*A/lambda)(1 - theta_D^2/4).
     """
-    u, w = _cap_weights(setup.half_aperture)
-    return 2.0 * setup.mirror_reflectivity * (4.0 * math.pi / setup.wavelength) * float(w @ u)
+    moment = _cap_moment(setup.half_aperture, 1)
+    return 2.0 * setup.mirror_reflectivity * (4.0 * math.pi / setup.wavelength) * moment
 
 
 def _delta_chi(chi_m: float, chi_p: float) -> float:
@@ -213,8 +203,7 @@ def collection_efficiency(half_aperture: float) -> float:
     given half-aperture collects (cap axis = detection axis z)."""
     if not 0.0 <= half_aperture <= math.pi:
         raise ValueError("half_aperture must lie in [0, pi]")
-    _, w = _cap_weights(half_aperture)
-    return float(w.sum())
+    return _cap_moment(half_aperture, 0)
 
 
 def rayleigh_scattered_power(beam: Beam, scatterer: Scatterer) -> float:
@@ -239,14 +228,9 @@ def rayleigh_scattered_power(beam: Beam, scatterer: Scatterer) -> float:
 
 def detection_efficiency(setup: OpticalSetup) -> float:
     """Overall detection efficiency: visibility^2 times path and quantum
-    losses times the aperture factor
-    (128 - 90 cos(t) - 35 cos(3t) - 3 cos(5t))/128.
-
-    The aperture factor is 5 int_cap cos^2(theta) dp."""
-    t = setup.half_aperture
-    angular = (
-        128.0 - 90.0 * math.cos(t) - 35.0 * math.cos(3.0 * t) - 3.0 * math.cos(5.0 * t)
-    ) / 128.0
+    losses times the aperture factor 5 int_cap cos^2(theta) dp
+    = (8 - 5 c^3 - 3 c^5)/8, c = cos(theta_D)."""
+    angular = 5.0 * _cap_moment(setup.half_aperture, 2)
     return setup.visibility**2 * setup.path_efficiency * setup.detector_qe * angular
 
 

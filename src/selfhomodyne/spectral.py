@@ -49,8 +49,8 @@ class Psd:
             raise ValueError("frequencies and values must be matching 1-d arrays")
         if f.size >= 2 and not np.all(np.diff(f) > 0):
             raise ValueError("frequency grid must be ascending")
-        if not np.all(v >= 0.0):
-            raise ValueError("PSD values must be >= 0")
+        if not (np.all(v >= 0.0) and np.all(v < math.inf)):
+            raise ValueError("PSD values must be >= 0 and finite")
         object.__setattr__(self, "frequencies", f)
         object.__setattr__(self, "values", v)
 
@@ -153,6 +153,10 @@ def welch_psd(series, sample_rate: float, segment_len: int) -> Psd:
     x = np.asarray(series, dtype=float)
     if x.size == 0:
         raise ValueError("empty series")
+    if not 0.0 < sample_rate < math.inf:
+        raise ValueError(f"sample_rate must be positive and finite, got {sample_rate!r}")
+    if isinstance(segment_len, (bool, np.bool_)) or not isinstance(segment_len, (int, np.integer)):
+        raise ValueError(f"segment_len must be an int, got {segment_len!r}")
     if not 0 < segment_len <= x.size:
         raise ValueError("segment_len must lie in [1, len(series)]")
     n = segment_len

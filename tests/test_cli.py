@@ -859,10 +859,11 @@ def test_cool_point_analyses_the_series_alone():
 
 def test_import_loads_no_thread_pool():
     """``import selfhomodyne.cli`` loads neither concurrent.futures nor the
-    logging it imports: only a sweep on more than one thread needs them."""
+    logging it imports: only a sweep on more than one thread needs them.  Nor
+    does it load numpy.polynomial: the optics are closed form."""
     code = (
-        "import sys, selfhomodyne.cli; "
-        "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))"
+        "import sys, selfhomodyne.cli; print(sorted(m for m in "
+        "('concurrent.futures', 'logging', 'numpy.polynomial') if m in sys.modules))"
     )
     src = str(Path(selfhomodyne.__file__).resolve().parents[1])
     proc = subprocess.run(

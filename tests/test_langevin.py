@@ -867,6 +867,17 @@ class TestCalibration:
         with pytest.raises(ValueError, match="3 non-finite sample.*index 1234"):
             run_calibration(traj, 780e-9)
 
+    @pytest.mark.parametrize("dt", [0.0, -1e-5, math.nan, math.inf])
+    def test_bad_dt_rejected(self, dt):
+        # dt = inf hung the calibration's search and dt < 0 gave a negative
+        # fringe frequency: the record rejects both when it is made, and its
+        # fields cannot be reassigned after
+        traj = self.make_synthetic_ramp(1.0, 3.7, 2.0, 4096.0)
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            dataclasses.replace(traj, dt=dt)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            traj.dt = dt
+
 
 def brent_calibration(trajectory, wavelength):
     """run_calibration's (volts_per_meter, fringe_frequency_hz, offset_volts)

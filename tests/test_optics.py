@@ -1,14 +1,16 @@
 """Tests for the interference-optics module.
 
-Oracles are independent of the production code path: the cap moments have a
-closed antiderivative after the azimuthal integral is done by hand (for the
-standard geometry, polarization perpendicular to the cap axis), sensitivities
-reduce to polynomials in c = cos(theta_D), and the sphere normalization is
-checked with scipy's adaptive quadrature.  The dipole pattern, the fringe
-state of a displaced scatterer and the interference intensity are written
-here from their formulas, as references summed with the production cap
-weights: the quadrature checks those weights through them, and the
-sensitivities are checked against them.
+Oracles are independent of the production code path, which evaluates every
+aperture integral as one closed-form cap moment: the efficiencies and
+sensitivities are checked against scipy's adaptive quadrature in theta and
+against polynomials in c = cos(theta_D), the fringe moments of a displaced
+scatterer have a closed antiderivative after the azimuthal integral is done
+by hand (for the standard geometry, polarization perpendicular to the cap
+axis), and the sphere normalization is checked with scipy's adaptive
+quadrature.  The dipole pattern, the fringe state of a displaced scatterer
+and the interference intensity are written here from their formulas, as
+references summed with a 64-node Gauss-Legendre rule on the cap for a dipole
+along any unit vector; the sensitivities are checked against them.
 """
 
 import dataclasses
@@ -16,6 +18,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 from scipy.constants import c as C_SI, hbar as HBAR_SI
 
@@ -27,9 +30,6 @@ from selfhomodyne.optics import (
     OpticalSetup,
     RayleighValidityWarning,
     Scatterer,
-    _GL_NODES,
-    _GL_WEIGHTS,
-    _cap_weights,
     _effective_wavenumber,
     backaction_psd,
     calibration_deviation,
@@ -82,16 +82,24 @@ def collection_efficiency_analytic(theta_d):
     return (4.0 - 3.0 * c - c**3) / 8.0
 
 
-def cap_weights_reference(theta_d, eps):
-    """The cap weights for a dipole along any unit vector eps, with the
-    general azimuthal integral
-        int (eps.n)^2 dphi = pi (1 - u^2)(eps_x^2 + eps_y^2) + 2 pi eps_z^2 u^2."""
+GL_NODES, GL_WEIGHTS = leggauss(64)
+Y_POL = (0.0, 1.0, 0.0)  # the paper's polarization, perpendicular to the cap axis
+
+
+def cap_weights(theta_d, eps=Y_POL):
+    """Nodes u = cos(theta) on the cap [cos(theta_d), 1] and weights w with
+    sum(w * f(u)) = int_cap f(cos(theta)) * (dipole density) dOmega, for a
+    dipole along any unit vector eps, from the general azimuthal integral
+        int (eps.n)^2 dphi = pi (1 - u^2)(eps_x^2 + eps_y^2) + 2 pi eps_z^2 u^2.
+    The 64-node Gauss-Legendre rule resolves the low-degree polynomials and
+    the fringe moments cos/sin(k u), |k| < 4 pi, of a scatterer displaced by
+    |q| < lambda to rounding."""
     lo = math.cos(theta_d)
-    u = 0.5 * (1.0 - lo) * _GL_NODES + 0.5 * (1.0 + lo)
+    u = 0.5 * (1.0 - lo) * GL_NODES + 0.5 * (1.0 + lo)
     ex, ey, ez = eps
     dot2 = math.pi * (1.0 - u * u) * (ex * ex + ey * ey) + 2.0 * math.pi * ez * ez * u * u
     density = (3.0 / (8.0 * math.pi)) * (2.0 * math.pi - dot2)
-    return u, 0.5 * (1.0 - lo) * _GL_WEIGHTS * density
+    return u, 0.5 * (1.0 - lo) * GL_WEIGHTS * density
 
 
 def detection_angular_analytic(theta_d):
@@ -129,11 +137,11 @@ def fringe_state(setup, q) -> FringeState:
     detection axis, from the moments
         a = int_cap cos((4pi/lambda) q cos(theta)) dp
         b = int_cap sin((4pi/lambda) q cos(theta)) dp
-    summed with the production cap weights, which resolve them for
-    |q| < lambda."""
+    summed with the cap weights of the y-polarized dipole, which resolve
+    them for |q| < lambda."""
     if abs(q) >= setup.wavelength:
         raise ValueError("displacement must satisfy |q| < wavelength")
-    u, w = _cap_weights(setup.half_aperture)
+    u, w = cap_weights(setup.half_aperture)
     k2 = 4.0 * math.pi / setup.wavelength
     a = float(w @ np.cos(k2 * q * u))
     b = float(w @ np.sin(k2 * q * u))
@@ -152,7 +160,6 @@ def interference_intensity(setup, q, optical_path) -> float:
 
 
 PAPER_SETUP = OpticalSetup()  # NA = 0.18, 780 nm, V = 0.7, eta_opt = 0.9, QE = 0.82
-Y_POL = (0.0, 1.0, 0.0)  # the paper's polarization, perpendicular to the cap axis
 
 
 # ---------------------------------------------------------------------------
@@ -195,23 +202,16 @@ CAP_APERTURES = [1e-3, math.asin(0.18), 0.5, 1.0, math.pi / 2, 2.0, math.pi]
 
 
 class TestCapWeightsReference:
-    """The cap weights of the y-polarized dipole against those of the
-    general polarization: equal to the bit for y, and to rounding for every
-    polarization perpendicular to the cap axis, which is why the polarization
-    is not a setting."""
-
-    @pytest.mark.parametrize("theta_d", CAP_APERTURES)
-    def test_bit_identical_for_y(self, theta_d):
-        u, w = _cap_weights(theta_d)
-        u_ref, w_ref = cap_weights_reference(theta_d, Y_POL)
-        assert np.array_equal(u, u_ref)
-        assert np.array_equal(w, w_ref)
+    """The cap weights of the y-polarized dipole, which the production cap
+    moments integrate, agree to rounding with those of every polarization
+    perpendicular to the cap axis, which is why the polarization is not a
+    setting."""
 
     @pytest.mark.parametrize("pol", [(1.0, 0.0, 0.0), (0.6, 0.8, 0.0)])
     @pytest.mark.parametrize("theta_d", CAP_APERTURES)
     def test_in_plane_polarizations_agree(self, theta_d, pol):
-        _, w = _cap_weights(theta_d)
-        np.testing.assert_allclose(w, cap_weights_reference(theta_d, pol)[1], rtol=1e-15, atol=0)
+        _, w = cap_weights(theta_d)
+        np.testing.assert_allclose(w, cap_weights(theta_d, pol)[1], rtol=1e-15, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +315,16 @@ class TestInterferenceIntensity:
 class TestSensitivities:
     @pytest.mark.parametrize("rho", [1.0, 0.37])
     def test_mirror_sensitivity_is_the_rest_fringe_slope(self, rho):
-        # the slope of the fringe amplitude of the particle at rest, to the bit
+        # the slope of the fringe amplitude of the particle at rest, to the
+        # rounding of the 64-node rule that sums the reference
         for na in np.linspace(0.01, 0.99, 500):
             setup = dataclasses.replace(
                 OpticalSetup.from_numerical_aperture(float(na)), mirror_reflectivity=rho
             )
             rest = fringe_state(setup, 0.0).amplitude
-            assert mirror_sensitivity(setup) == fringe_slope(rest, setup.wavelength)
+            assert mirror_sensitivity(setup) == pytest.approx(
+                fringe_slope(rest, setup.wavelength), rel=1e-12, abs=0
+            )
 
     def test_mirror_sensitivity_zero_without_mirror(self):
         assert mirror_sensitivity(OpticalSetup(mirror_reflectivity=0.0)) == 0.0
@@ -385,6 +388,55 @@ class TestCalibrationDeviation:
         for na in (0.0, -0.18, 1.0 + 1e-12, math.nan):
             with pytest.raises(ValueError, match=r"numerical aperture must lie in \(0, 1\]"):
                 OpticalSetup.from_numerical_aperture(na)
+
+
+# ---------------------------------------------------------------------------
+# aperture integrals against adaptive quadrature in theta
+# ---------------------------------------------------------------------------
+
+QUAD_APERTURES = [1e-3, 1e-2, 0.05, math.asin(0.18), 0.5, 1.0, math.pi / 2, 2.0]
+
+
+def cap_moment_quad(theta_d, k):
+    """int_cap cos^k(theta) dp by scipy's adaptive quadrature of the
+    azimuth-integrated pattern (3/8)(1 + cos^2 a) cos^k(a) sin(a) over
+    a in [0, theta_d]."""
+    total, _ = integrate.quad(
+        lambda a: 0.375 * (1.0 + math.cos(a) ** 2) * math.cos(a) ** k * math.sin(a),
+        0.0, theta_d, epsabs=0.0, epsrel=1e-13,
+    )
+    return total
+
+
+class TestApertureIntegrals:
+    """Each aperture function against its cap moment by adaptive quadrature,
+    to 1e-14 relative down to a 1e-3 rad cap, where a difference of
+    polynomials in cos(theta_D), or a rule with nodes on [cos(theta_D), 1],
+    loses ~1e-11 to cancellation."""
+
+    @pytest.mark.parametrize("theta_d", QUAD_APERTURES)
+    def test_collection_efficiency(self, theta_d):
+        assert collection_efficiency(theta_d) == pytest.approx(
+            cap_moment_quad(theta_d, 0), rel=1e-14, abs=0
+        )
+
+    @pytest.mark.parametrize("theta_d", [t for t in QUAD_APERTURES if t <= math.pi / 2])
+    def test_sensitivities_and_detection_efficiency(self, theta_d):
+        rho = 0.37
+        setup = OpticalSetup(
+            half_aperture=theta_d, mirror_reflectivity=rho,
+            visibility=1.0, path_efficiency=1.0, detector_qe=1.0,
+        )
+        lam = setup.wavelength
+        assert mirror_sensitivity(setup) == pytest.approx(
+            fringe_slope(2.0 * rho * cap_moment_quad(theta_d, 0), lam), rel=1e-14, abs=0
+        )
+        assert particle_sensitivity(setup) == pytest.approx(
+            2.0 * rho * (4.0 * math.pi / lam) * cap_moment_quad(theta_d, 1), rel=1e-14, abs=0
+        )
+        assert detection_efficiency(setup) == pytest.approx(
+            5.0 * cap_moment_quad(theta_d, 2), rel=1e-14, abs=0
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +540,7 @@ class TestDetectionEfficiency:
             setup = OpticalSetup(
                 half_aperture=theta_d, visibility=1.0, path_efficiency=1.0, detector_qe=1.0
             )
-            u, w = cap_weights_reference(theta_d, pol)
+            u, w = cap_weights(theta_d, pol)
             assert detection_efficiency(setup) == pytest.approx(
                 5.0 * float(w @ (u * u)), rel=1e-13, abs=0
             )

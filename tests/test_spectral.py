@@ -375,6 +375,15 @@ class TestPsdType:
             Psd(np.arange(3.0), np.array([1.0, math.nan, 1.0]))
         with pytest.raises(ValueError, match="PSD values must be >= 0"):
             welch_psd(np.r_[np.ones(50), math.nan, np.ones(50)], 1.0, segment_len=16)
+        for bad in (math.inf, -math.inf):
+            with pytest.raises(ValueError, match="PSD values must be >= 0 and finite"):
+                Psd(np.arange(3.0), np.array([1.0, bad, 1.0]))
+        for rate in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="sample_rate must be positive and finite"):
+                welch_psd(np.ones(64), rate, segment_len=16)
+        for segment_len in (4.0, True, "16"):
+            with pytest.raises(ValueError, match="segment_len must be an int"):
+                welch_psd(np.ones(64), 1.0, segment_len=segment_len)
 
     def test_csv_export_roundtrip(self, tmp_path):
         psd = Psd(np.array([0.0, 1.0, 2.0]), np.array([1e-24, 2e-24, 3e-24]))
