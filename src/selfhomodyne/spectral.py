@@ -151,6 +151,8 @@ def welch_psd(series, sample_rate: float, segment_len: int) -> Psd:
     Welch estimator with noverlap = segment_len // 2 and no detrending.
     """
     x = np.asarray(series, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"series must be 1-d, got shape {x.shape}")
     if x.size == 0:
         raise ValueError("empty series")
     if not 0.0 < sample_rate < math.inf:

@@ -10,6 +10,7 @@ neither.
 
 import csv
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -110,6 +111,12 @@ class TestWelchPsd:
     def test_bad_segment_rejected(self):
         with pytest.raises(ValueError):
             welch_psd(np.ones(64), 1000.0, segment_len=128)
+
+    @pytest.mark.parametrize("series", [np.ones((4, 64)), np.array(1.0)], ids=["2-d", "0-d"])
+    def test_series_not_1d_rejected(self, series):
+        shape = re.escape(str(series.shape))
+        with pytest.raises(ValueError, match=f"series must be 1-d, got shape {shape}"):
+            welch_psd(series, 1.0, segment_len=16)
 
     def test_resolution_property(self):
         psd = welch_psd(np.ones(4096), 1024.0, segment_len=512)
