@@ -25,7 +25,6 @@ from .optics import (
     rayleigh_scattered_power,
 )
 from .modes import (
-    DETECTION_AXIS,
     ModeSolution,
     TrapConfig,
     mode_temperature,

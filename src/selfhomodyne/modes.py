@@ -7,9 +7,10 @@ detection axis q = (x + y)/sqrt(2), adds a coupling term (1/2) m alpha^2
     [[wx^2 + a^2,  a^2       ],
      [a^2,         wy^2 + a^2]]        (a = alpha)
 
-whose eigenfrequencies and eigenvectors this module evaluates in closed
-form, together with the rotation angle between the high-frequency mode axis
-and the detection axis, mode temperatures, and phonon occupations.
+which one Jacobi rotation diagonalizes: for d = |wx^2 - wy^2| the mode axes tilt
+off the trap axes by atan(t), t = 2a^2/(d + sqrt(4a^4 + d^2)), c = 1/sqrt(1 + t^2),
+s = t c, and the high mode lies theta_fb = (1/2) atan2(d, 2a^2) off the detection
+axis.  The module also gives mode temperatures and phonon occupations.
 
 All functions are pure; dataclasses are frozen.
 """
@@ -26,14 +27,10 @@ from .constants import HBAR, K_B
 __all__ = [
     "TrapConfig",
     "ModeSolution",
-    "DETECTION_AXIS",
     "radial_modes",
     "mode_temperature",
     "phonon_occupation",
 ]
-
-# Detection axis q bisects the two radial trap axes (45 degrees to each).
-DETECTION_AXIS = np.array([1.0, 1.0]) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -71,10 +68,12 @@ class ModeSolution:
 def radial_modes(omega_x: float, omega_y: float, alpha: float) -> ModeSolution:
     """Diagonalize the radial potential including the feedback spring.
 
-    Closed forms:
-        nu^2 = (2a^2 + wx^2 + wy^2 -/+ sqrt(4a^4 + (wx^2 - wy^2)^2)) / 2
-    and eigenvectors (c, 1) with c = (nu^2 - wy^2)/a^2 - 1 for a > 0.
-    At alpha = 0 the bare axes are returned.
+    Closed forms, with d = |wx^2 - wy^2| and root = sqrt(4a^4 + d^2):
+        nu^2 = (2a^2 + wx^2 + wy^2 -/+ root) / 2
+    and for a > 0 one Jacobi rotation, t = 2a^2/(d + root), c = 1/sqrt(1 + t^2),
+    s = t c: the low and high modes are (-c, s) and (s, c) when wx <= wy, else
+    (-s, c) and (c, s), and theta_fb = (1/2) atan2(d, 2a^2), with no digits
+    lost at any gain.  At alpha = 0 the bare axes are returned, at pi/4.
     """
     if not 0.0 <= alpha < math.inf:
         raise ValueError(f"spring gain alpha must be >= 0 and finite, got {alpha!r}")
@@ -90,27 +89,21 @@ def radial_modes(omega_x: float, omega_y: float, alpha: float) -> ModeSolution:
     if alpha == 0.0:
         # bare trap, reproduced exactly (no sqrt(w^2) round trip)
         nu_low, nu_high = min(omega_x, omega_y), max(omega_x, omega_y)
-        if wx2 <= wy2:
-            vec_low, vec_high = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        else:
-            vec_low, vec_high = np.array([0.0, 1.0]), np.array([1.0, 0.0])
+        vec_low, vec_high = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        if wx2 > wy2:
+            vec_low, vec_high = vec_high, vec_low
+        theta_fb = math.pi / 4
     else:
-        # eigenvectors (c, 1), normalized: the second component is positive
-        # for every alpha
         nu_low, nu_high = math.sqrt(nu_low2), math.sqrt(nu_high2)
-        vec_low = np.array([(nu_low2 - wy2) / a2 - 1.0, 1.0])
-        vec_high = np.array([(nu_high2 - wy2) / a2 - 1.0, 1.0])
-        vec_low /= np.linalg.norm(vec_low)
-        vec_high /= np.linalg.norm(vec_high)
-
-    cosang = abs(float(np.dot(vec_high, DETECTION_AXIS)))
-    return ModeSolution(
-        freq_low=nu_low,
-        freq_high=nu_high,
-        vec_low=vec_low,
-        vec_high=vec_high,
-        theta_fb=math.acos(min(1.0, cosang)),
-    )
+        d = abs(wx2 - wy2)
+        t = 2.0 * a2 / (d + root)
+        c = 1.0 / math.sqrt(1.0 + t * t)
+        s = t * c
+        if wx2 > wy2:  # the high mode lies near the x axis
+            c, s = s, c
+        vec_low, vec_high = np.array([-c, s]), np.array([s, c])
+        theta_fb = 0.5 * math.atan2(d, 2.0 * a2)
+    return ModeSolution(nu_low, nu_high, vec_low, vec_high, theta_fb)
 
 
 def mode_temperature(mass: float, mode_freq: float, var_q: float, theta_fb: float) -> float:

@@ -177,16 +177,20 @@ def particle_sensitivity(setup: OpticalSetup) -> float:
     return 2.0 * setup.mirror_reflectivity * (4.0 * math.pi / setup.wavelength) * moment
 
 
-def _delta_chi(chi_m: float, chi_p: float) -> float:
-    """Relative deviation between the mirror-ramp calibration slope chi_m and
-    the true particle sensitivity chi_p, 2(chi_m - chi_p)/(chi_m + chi_p).
-    Both sensitivities are 0 only without a mirror, where it is undefined."""
-    if chi_m + chi_p == 0.0:
+def _delta_chi(setup: OpticalSetup) -> float:
+    """Relative deviation 2(chi_m - chi_p)/(chi_m + chi_p) between the mirror-ramp
+    calibration slope chi_m and the particle sensitivity chi_p, with chi_m - chi_p =
+    2 rho (4pi/lambda) (3/8) e^2 (1 - 2e/3 + e^2/4) in closed form for e = 1 - cos(theta_D)
+    = 2 sin^2(theta_D/2).  Undefined (both chi 0) only without a mirror."""
+    chi_sum = mirror_sensitivity(setup) + particle_sensitivity(setup)
+    if chi_sum == 0.0:
         raise ZeroDivisionError(
             "delta_chi = 2 (chi_m - chi_p)/(chi_m + chi_p) is undefined: the mirror and "
             "particle sensitivities are both 0 because optics.mirror_field_reflectivity is 0"
         )
-    return 2.0 * (chi_m - chi_p) / (chi_m + chi_p)
+    e = 2.0 * math.sin(0.5 * setup.half_aperture) ** 2
+    moment = 0.375 * e * e * (1.0 - 2.0 * e / 3.0 + 0.25 * e * e)
+    return 4.0 * setup.mirror_reflectivity * (4.0 * math.pi / setup.wavelength) * moment / chi_sum
 
 
 def calibration_deviation(numerical_aperture: float) -> float:
@@ -194,8 +198,7 @@ def calibration_deviation(numerical_aperture: float) -> float:
     the paper's delta_chi(NA), which acceptance criteria 1 and 10 check."""
     if not 0.0 < numerical_aperture < 1.0:
         raise ValueError("numerical aperture must lie in (0, 1)")
-    setup = OpticalSetup.from_numerical_aperture(numerical_aperture)
-    return _delta_chi(mirror_sensitivity(setup), particle_sensitivity(setup))
+    return _delta_chi(OpticalSetup.from_numerical_aperture(numerical_aperture))
 
 
 def collection_efficiency(half_aperture: float) -> float:

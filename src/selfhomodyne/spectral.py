@@ -84,6 +84,9 @@ def write_csv(path, header, *columns) -> None:
             f"need a name per column and 1-d arrays of one length, got {len(header)} names "
             f"for {len(columns)} columns of lengths {sorted(sizes)}"
         )
+    quoted = [name for name in header if any(ch in name for ch in ',"\r\n')]
+    if quoted:
+        raise ValueError(f"header cell {quoted[0]!r} holds a comma, a double quote or a line break")
     (size,) = sizes
     # a repeated number is formatted once, into the row template
     line = ",".join("%.17g" if np.ndim(c) else "%.17g" % c for c in columns) + "\r\n"
@@ -367,6 +370,9 @@ def cooling_curve_fit(points, b: float) -> CoolingCurveFit:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
         raise ValueError("need at least 3 (gamma, T) points")
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if bad.size:
+        raise ValueError(f"(gamma, T) point {bad[0]} is not finite: {tuple(pts[bad[0]].tolist())}")
     gamma, temp = pts[:, 0], pts[:, 1]
     if np.any(gamma <= 0.0):
         raise ValueError("cooling rates must be positive")

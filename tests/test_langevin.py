@@ -867,6 +867,14 @@ class TestCalibration:
         with pytest.raises(ValueError, match="3 non-finite sample.*index 1234"):
             run_calibration(traj, 780e-9)
 
+    @pytest.mark.parametrize("wavelength", [0.0, -780e-9, math.nan, math.inf])
+    def test_bad_wavelength_rejected(self, wavelength):
+        # -780 nm gave a negative slope, NaN a NaN slope and 0 a bare
+        # ZeroDivisionError
+        traj = self.make_synthetic_ramp(1.0, 3.7, 2.0, 4096.0)
+        with pytest.raises(ValueError, match="wavelength must be positive and finite"):
+            run_calibration(traj, wavelength)
+
     @pytest.mark.parametrize("dt", [0.0, -1e-5, math.nan, math.inf])
     def test_bad_dt_rejected(self, dt):
         # dt = inf hung the calibration's search and dt < 0 gave a negative

@@ -11,7 +11,6 @@ import pytest
 
 from selfhomodyne.constants import HBAR, K_B
 from selfhomodyne.modes import (
-    DETECTION_AXIS,
     TrapConfig,
     mode_temperature,
     phonon_occupation,
@@ -20,6 +19,8 @@ from selfhomodyne.modes import (
 
 WX = 2 * math.pi * 2100.0
 WY = 2 * math.pi * 3200.0
+# the detection axis q bisects the two radial trap axes
+Q_AXIS = np.array([1.0, 1.0]) / math.sqrt(2.0)
 
 
 def potential_matrix(wx, wy, alpha):
@@ -43,13 +44,13 @@ class TestRadialModes:
         assert sol.freq_high == WY
         np.testing.assert_allclose(sol.vec_low, [1.0, 0.0])
         np.testing.assert_allclose(sol.vec_high, [0.0, 1.0])
-        assert sol.theta_fb == pytest.approx(math.pi / 4, abs=1e-15)
+        assert sol.theta_fb == math.pi / 4
 
     def test_no_feedback_swapped_axes(self):
         sol = radial_modes(WY, WX, 0.0)
         assert sol.freq_high == WY
         np.testing.assert_allclose(sol.vec_high, [1.0, 0.0])
-        assert sol.theta_fb == pytest.approx(math.pi / 4, abs=1e-15)
+        assert sol.theta_fb == math.pi / 4
 
     def test_degenerate_trap_closed_form(self):
         w = 2 * math.pi * 2500.0
@@ -57,22 +58,47 @@ class TestRadialModes:
         sol = radial_modes(w, w, alpha)
         assert sol.freq_low == pytest.approx(w, rel=1e-14)
         assert sol.freq_high == pytest.approx(math.sqrt(w**2 + 2 * alpha**2), rel=1e-14)
-        np.testing.assert_allclose(sol.vec_high, DETECTION_AXIS, atol=1e-14)
-        assert sol.theta_fb == pytest.approx(0.0, abs=1e-7)
+        np.testing.assert_allclose(sol.vec_high, Q_AXIS, atol=1e-14)
+        assert sol.theta_fb == 0.0
+        # at any gain the high mode is the detection axis, also where eigh
+        # cannot resolve a^2 against the diagonal
+        for alpha in (1e-6, 1e-4, 1e6):
+            sol = radial_modes(w, w, alpha)
+            np.testing.assert_allclose(sol.vec_high, Q_AXIS, atol=1e-15)
+            np.testing.assert_allclose(sol.vec_low, [-Q_AXIS[0], Q_AXIS[1]], atol=1e-15)
+            assert sol.theta_fb == 0.0
 
     def test_matches_symmetric_eigensolver(self):
+        """Small and large fixed gains on both axis orders and the degenerate
+        trap, and random traps at gains over [0, 2 pi 20 kHz]: each mode is
+        parallel to eigh's column, and theta_fb is the angle of eigh's high
+        mode off the detection axis, to 1e-14.  The eigenvectors formed from
+        (nu^2 - wy^2)/a^2 - 1 missed by 0.2 rad at a = 1e-4 rad/s."""
+        gains = (0.0, 1e-6, 1e-4, 1e-2, 1.0, 10.0, 2 * math.pi * 400.0, 1e6)
+        cases = [(wx, wy, a) for wx, wy in ((WX, WY), (WY, WX)) for a in gains]
+        # eigh takes an off-diagonal a^2 below eps times the diagonal for 0
+        # and returns the bare axes of a degenerate trap, so that trap is
+        # sampled from 1e-2 rad/s; test_degenerate_trap_closed_form checks
+        # the smaller gains
+        cases += [(WX, WX, a) for a in gains if a == 0.0 or a >= 1e-2]
         rng = np.random.default_rng(7)
         for _ in range(1000):
-            wx = 2 * math.pi * rng.uniform(1e3, 5e3)
-            wy = 2 * math.pi * rng.uniform(1e3, 5e3)
-            alpha = 2 * math.pi * rng.uniform(50.0, 3e3)
+            cases.append((
+                2 * math.pi * rng.uniform(1e3, 5e3),
+                2 * math.pi * rng.uniform(1e3, 5e3),
+                2 * math.pi * rng.uniform(0.0, 20e3),
+            ))
+        for wx, wy, alpha in cases:
             sol = radial_modes(wx, wy, alpha)
             freqs, vecs = eigh_oracle(wx, wy, alpha)
             assert sol.freq_low == pytest.approx(freqs[0], rel=1e-12)
             assert sol.freq_high == pytest.approx(freqs[1], rel=1e-12)
             # eigenvectors parallel to the oracle's columns
-            assert abs(cross2(sol.vec_low, vecs[:, 0])) < 1e-10
-            assert abs(cross2(sol.vec_high, vecs[:, 1])) < 1e-10
+            assert abs(cross2(sol.vec_low, vecs[:, 0])) <= 1e-14, (wx, wy, alpha)
+            assert abs(cross2(sol.vec_high, vecs[:, 1])) <= 1e-14, (wx, wy, alpha)
+            v = vecs[:, 1]
+            theta = math.atan2(abs(v[0] - v[1]), abs(v[0] + v[1]))
+            assert sol.theta_fb == pytest.approx(theta, abs=1e-14, rel=0), (wx, wy, alpha)
 
     def test_trace_and_determinant_identities(self):
         rng = np.random.default_rng(21)
@@ -95,7 +121,7 @@ class TestRadialModes:
                 2 * math.pi * rng.uniform(1e3, 5e3),
                 2 * math.pi * rng.uniform(0.0, 3e3),
             )
-            assert abs(np.dot(sol.vec_low, sol.vec_high)) < 1e-10
+            assert abs(np.dot(sol.vec_low, sol.vec_high)) < 1e-15
 
     def test_rotation_angle_monotone_in_gain(self):
         alphas = np.linspace(0.0, 2 * math.pi * 20e3, 400)
@@ -114,7 +140,7 @@ class TestRadialModes:
                 2 * math.pi * rng.uniform(1e3, 5e3),
                 2 * math.pi * rng.uniform(0.0, 10e3),
             )
-            assert 0.0 <= sol.theta_fb <= math.pi / 4 + 1e-12
+            assert 0.0 <= sol.theta_fb <= math.pi / 4
             assert sol.freq_low <= sol.freq_high
 
     def test_invalid_inputs(self):

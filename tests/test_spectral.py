@@ -328,6 +328,15 @@ class TestCoolingCurveFit:
         with pytest.raises(ValueError):
             cooling_curve_fit([(10.0, 1.0), (20.0, 0.5)], self.B_PAPER)
 
+    @pytest.mark.parametrize("gamma, temp", [(math.nan, 1.0), (20.0, math.inf), (-math.inf, 1.0)])
+    def test_non_finite_point_rejected(self, gamma, temp):
+        # a NaN rate passed the gamma <= 0 check and failed in LAPACK's SVD;
+        # an infinite temperature ended as "A and B must be positive, got A = nan"
+        points = [(10.0, 1.0), (gamma, temp), (30.0, math.nan), (40.0, 0.25)]
+        match = r"point 1 is not finite: \(" + re.escape(f"{gamma!r}, {temp!r})")
+        with pytest.raises(ValueError, match=match):
+            cooling_curve_fit(points, self.B_PAPER)
+
     @pytest.mark.parametrize("a, b", [(0.0, 1e-6), (-1.0, 1e-6), (112.0, 0.0), (112.0, -1e-6),
                                       (math.nan, 1e-6)])
     def test_nonpositive_coefficients_rejected(self, a, b):
@@ -445,4 +454,14 @@ class TestWriteCsv:
         ]:
             with pytest.raises(ValueError, match="a name per column and 1-d arrays of one length"):
                 write_csv(path, header, *columns)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\nb", "a\rb"])
+    def test_unquotable_header_rejected(self, tmp_path, name):
+        """No cell is quoted, so a header cell with a comma, a double quote
+        or a line break would not read back as that one cell: nothing is
+        written."""
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError, match="holds a comma, a double quote or a line break"):
+            write_csv(path, ["t", name], np.zeros(3), np.ones(3))
         assert not path.exists()
