@@ -43,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import modes
+from ._checks import reject_bools
 from .constants import K_B
 from .optics import OpticalSetup, _effective_wavenumber, fringe_slope
 
@@ -89,6 +90,7 @@ class Bath:
     damping_anchor: tuple = (1e-2, 2.0 * math.pi * 4.3)  # (mbar, rad/s)
 
     def __post_init__(self):
+        reject_bools(**vars(self))
         for name in ("pressure", "temperature"):
             val = getattr(self, name)
             if not 0.0 <= val < math.inf:
@@ -112,6 +114,7 @@ class FeedbackConfig:
     source_channel: str = "self-homodyne"
 
     def __post_init__(self):
+        reject_bools(**vars(self))
         for name in ("cooling_rate", "spring_gain", "loop_delay"):
             val = getattr(self, name)
             if not 0.0 <= val < math.inf:
@@ -151,6 +154,11 @@ class DetectorModel:
     ramp_rate: float = 2e-6
 
     def __post_init__(self):
+        reject_bools(
+            imprecision_self=self.imprecision_self,
+            imprecision_forward=self.imprecision_forward,
+            ramp_rate=self.ramp_rate,
+        )
         if not 0.0 <= self.imprecision_self < math.inf:
             raise ValueError(
                 f"imprecision_self must be >= 0 and finite, got {self.imprecision_self!r}"

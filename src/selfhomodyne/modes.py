@@ -10,7 +10,9 @@ detection axis q = (x + y)/sqrt(2), adds a coupling term (1/2) m alpha^2
 which one Jacobi rotation diagonalizes: for d = |wx^2 - wy^2| the mode axes tilt
 off the trap axes by atan(t), t = 2a^2/(d + sqrt(4a^4 + d^2)), c = 1/sqrt(1 + t^2),
 s = t c, and the high mode lies theta_fb = (1/2) atan2(d, 2a^2) off the detection
-axis.  The module also gives mode temperatures and phonon occupations.
+axis.  The low eigenvalue is the determinant over the high one,
+nu_low^2 = (wx^2 wy^2 + a^2 (wx^2 + wy^2)) / nu_high^2.  The module also gives
+mode temperatures and phonon occupations.
 
 All functions are pure; dataclasses are frozen.
 """
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import reject_bools
 from .constants import HBAR, K_B
 
 __all__ = [
@@ -42,6 +45,7 @@ class TrapConfig:
     mass: float = 2.0e-17
 
     def __post_init__(self):
+        reject_bools(**vars(self))
         for name in ("secular_freq_x", "secular_freq_y", "mass"):
             val = getattr(self, name)
             if not 0.0 < val < math.inf:
@@ -69,12 +73,16 @@ def radial_modes(omega_x: float, omega_y: float, alpha: float) -> ModeSolution:
     """Diagonalize the radial potential including the feedback spring.
 
     Closed forms, with d = |wx^2 - wy^2| and root = sqrt(4a^4 + d^2):
-        nu^2 = (2a^2 + wx^2 + wy^2 -/+ root) / 2
-    and for a > 0 one Jacobi rotation, t = 2a^2/(d + root), c = 1/sqrt(1 + t^2),
+        nu_high^2 = (2a^2 + wx^2 + wy^2 + root) / 2
+        nu_low^2 = det / nu_high^2,  det = wx^2 wy^2 + a^2 (wx^2 + wy^2)
+    the determinant of the potential matrix over the high eigenvalue, a sum of
+    positive terms where (2a^2 + wx^2 + wy^2 - root)/2 cancels at large gain.
+    For a > 0 one Jacobi rotation, t = 2a^2/(d + root), c = 1/sqrt(1 + t^2),
     s = t c: the low and high modes are (-c, s) and (s, c) when wx <= wy, else
     (-s, c) and (c, s), and theta_fb = (1/2) atan2(d, 2a^2), with no digits
     lost at any gain.  At alpha = 0 the bare axes are returned, at pi/4.
     """
+    reject_bools(omega_x=omega_x, omega_y=omega_y, alpha=alpha)
     if not 0.0 <= alpha < math.inf:
         raise ValueError(f"spring gain alpha must be >= 0 and finite, got {alpha!r}")
     for name, val in (("omega_x", omega_x), ("omega_y", omega_y)):
@@ -82,10 +90,6 @@ def radial_modes(omega_x: float, omega_y: float, alpha: float) -> ModeSolution:
             raise ValueError(f"trap frequency {name} must be positive and finite, got {val!r}")
 
     wx2, wy2, a2 = omega_x**2, omega_y**2, alpha**2
-    root = math.sqrt(4.0 * a2 * a2 + (wx2 - wy2) ** 2)
-    nu_low2 = 0.5 * (2.0 * a2 + wx2 + wy2 - root)
-    nu_high2 = 0.5 * (2.0 * a2 + wx2 + wy2 + root)
-
     if alpha == 0.0:
         # bare trap, reproduced exactly (no sqrt(w^2) round trip)
         nu_low, nu_high = min(omega_x, omega_y), max(omega_x, omega_y)
@@ -94,7 +98,10 @@ def radial_modes(omega_x: float, omega_y: float, alpha: float) -> ModeSolution:
             vec_low, vec_high = vec_high, vec_low
         theta_fb = math.pi / 4
     else:
-        nu_low, nu_high = math.sqrt(nu_low2), math.sqrt(nu_high2)
+        root = math.sqrt(4.0 * a2 * a2 + (wx2 - wy2) ** 2)
+        nu_high2 = 0.5 * (2.0 * a2 + wx2 + wy2 + root)
+        nu_low = math.sqrt((wx2 * wy2 + a2 * (wx2 + wy2)) / nu_high2)
+        nu_high = math.sqrt(nu_high2)
         d = abs(wx2 - wy2)
         t = 2.0 * a2 / (d + root)
         c = 1.0 / math.sqrt(1.0 + t * t)

@@ -28,6 +28,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
+from ._checks import reject_bools
 from .constants import C, HBAR
 
 __all__ = [
@@ -72,6 +73,7 @@ class OpticalSetup:
     detector_qe: float = 0.82
 
     def __post_init__(self):
+        reject_bools(**vars(self))
         if not 0.0 < self.half_aperture <= math.pi / 2:
             raise ValueError("half_aperture must lie in (0, pi/2]")
         if not 0.0 < self.wavelength < math.inf:
@@ -96,6 +98,7 @@ class Scatterer:
     refractive_index: float = 1.45
 
     def __post_init__(self):
+        reject_bools(**vars(self))
         if not 0.0 < self.radius < math.inf:
             raise ValueError(f"radius must be positive and finite, got {self.radius!r}")
         if not 1.0 < self.refractive_index < math.inf:
@@ -117,6 +120,7 @@ class Beam:
     wavelength: float = 780e-9
 
     def __post_init__(self):
+        reject_bools(**vars(self))
         if not 0.0 <= self.power < math.inf:
             raise ValueError(f"power must be >= 0 and finite, got {self.power!r}")
         if not 0.0 < self.waist < math.inf:
@@ -261,5 +265,10 @@ def backaction_psd(power: float, wavelength: float) -> float:
 
 def fringe_slope(fringe_amplitude: float, wavelength: float) -> float:
     """Maximum fringe slope S = 4*pi*A/lambda; with A in detector units this
-    is the volts-per-meter calibration factor."""
+    is the volts-per-meter calibration factor.  A = 0 (no fringes, as without
+    a mirror) gives S = 0."""
+    if not 0.0 <= fringe_amplitude < math.inf:
+        raise ValueError(f"fringe_amplitude must be >= 0 and finite, got {fringe_amplitude!r}")
+    if not 0.0 < wavelength < math.inf:
+        raise ValueError(f"wavelength must be positive and finite, got {wavelength!r}")
     return 4.0 * math.pi * fringe_amplitude / wavelength

@@ -376,11 +376,10 @@ def cooling_curve_fit(points, b: float) -> CoolingCurveFit:
     gamma, temp = pts[:, 0], pts[:, 1]
     if np.any(gamma <= 0.0):
         raise ValueError("cooling rates must be positive")
-    # solve on the 1/gamma column scaled to unit norm, then scale back
-    design = (1.0 / gamma)[:, None]
-    col_scale = np.linalg.norm(design, axis=0)
-    coef, *_ = np.linalg.lstsq(design / col_scale, temp, rcond=None)
-    return CoolingCurveFit(coeff_a=float((coef / col_scale)[0]), coeff_b=b)
+    # the one-column least squares, A = (w.T)/|u| for u = 1/gamma, w = u/|u|
+    u = 1.0 / gamma
+    norm = float(np.linalg.norm(u))
+    return CoolingCurveFit(coeff_a=float((u / norm) @ temp) / norm, coeff_b=b)
 
 
 def imprecision_from_floor(psd: Psd, floor_band: tuple[float, float]) -> float:

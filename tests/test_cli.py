@@ -23,7 +23,7 @@ from selfhomodyne import cli, langevin
 from selfhomodyne.cli import main
 from selfhomodyne.config import ConfigError, ScenarioConfig
 from selfhomodyne.langevin import Bath, DetectorModel, FeedbackConfig, run_calibration
-from selfhomodyne.modes import TrapConfig
+from selfhomodyne.modes import TrapConfig, radial_modes
 from selfhomodyne.optics import (
     OpticalSetup,
     Scatterer,
@@ -416,6 +416,54 @@ class TestModesCommand:
         # rotation angle decreases with gain
         thetas = [m["theta_fb_rad"] for m in data["modes"]]
         assert all(b < a for a, b in zip(thetas, thetas[1:]))
+
+    # a degenerate trap, where eigh returned the bare axes at small gains and
+    # the eigensolver check reported 0.707 for the exact (1, 1)/sqrt(2)
+    DEGENERATE = {
+        "trap": {"secular_freq_y_hz": 2100.0},
+        "sweeps": {"mode_spring_gains_rad_per_s": [0, 1e-6, 1e-4, 1e-2, 1]},
+    }
+
+    def test_degenerate_trap_check_exact(self, tmp_path):
+        code, out = run_cli(tmp_path, "modes", self.DEGENERATE)
+        assert code == 0
+        modes = json.loads((out / "modes.json").read_text())["modes"]
+        assert len(modes) == 5
+        for entry in modes:
+            assert entry["oracle_discrepancy"] <= 1e-15, entry
+
+    @staticmethod
+    def _rotated(v, angle):
+        c, s = math.cos(angle), math.sin(angle)
+        return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
+
+    PERTURBATIONS = {
+        "nu_low times 1 + 1e-9": lambda sol: dataclasses.replace(sol, freq_low=sol.freq_low * (1.0 + 1e-9)),
+        "vec_high rotated by 1e-9 rad": lambda sol: dataclasses.replace(
+            sol, vec_high=TestModesCommand._rotated(sol.vec_high, 1e-9)
+        ),
+        "vectors swapped": lambda sol: dataclasses.replace(sol, vec_low=sol.vec_high, vec_high=sol.vec_low),
+    }
+
+    @pytest.mark.parametrize("perturb", list(PERTURBATIONS))
+    def test_check_separates_perturbed_solution(self, tmp_path, perturb):
+        """The check tells the closed forms, at <= 1e-15, from a solution
+        perturbed by 1e-9, at > 1e-10: at every default gain, and somewhere
+        on the degenerate trap.  There a swap shows only at 1 rad/s: at
+        smaller gains the two eigenvalues agree to < 1e-10 relative, and
+        either order is an answer."""
+        def discrepancies(where, overrides):
+            code, out = run_cli(tmp_path / where, "modes", overrides)
+            assert code == 0
+            return [m["oracle_discrepancy"] for m in json.loads((out / "modes.json").read_text())["modes"]]
+
+        wrong = self.PERTURBATIONS[perturb]
+        for name, overrides, check in (("default", {}, all), ("degenerate", self.DEGENERATE, any)):
+            exact = discrepancies(f"{name}-exact", overrides)
+            assert all(d <= 1e-15 for d in exact), (name, exact)
+            with mock.patch.object(cli, "radial_modes", lambda *args: wrong(radial_modes(*args))):
+                found = discrepancies(f"{name}-perturbed", overrides)
+            assert check(d > 1e-10 for d in found), (name, found)
 
 
 IMP_SWEEP = {

@@ -8,6 +8,7 @@ fringes.
 
 import dataclasses
 import math
+import re
 import threading
 import tracemalloc
 from unittest import mock
@@ -77,6 +78,13 @@ class TestBathModel:
             for value in (math.nan, math.inf):
                 with pytest.raises(ValueError, match=f"{field} must be >= 0 and finite"):
                     Bath(**{field: value})
+
+    def test_bool_field_rejected(self):
+        # a bool is the number 0 or 1 to Python and passed the range checks
+        for field, value in [("pressure", True), ("temperature", np.True_), ("damping_anchor", (True, 1.0)),
+                             ("damping_anchor", (1e-2, np.True_))]:
+            with pytest.raises(ValueError, match=f"{field} must be a number, not a bool, got {re.escape(repr(value))}"):
+                Bath(**{field: value})
 
     def test_thermal_force_psd_zero_temperature(self):
         assert thermal_force_psd(Bath(pressure=1e-2, temperature=0.0), 2e-17) == 0.0
@@ -984,6 +992,18 @@ class TestConfigTypes:
         for band in [(math.nan, 6400.0), (300.0, math.nan), (300.0, math.inf)]:
             with pytest.raises(ValueError, match="filter_band must satisfy"):
                 FeedbackConfig(filter_band=band)
+
+    def test_feedback_bool_rejected(self):
+        # FeedbackConfig(cooling_rate=True) was an engaged loop at 1 rad/s
+        for field, value in [("cooling_rate", True), ("spring_gain", np.True_), ("loop_delay", False),
+                             ("filter_band", (False, 6400.0))]:
+            with pytest.raises(ValueError, match=f"{field} must be a number, not a bool, got {re.escape(repr(value))}"):
+                FeedbackConfig(**{field: value})
+
+    def test_detector_bool_rejected(self):
+        for field, value in [("imprecision_self", True), ("imprecision_forward", np.False_), ("ramp_rate", True)]:
+            with pytest.raises(ValueError, match=f"{field} must be a number, not a bool, got {re.escape(repr(value))}"):
+                DetectorModel(**{field: value})
 
     def test_detector_validation(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,8 @@ generic-eigensolver oracle for the closed forms.
 """
 
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -143,6 +145,33 @@ class TestRadialModes:
             assert 0.0 <= sol.theta_fb <= math.pi / 4
             assert sol.freq_low <= sol.freq_high
 
+    def test_low_frequency_exact(self):
+        """nu_low to 4.5e-16 relative of exact rational arithmetic on the
+        float arguments, 10 gains a decade from 1e-8 to 1e7 rad/s, on both
+        axis orders and a degenerate trap.  nu_low^2 formed as
+        (2a^2 + wx^2 + wy^2 - root)/2 was off by 5.7e-14 at 1e6 rad/s and
+        2.5e-11 at 1e7."""
+        def sqrt(q, bits=200):
+            return Fraction(math.isqrt(q.numerator * (1 << 2 * bits) // q.denominator), 1 << bits)
+
+        for wx, wy in ((WX, WY), (WY, WX), (WX, WX)):
+            for k in range(-80, 71):
+                alpha = 10.0 ** (k / 10.0)
+                x2, y2, a2 = Fraction(wx) ** 2, Fraction(wy) ** 2, Fraction(alpha) ** 2
+                high2 = (2 * a2 + x2 + y2 + sqrt(4 * a2 * a2 + (x2 - y2) ** 2)) / 2
+                low = sqrt((x2 * y2 + a2 * (x2 + y2)) / high2)
+                err = abs(float(Fraction(radial_modes(wx, wy, alpha).freq_low) / low - 1))
+                assert err <= 4.5e-16, (wx, wy, alpha, err)
+
+    def test_bool_argument_rejected(self):
+        # a bool is the number 0 or 1 to Python: radial_modes(True, 2.0, 0.0)
+        # returned freq_low True
+        for name, args in [("omega_x", (True, 2.0, 0.0)), ("omega_y", (WX, np.True_, 0.0)),
+                           ("alpha", (WX, WY, True)), ("alpha", (WX, WY, np.False_))]:
+            value = args[("omega_x", "omega_y", "alpha").index(name)]
+            with pytest.raises(ValueError, match=f"{name} must be a number, not a bool, got {re.escape(repr(value))}"):
+                radial_modes(*args)
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             radial_modes(WX, WY, -1.0)
@@ -240,3 +269,9 @@ class TestTrapConfig:
             for value in (math.nan, math.inf):
                 with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
                     TrapConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["secular_freq_x", "secular_freq_y", "mass"])
+    def test_bool_field_rejected(self, field):
+        for value in (True, np.True_):
+            with pytest.raises(ValueError, match=f"{field} must be a number, not a bool, got {re.escape(repr(value))}"):
+                TrapConfig(**{field: value})

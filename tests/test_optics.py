@@ -15,6 +15,7 @@ along any unit vector; the sensitivities are checked against them.
 
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -646,6 +647,22 @@ class TestVoltsToMeters:
     def test_slope_definition(self):
         assert fringe_slope(1.0, 780e-9) == pytest.approx(4 * math.pi / 780e-9, rel=1e-12)
 
+    @pytest.mark.parametrize("amplitude, wavelength, name", [
+        (1.0, 0.0, "wavelength"), (1.0, -780e-9, "wavelength"), (1.0, math.nan, "wavelength"),
+        (1.0, math.inf, "wavelength"), (-1.0, 780e-9, "fringe_amplitude"),
+        (math.nan, 780e-9, "fringe_amplitude"), (math.inf, 780e-9, "fringe_amplitude"),
+    ])
+    def test_bad_argument_rejected(self, amplitude, wavelength, name):
+        # were a bare ZeroDivisionError, a negative slope, NaN and 0.0
+        value = wavelength if name == "wavelength" else amplitude
+        with pytest.raises(ValueError, match=f"{name} must be .* got {re.escape(repr(value))}"):
+            fringe_slope(amplitude, wavelength)
+
+    def test_zero_amplitude_zero_slope(self):
+        # no fringes, as without a mirror (rho = 0), is a slope of 0
+        assert fringe_slope(0.0, 780e-9) == 0.0
+        assert mirror_sensitivity(OpticalSetup(mirror_reflectivity=0.0)) == 0.0
+
     def test_zero_volts(self):
         # mid-fringe lock: no displacement gives no signal and no position
         cfg = ScenarioConfig.from_dict({})
@@ -707,6 +724,20 @@ class TestTypes:
                              ("wavelength", 0.0)]:
             with pytest.raises(ValueError, match=f"{field} must"):
                 Beam(**{"power": 0.1, "waist": 1e-4, field: value})
+
+    @pytest.mark.parametrize("cls, field", [
+        *[(OpticalSetup, f) for f in ("wavelength", "half_aperture", "mirror_reflectivity",
+                                      "visibility", "path_efficiency", "detector_qe")],
+        (Scatterer, "radius"), (Scatterer, "refractive_index"),
+        (Beam, "power"), (Beam, "waist"), (Beam, "wavelength"),
+    ])
+    def test_bool_field_rejected(self, cls, field):
+        # a bool is the number 0 or 1 to Python and passed the range checks:
+        # OpticalSetup(mirror_reflectivity=True) was a perfect mirror
+        base = {"power": 0.1, "waist": 1e-4} if cls is Beam else {}
+        for value in (True, np.True_):
+            with pytest.raises(ValueError, match=f"{field} must be a number, not a bool, got {re.escape(repr(value))}"):
+                cls(**{**base, field: value})
 
     def test_rayleigh_flag(self):
         s = Scatterer(radius=150e-9)

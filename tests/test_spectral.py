@@ -12,6 +12,7 @@ import csv
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -323,6 +324,21 @@ class TestCoolingCurveFit:
         assert fit.coeff_a == pytest.approx(a_true, rel=1e-9)
         assert fit.coeff_b == self.B_PAPER
         assert fit.t_min == pytest.approx(1.11e-3, rel=0.01)
+
+    def test_exact_least_squares(self):
+        """A within 1e-15 relative of the exact least squares of the float
+        inputs, sum(T/gamma)/sum(1/gamma^2) in rational arithmetic, on 1000
+        seeded sets of 3-14 points with gamma in [e^-3, e^12] and T in
+        [e^-5, e^6].  LAPACK's lstsq on the scaled column was up to 1.2e-12
+        off."""
+        rng = np.random.default_rng(33)
+        for _ in range(1000):
+            n = int(rng.integers(3, 15))
+            gamma, temp = np.exp(rng.uniform(-3.0, 12.0, n)), np.exp(rng.uniform(-5.0, 6.0, n))
+            got = cooling_curve_fit(np.column_stack([gamma, temp]), self.B_PAPER).coeff_a
+            g, t = [Fraction(v) for v in gamma], [Fraction(v) for v in temp]
+            exact = sum(ti / gi for gi, ti in zip(g, t)) / sum(1 / (gi * gi) for gi in g)
+            assert abs(float(Fraction(got) / exact - 1)) <= 1e-15, (gamma, temp)
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
